@@ -3,21 +3,17 @@
 Everything here judges a candidate feedback pair only through the
 closed-loop matrices, independently of how the feedback was constructed:
 
-* an eigenvalue oracle that recovers the pencil's finite spectrum from its
-  characteristic polynomial (determinant sampling at Chebyshev points,
-  degree detection by coefficient decay, companion roots, Newton polish)
-  and counts infinite poles as the degree deficiency;
-* a regularity / nilpotency-index check;
+* an eigenvalue oracle: one QZ call (Moler & Stewart, SIAM J. Numer.
+  Anal. 10, 1973) on the norm-scaled pencil, whose homogeneous pairs
+  (alpha, beta) give the finite poles and count the infinite ones;
+* a regularity / nilpotency-index check, which carries that spectrum so
+  a verification computes it once;
 * the matched relative pole error on a log10 scale;
 * the departure of a quasi-triangular pair from its block-diagonal target;
 * Frobenius condition numbers and feedback norms.
 
-The oracle deliberately avoids the QZ route so it can serve as an
-independent cross-check of any Schur-based construction.  Its accuracy is
-limited by the conditioning of the characteristic polynomial: root
-clusters of high multiplicity and spectra spanning many orders of
-magnitude lose digits, which is the standard trade-off for
-polynomial-based methods.
+The solver never calls QZ and nothing here reuses its factors, so the
+oracle is an independent cross-check of the Schur-based construction.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
+from scipy.linalg import eig
 from scipy.optimize import linear_sum_assignment
 
 from .assign import BlockDescriptor, BlockKind, d_delta_block
@@ -49,270 +45,46 @@ __all__ = [
     "verify_feedback",
 ]
 
-#: relative imaginary-part threshold below which a polished root is real
-_REAL_CUT = 1e-10
-
 #: log10 error floor (machine precision exhausted)
 _PRECS_FLOOR = -17.0
 
+#: |beta| <= _INF_CUTOFF * |alpha| counts an eigenvalue as infinite
+_INF_CUTOFF = 1e-8
 
-def _charpoly_samples(a_c, e_c, rho: float):
-    """Values of det(A_c - x*E_c) at n+1 Chebyshev points of [-rho, rho],
-    rescaled by the geometric mean of the nonzero magnitudes.
-    """
-    n = a_c.shape[0]
-    ts = _cheb.chebpts1(n + 1)
-    signs = np.empty(n + 1)
-    logs = np.empty(n + 1)
-    for i, t in enumerate(ts):
-        sign, logabs = np.linalg.slogdet(a_c - (rho * t) * e_c)
-        signs[i] = sign
-        logs[i] = logabs
-    if not np.any(signs != 0.0):
-        raise SingularPencilError(
-            "determinant vanishes at every sample point; the pencil is singular "
-            "(or indistinguishable from singular at working precision)"
-        )
-    shift = float(np.mean(logs[signs != 0.0]))
-    vals = signs * np.exp(logs - shift)
-    return ts, vals
+#: |alpha| and |beta| both <= _SINGULAR_CUTOFF * n * eps mark a singular pencil
+_SINGULAR_CUTOFF = 100.0
 
 
-def _coefficient_degree(a_c, e_c, tol: float) -> int:
-    """Degree estimate from Chebyshev coefficient decay on [-1, 1]
-    (fallback only; unreliable when the spectrum is far from the interval).
-    """
-    n = a_c.shape[0]
-    ts, vals = _charpoly_samples(a_c, e_c, 1.0)
-    coeffs = _cheb.chebfit(ts, vals, n)
-    amax = float(np.max(np.abs(coeffs)))
-    deg = n
-    while deg > 0 and abs(coeffs[deg]) <= tol * amax:
-        deg -= 1
-    return deg
-
-
-def _growth_degree(logabs_fn, dmax: int, r0: float) -> int | None:
-    """Degree of a polynomial from the growth exponent of log|p| at large x.
-
-    For a degree-d polynomial, log|p| gains exactly d*log(2) per doubling
-    of x once x dwarfs every root; two consecutive doublings must agree on
-    the slope or the base point is enlarged.  Returns None when no stable
-    reading is found.
-    """
-    r = r0
-    for _ in range(4):
-        l1, l2, l4 = logabs_fn(r), logabs_fn(2.0 * r), logabs_fn(4.0 * r)
-        if all(map(math.isfinite, (l1, l2, l4))):
-            d12 = (l2 - l1) / math.log(2.0)
-            d24 = (l4 - l2) / math.log(2.0)
-            if abs(d12 - d24) < 0.1 and abs(d24 - round(d24)) < 0.4:
-                d = int(round(d24))
-                if 0 <= d <= dmax:
-                    return d
-        r *= 100.0
-        if not math.isfinite(r):
-            break
-    return None
-
-
-def _asymptotic_degree(a_c, e_c, r0: float) -> int | None:
-    """Degree of det(A_c - x*E_c) read off its growth at large x
-    (None when no stable reading is found; caller falls back to
-    coefficient decay).
-    """
-
-    def logdet(x: float) -> float:
-        sign, logabs = np.linalg.slogdet(a_c - x * e_c)
-        return logabs if sign != 0 else -math.inf
-
-    return _growth_degree(logdet, a_c.shape[0], r0)
-
-
-def _charpoly_roots(a_c, e_c, rho: float, deg: int) -> np.ndarray:
-    """Roots of the characteristic polynomial of known degree ``deg``,
-    interpolated on [-rho, rho] and mapped back to the original variable.
-    """
-    ts, vals = _charpoly_samples(a_c, e_c, rho)
-    coeffs = _cheb.chebfit(ts, vals, a_c.shape[0])
-    roots = _cheb.chebroots(coeffs[: deg + 1]) * rho
-    return np.asarray(roots, dtype=complex)
-
-
-def _reversal_roots(a_c, e_c, rho: float, deg: int, deg_rev: int) -> np.ndarray:
-    """Roots of the reversal p*(mu) = mu^deg * p(1/mu) of the degree-``deg``
-    characteristic polynomial, interpolated on [-rho, rho].
-
-    The reversal's roots are exactly the reciprocals of the nonzero finite
-    poles -- infinite poles contribute nothing, unlike the swapped pencil
-    det(E_c - mu*A_c) whose structural mu = 0 cluster of multiplicity
-    n - deg smears into a noise ring wide enough to defeat any radius
-    filter.  p* is sampled in log space: log|p*| = log|det(mu*A_c - E_c)|
-    + (deg - n) log|mu| (the sample grid has an even point count so that
-    mu = 0 is never hit).  ``deg_rev`` = deg minus the multiplicity of the
-    zero pole is the reversal's own degree.
-    """
-    n = a_c.shape[0]
-    power = deg - n
-    npts = n + 1 + ((n + 1) % 2)
-    ts = _cheb.chebpts1(npts)
-    signs = np.empty(npts)
-    logs = np.empty(npts)
-    for i, t in enumerate(ts):
-        mu = rho * t
-        sign, logabs = np.linalg.slogdet(mu * a_c - e_c)
-        if sign != 0:
-            logabs += power * math.log(abs(mu))
-            if power % 2 == 1 and mu < 0:
-                sign = -sign
-        signs[i] = sign
-        logs[i] = logabs
-    if not np.any(signs != 0.0):
-        raise SingularPencilError(
-            "determinant vanishes at every sample point; the pencil is singular "
-            "(or indistinguishable from singular at working precision)"
-        )
-    shift = float(np.mean(logs[signs != 0.0]))
-    vals = signs * np.exp(logs - shift)
-    coeffs = _cheb.chebfit(ts, vals, deg)
-    roots = _cheb.chebroots(coeffs[: deg_rev + 1]) * rho
-    return np.asarray(roots, dtype=complex)
-
-
-def _tightened_roots(roots_fn) -> np.ndarray:
-    """Roots interpolated on an interval shrunk onto the sub-unit part of
-    the root set.
-
-    The sampling interval must never extend far beyond the small roots:
-    enclosing a wide root set blows up the sampled dynamic range and
-    buries the structure of the interior roots, while an interval at the
-    cloud's scale resolves them and still locates moderately exterior
-    roots by extrapolation.  Roots beyond the unit circle are somebody
-    else's job (the reversal polynomial).
-    """
-    rho = 1.0
-    roots = roots_fn(rho)
-    for _ in range(3):
-        if roots.size == 0:
-            break
-        mags = np.abs(roots)
-        inside = mags[mags <= 1.01 * rho]
-        if inside.size == 0:
-            break
-        top = float(np.max(inside))
-        if top >= 0.5 * rho or top <= 1e-12:
-            break
-        rho = max(1.1 * top, 1e-12)
-        roots = roots_fn(rho)
-    return roots
-
-
-def _ehrlich_aberth(a_c, e_c, starts: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Simultaneous refinement of all finite roots of det(A_c - z*E_c).
-
-    Ehrlich-Aberth iteration: each point takes a Newton step corrected by
-    repulsion from the other points, which resolves clusters and prevents
-    two starting points from converging onto the same simple root.  The
-    Newton ratio p'(z)/p(z) = tr((A_c - z*E_c)^{-1} E_c) comes from a
-    linear solve, so no polynomial coefficients are needed -- this is what
-    makes the refinement immune to the conditioning of the interpolation
-    that produced the starting points.
-    """
-    z = np.asarray(starts, dtype=complex).copy()
-    k = z.size
-    if k == 0:
-        return z
-    e_cc = e_c.astype(complex)
-    # exact duplicates would make the repulsion term blow up
-    for i in range(k):
-        for j in range(i):
-            if abs(z[i] - z[j]) <= 1e-12 * (1.0 + abs(z[j])):
-                z[i] = z[j] + 1e-8 * (1.0 + abs(z[j])) * np.exp(2j * np.pi * i / k)
-    done = np.zeros(k, dtype=bool)
-    for _ in range(iters):
-        moved = False
-        for i in range(k):
-            if done[i]:
-                continue
-            try:
-                sol = np.linalg.solve(a_c - z[i] * e_cc, e_cc)
-            except np.linalg.LinAlgError:
-                done[i] = True  # sitting exactly on a root
-                continue
-            # p'(z)/p(z) = -tr((A_c - z*E_c)^{-1} E_c)
-            t = -np.trace(sol)
-            if not np.isfinite(t):
-                done[i] = True
-                continue
-            rep = 0.0
-            for j in range(k):
-                if j != i:
-                    dz = z[i] - z[j]
-                    if dz != 0:
-                        rep += 1.0 / dz
-            denom = t - rep
-            if denom == 0 or not np.isfinite(denom):
-                continue
-            step = 1.0 / denom
-            if not np.isfinite(step):
-                continue
-            z[i] = z[i] - step
-            if abs(step) <= 1e-15 * (1.0 + abs(z[i])):
-                done[i] = True
-            else:
-                moved = True
-        if not moved:
-            break
-    return z
-
-
-def _newton_polish(a_c, e_c, z0: complex, iters: int = 6) -> complex:
-    """Refine one root of det(A_c - z*E_c) by Newton steps on the
-    logarithmic derivative, keeping only steps that shrink |det|.
-    """
-    e_c = e_c.astype(complex)
-
-    def logabs(z):
-        _, la = np.linalg.slogdet(a_c - z * e_c)
-        return la
-
-    z = complex(z0)
-    best_z, best_la = z, logabs(z)
-    for _ in range(iters):
-        try:
-            sol = np.linalg.solve(a_c - z * e_c, e_c)
-        except np.linalg.LinAlgError:
-            break
-        tr = np.trace(sol)
-        if tr == 0 or not np.isfinite(tr):
-            break
-        step = 1.0 / tr
-        z_new = z + step
-        if not np.isfinite(z_new):
-            break
-        la_new = logabs(z_new)
-        if la_new < best_la:
-            best_z, best_la = z_new, la_new
-        z = z_new
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
-            break
-    return best_z
-
-
-def generalized_eig_oracle(a_c, e_c, tol: float = 1e-8) -> list[PolePair]:
+def generalized_eig_oracle(a_c, e_c) -> list[PolePair]:
     """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
 
-    The characteristic polynomial is interpolated from determinant
-    samples; its numerical degree d gives n - d infinite poles, its roots
-    the finite ones.  Roots inside the unit circle come from the direct
-    pencil, roots outside from the reciprocal pencil (E_c, A_c) whose
-    spectrum is inverted, so neither interpolation ever has to span the
-    full spectral range; every root is polished by Newton's method on
-    log|det|.  Complex roots are returned once per conjugate pair
-    (positive imaginary part).
+    One QZ call (``scipy.linalg.eig``, LAPACK ``*ggev``) on the scaled
+    pencil (A_c/||A_c||_F, E_c/||E_c||_F) returns homogeneous pairs
+    (alpha, beta) with lambda = alpha/beta * ||A_c||_F/||E_c||_F.  Infinite
+    poles come first, then the finite ones sorted by (real, imag); a
+    complex conjugate couple is returned once, with positive imaginary
+    part.
 
-    Raises SingularPencilError when det(A_c - x*E_c) is identically zero
-    at working precision.
+    Both cutoffs rest on QZ's backward stability: the computed pairs are
+    the exact generalized Schur diagonal of a pencil within about n*eps of
+    the scaled one (2e-14 at n = 100).
+
+    * Infinite: ``|beta| <= 1e-8 * |alpha|``.  An index-1 infinite
+      eigenvalue is semisimple, so its |beta|/|alpha| moves by at most its
+      condition number times n*eps, while a finite eigenvalue of the scaled
+      pencil sits at |beta|/|alpha| = 1/|lambda|.  The cutoff thus counts as
+      infinite every index-1 infinite eigenvalue of condition below about
+      1e6 and as finite every pole below 1e8 * ||A_c||_F/||E_c||_F in
+      modulus.  A Jordan chain of length k at infinity moves by about
+      (n*eps)**(1/k) and may fall on either side, which is why
+      :func:`index_and_regularity_check` judges the index by ranks, not by
+      this count alone.
+    * Singular: ``|alpha|`` and ``|beta|`` both below 100 * n * eps.
+      Zeroing that diagonal pair makes the determinant of the Schur form
+      vanish for every lambda, so the scaled pencil is within about its
+      size of a singular pencil: singular at working precision.
+
+    Raises SingularPencilError in that case.
     """
     a_c = np.asarray(a_c, dtype=np.float64)
     e_c = np.asarray(e_c, dtype=np.float64)
@@ -321,141 +93,21 @@ def generalized_eig_oracle(a_c, e_c, tol: float = 1e-8) -> list[PolePair]:
     n = a_c.shape[0]
     if n == 0:
         return []
-
-    norm_e = float(np.linalg.norm(e_c))
-    norm_a = float(np.linalg.norm(a_c))
-    hint = max(1.0, norm_a / norm_e) if norm_e > 0 else 1.0
-    deg = _asymptotic_degree(a_c, e_c, 1e7 * hint)
-    if deg is None:
-        deg = _coefficient_degree(a_c, e_c, tol)
-    # the determinant's degree never exceeds rank(E_c)
-    deg = min(deg, numerical_rank(e_c).rank)
-    if deg == 0:
-        # still raise for an identically vanishing determinant
-        _charpoly_samples(a_c, e_c, 1.0)
-        return [PolePair.infinite()] * n
-
-    # Interpolated roots are reliable near or inside the sampled interval,
-    # and an interval enclosing a wide spectrum is useless: the sampled
-    # dynamic range buries the interior structure.  So the plane is split
-    # at the unit circle.  The direct pencil, sampled on an interval shrunk
-    # onto its sub-unit roots, is trusted for |z| <= 1; the reversal
-    # polynomial, whose roots are mu = 1/z, covers |z| > 1 by the
-    # identical construction.  The merge is count-guarded against double
-    # or missed coverage of the circle itself.
-    roots_dir = _tightened_roots(lambda rho: _charpoly_roots(a_c, e_c, rho, deg))
-    cands: list[tuple[complex, bool]] = [
-        (complex(z), False) for z in roots_dir if abs(z) <= 1.0
-    ]
-    if len(cands) < deg:
-        power = deg - n
-
-        def rev_logabs(x: float) -> float:
-            sign, logabs = np.linalg.slogdet(x * a_c - e_c)
-            return logabs + power * math.log(abs(x)) if sign != 0 else -math.inf
-
-        hint_q = max(1.0, norm_e / norm_a) if norm_a > 0 else 1.0
-        deg_rev = _growth_degree(rev_logabs, deg, 1e7 * hint_q)
-        if deg_rev is None:
-            # a zero pole of high multiplicity spoilt the slope reading;
-            # assume no zero poles and let the count guard clean up
-            deg_rev = deg
-        if deg_rev > 0:
-            roots_mu = _tightened_roots(
-                lambda rho: _reversal_roots(a_c, e_c, rho, deg, deg_rev)
-            )
-            cands.extend(
-                (1.0 / complex(mu), True)
-                for mu in roots_mu
-                if 0.0 < abs(mu) < 1.0
-            )
-    if len(cands) > deg:
-        # a root hugging the circle may be claimed by both sides: drop the
-        # reciprocal member of the closest cross-side pairs
-        pairs = sorted(
-            (abs(zd - zr) / (1.0 + abs(zd)), i, j)
-            for i, (zd, rd) in enumerate(cands)
-            if not rd
-            for j, (zr, rr) in enumerate(cands)
-            if rr
+    norm_a = float(np.linalg.norm(a_c)) or 1.0
+    norm_e = float(np.linalg.norm(e_c)) or 1.0
+    alpha, beta = eig(a_c / norm_a, e_c / norm_e, right=False, homogeneous_eigvals=True)
+    negligible = _SINGULAR_CUTOFF * n * np.finfo(np.float64).eps
+    if np.any((np.abs(alpha) <= negligible) & (np.abs(beta) <= negligible)):
+        raise SingularPencilError(
+            "a QZ pair (alpha, beta) vanishes; the pencil is singular "
+            "(or indistinguishable from singular at working precision)"
         )
-        used: set[int] = set()
-        drop: set[int] = set()
-        for rel, i, j in pairs:
-            if len(cands) - len(drop) <= deg or rel > 1e-6:
-                break
-            if i in used or j in drop:
-                continue
-            used.add(i)
-            drop.add(j)
-        cands = [c for k, c in enumerate(cands) if k not in drop]
-    if len(cands) < deg:
-        # circle straddlers missed by both sides: extrapolated direct roots
-        # just outside the trust zone are the best remaining guesses
-        spare = sorted(
-            (complex(z) for z in roots_dir if abs(z) > 1.0),
-            key=lambda z: (abs(z), z.real, z.imag),
-        )
-        cands.extend((z, False) for z in spare[: deg - len(cands)])
-    starts = np.array([z for z, _ in cands], dtype=complex)
-    if starts.size < deg:
-        # desperate fallback: seed the remainder on a circle
-        radius = 2.0 * max(1.0, float(np.max(np.abs(starts))) if starts.size else 1.0)
-        missing = deg - starts.size
-        extra = radius * np.exp(2j * np.pi * (np.arange(missing) + 0.25) / max(missing, 1))
-        starts = np.concatenate([starts, extra])
-
-    # the interpolation only has to deliver the right count and the right
-    # neighbourhoods; the simultaneous iteration supplies the precision
-    roots = _ehrlich_aberth(a_c, e_c, starts)
-
-    # refined roots are only approximately conjugate-symmetric: pair them
-    # greedily and keep positive-imaginary representatives
-    reals: list[float] = []
-    pos: list[complex] = []
-    neg: list[complex] = []
-    for z in roots:
-        z = complex(z)
-        if abs(z.imag) <= _REAL_CUT * (1.0 + abs(z)):
-            reals.append(float(z.real))
-        elif z.imag > 0:
-            pos.append(z)
-        else:
-            neg.append(z.conjugate())
-    pos.sort(key=lambda c: (c.real, c.imag))
-    neg.sort(key=lambda c: (c.real, c.imag))
-    reps: list[complex] = []
-    for z in pos:
-        hit = next(
-            (k for k, w in enumerate(neg) if abs(z - w) <= 1e-6 * (1.0 + abs(z))),
-            None,
-        )
-        if hit is None:
-            # partner missing: count the root alone, as real
-            reals.append(z.real)
-        else:
-            neg.pop(hit)
-            reps.append(z)
-    reals.extend(w.real for w in neg)
-
-    poles: list[PolePair] = [PolePair.infinite()] * (n - deg)
-    finite: list[PolePair] = []
-    for x in sorted(reals):
-        x_pol = _newton_polish(a_c, e_c, x)
-        # real starting points stay real (the trace step is real), but be safe
-        finite.append(PolePair.from_value(complex(x_pol).real))
-    for z in sorted(reps, key=lambda c: (c.real, c.imag)):
-        z_pol = _newton_polish(a_c, e_c, z)
-        if abs(z_pol.imag) <= _REAL_CUT * (1.0 + abs(z_pol)):
-            # the pair collapsed onto the real axis: it was 2 roots
-            finite.append(PolePair.from_value(z_pol.real))
-            finite.append(PolePair.from_value(z_pol.real))
-        else:
-            if z_pol.imag < 0:
-                z_pol = z_pol.conjugate()
-            finite.append(PolePair.make(z_pol, 1.0))
-    finite.sort(key=lambda p: (p.value.real, p.value.imag))
-    return poles + finite
+    finite = np.abs(beta) > _INF_CUTOFF * np.abs(alpha)
+    # real ggev returns conjugate couples exactly mirrored: keep the upper one
+    lams = alpha[finite] / beta[finite] * (norm_a / norm_e)
+    poles = [PolePair.from_value(lam) for lam in lams if lam.imag >= 0.0]
+    poles.sort(key=lambda p: (p.value.real, p.value.imag))
+    return [PolePair.infinite()] * (n - int(np.count_nonzero(finite))) + poles
 
 
 @dataclass(frozen=True)
@@ -467,6 +119,8 @@ class IndexReport:
     finite_count: int | None
     rank_e: int
     matches_expected: bool
+    #: the spectrum from :func:`generalized_eig_oracle` (empty when singular)
+    poles: tuple[PolePair, ...] = ()
 
 
 def _loose_rank_tol(mat: np.ndarray, rank_rtol: float) -> float | None:
@@ -489,7 +143,9 @@ def index_and_regularity_check(
     construction roundoff (E_c produced by a feedback computation carries
     noise-level singular values near 1e-14 of its norm) from genuinely
     small directions of an ill-conditioned but invertible leading part
-    (observed down to a few 1e-9 on hard full-rank assignments).
+    (observed down to a few 1e-9 on hard full-rank assignments).  The
+    report carries the spectrum, so a caller that needs both computes it
+    once.
     """
     a_c = np.asarray(a_c, dtype=np.float64)
     e_c = np.asarray(e_c, dtype=np.float64)
@@ -497,7 +153,7 @@ def index_and_regularity_check(
     tol_e = _loose_rank_tol(e_c, rank_rtol)
     rank_e = numerical_rank(e_c, tol_e).rank
     try:
-        poles = generalized_eig_oracle(a_c, e_c)
+        poles = tuple(generalized_eig_oracle(a_c, e_c))
     except SingularPencilError:
         return IndexReport(False, False, None, rank_e, False)
     finite_count = len(expand_to_values(poles))
@@ -510,7 +166,7 @@ def index_and_regularity_check(
         no_chains = True
     index_ok = (finite_count == rank_e) and no_chains
     matches = True if expected_finite is None else finite_count == expected_finite
-    return IndexReport(True, index_ok, finite_count, rank_e, matches)
+    return IndexReport(True, index_ok, finite_count, rank_e, matches, poles)
 
 
 def precs_metric(requested, computed) -> float:
@@ -710,27 +366,18 @@ def _closed_loop_report(
     orth_p: float | None,
 ) -> Report:
     n, r = problem.n, problem.r
-    requested = expand_to_values(problem.poles)
-    try:
-        comp_poles = generalized_eig_oracle(a_c, e_c)
-        regular = True
-    except SingularPencilError:
-        comp_poles = []
-        regular = False
+    idx = index_and_regularity_check(a_c, e_c, expected_finite=r)
+    regular, index_ok = idx.regular, idx.index_le_1
     if regular:
-        computed = expand_to_values(comp_poles)
-        inf_count = count_infinite(comp_poles)
-        precs = precs_metric(requested, computed)
+        precs = precs_metric(expand_to_values(problem.poles), expand_to_values(idx.poles))
+        inf_count = count_infinite(idx.poles)
         mismatch = math.isinf(precs) or inf_count != (n - r)
-        kappa_eig = eigenvector_condition(a_c, e_c, comp_poles)
-        idx = index_and_regularity_check(a_c, e_c, expected_finite=r)
-        index_ok = idx.index_le_1
+        kappa_eig = eigenvector_condition(a_c, e_c, idx.poles)
     else:
         precs = math.inf
         inf_count = None
         mismatch = True
         kappa_eig = None
-        index_ok = False
     precs_ok = (precs <= -6.0) or (r == 0 and not mismatch)
     residual_ok = True
     for res in (residual_a, residual_e):

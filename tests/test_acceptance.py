@@ -390,13 +390,14 @@ def test_criterion_7_oracle_cross_validation():
     rng = np.random.default_rng(0xACCE)
     worst = 0.0
     miscounted = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
+    sizes = [int(rng.integers(1, 6)) for _ in range(200)] + [45, 45, 100, 100]
+    for n in sizes:
         a = rng.standard_normal((n, n))
         e = rng.standard_normal((n, n)) + (2.0 + n) * np.eye(n)
-        got = expand_to_values(generalized_eig_oracle(a, e))
+        poles = generalized_eig_oracle(a, e)
+        got = expand_to_values(poles)
         want = list(np.linalg.eigvals(np.linalg.solve(e, a)))
-        if len(got) != n:
+        if len(got) != n or count_infinite(poles) != 0:
             miscounted += 1
             continue
         for g in got:  # greedy nearest-neighbour matching
@@ -410,16 +411,32 @@ def test_criterion_7_oracle_cross_validation():
             diag_e = np.array([0.0] * k + list(rng.uniform(0.5, 2.0, n - k)))
             diag_a = rng.uniform(0.5, 2.0, n)
             poles = generalized_eig_oracle(np.diag(diag_a), np.diag(diag_e))
-            if count_infinite(poles) != k:
+            if count_infinite(poles) != k or len(expand_to_values(poles)) != n - k:
                 inf_bad += 1
+    # the same constructions at n = 45 and 100, hidden by orthogonal
+    # transformations U (A, E) V
+    for n in (45, 100):
+        for k in (1, n // 2, n - 1):
+            diag_e = np.array([0.0] * k + list(rng.uniform(0.5, 2.0, n - k)))
+            diag_a = rng.uniform(0.5, 2.0, n)
+            u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            poles = generalized_eig_oracle(u @ np.diag(diag_a) @ v, u @ np.diag(diag_e) @ v)
+            got = sorted(expand_to_values(poles), key=lambda z: z.real)
+            want = sorted(diag_a[k:] / diag_e[k:])
+            if count_infinite(poles) != k or len(got) != n - k:
+                inf_bad += 1
+                continue
+            worst = max(worst, max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, want)))
 
     ok = worst <= 1e-8 and miscounted == 0 and inf_bad == 0
     _report(
         7,
         ok,
-        f"200 invertible-E pencils match inverse reduction (worst {worst:.2e} "
+        f"204 invertible-E pencils (n <= 5, 45, 100) match inverse reduction "
+        f"and rotated diagonal pencils match their ratios (worst {worst:.2e} "
         f"<= 1e-8, {miscounted} count mismatches); diagonal singular "
-        f"constructions: {inf_bad} wrong infinite counts",
+        f"constructions (n <= 6, 45, 100): {inf_bad} wrong counts",
     )
 
 

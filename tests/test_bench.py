@@ -54,13 +54,18 @@ def test_instances_differ_across_trials_and_seeds():
 
 
 def test_run_trial_reports_metrics():
-    cfg = BenchConfig(n=6, rank_e=3, m=2, trials=5, seed=0)
-    res = run_trial(cfg, r=4, trial=0)
-    assert res.ok, res.error
-    assert res.precs <= -6.0
-    assert np.isfinite(res.delta_f2) and res.delta_f2 >= 0.0
-    assert np.isfinite(res.norm_f) and np.isfinite(res.norm_g)
-    assert res.kappa_x_gf >= 1.0
+    cases = [
+        (BenchConfig(n=6, rank_e=3, m=2, trials=5, seed=0), 4),
+        # generate -> validate -> assign -> verify at n = 100
+        (BenchConfig(n=100, rank_e=50, m=10, trials=1, seed=0), 60),
+    ]
+    for cfg, r in cases:
+        res = run_trial(cfg, r=r, trial=0)
+        assert res.ok, res.error
+        assert res.precs <= -6.0
+        assert np.isfinite(res.delta_f2) and res.delta_f2 >= 0.0
+        assert np.isfinite(res.norm_f) and np.isfinite(res.norm_g)
+        assert res.kappa_x_gf >= 1.0
 
 
 def test_run_sweep_rows():

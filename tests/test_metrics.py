@@ -73,9 +73,7 @@ def test_oracle_multiple_root():
 
 
 def test_oracle_wide_dynamic_range():
-    # Eigenvalues of very different magnitude exercise the split between
-    # the direct interpolation (inside the unit circle) and the reversed
-    # polynomial (outside).
+    # Eigenvalues six orders of magnitude apart stay finite and accurate.
     a = np.diag([1.0, 2.0, 3.0, 4.0])
     e = np.diag([1e-6, 1e-6, 1.0, 1.0])
     vals = _sorted(expand_to_values(generalized_eig_oracle(a, e)))
@@ -92,6 +90,17 @@ def test_oracle_singular_pencil_raises():
 def test_oracle_zero_e_all_infinite():
     poles = generalized_eig_oracle(np.diag([1.0, 2.0]), np.zeros((2, 2)))
     assert count_infinite(poles) == 2
+
+
+def test_oracle_counts_every_pole_of_a_random_50x50_pencil():
+    # The benchmark generator draws its target poles this way; a wrong
+    # finite count here rejects every n = 100 draw.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((50, 50))
+    e = rng.standard_normal((50, 50))
+    poles = generalized_eig_oracle(a, e)
+    assert len(expand_to_values(poles)) == 50
+    assert count_infinite(poles) == 0
 
 
 @settings(max_examples=60)
@@ -274,16 +283,21 @@ def test_eigenvector_condition_none_for_repeated():
 
 
 def test_verify_solution_passes_on_pipeline_output():
-    prob = make_instance(6, 3, 3, 4, trial=4)
-    sol = run_pipeline(prob)
-    rep = verify_solution(prob, sol)
-    assert rep.passed
-    assert rep.precs <= -6.0
-    assert rep.infinite_count == prob.n - prob.r
-    assert rep.index_ok
-    assert rep.residual_a is not None and rep.residual_a <= 1e-10
-    assert rep.residual_e is not None and rep.residual_e <= 1e-10
-    assert rep.orth_p is not None and rep.orth_p <= 1e-12 * prob.n
+    cases = [
+        make_instance(6, 3, 3, 4, trial=4),
+        # one requested pole at 4766: the closed loop spans a wide range
+        make_instance(6, 5, 4, 4, trial=3, seed=5),
+    ]
+    for prob in cases:
+        sol = run_pipeline(prob)
+        rep = verify_solution(prob, sol)
+        assert rep.passed
+        assert rep.precs <= -6.0
+        assert rep.infinite_count == prob.n - prob.r
+        assert rep.index_ok
+        assert rep.residual_a is not None and rep.residual_a <= 1e-10
+        assert rep.residual_e is not None and rep.residual_e <= 1e-10
+        assert rep.orth_p is not None and rep.orth_p <= 1e-12 * prob.n
     mapping = rep.to_mapping()
     assert list(mapping) == [
         "precs", "deltaF2", "normF", "normG", "kappaXGF", "kappaX",

@@ -220,11 +220,17 @@ def test_parse_problem_comments_blank_lines():
 
 
 def test_validate_good_instance_passes():
-    prob = make_instance(5, 3, 2, 4, trial=1)
-    rep = validate_problem(prob)
-    assert rep.passed
-    assert rep.q == min(5, 3 + 2)
-    assert not rep.failures()
+    cases = [
+        (make_instance(5, 3, 2, 4, trial=1), 5),
+        # no open-loop eigenvalue may be invented far out, where the scaled
+        # probe [lambda*E - A, B] tends to [E, B] of rank q < n
+        (make_instance(6, 3, 2, 4, trial=2, seed=30), 5),
+    ]
+    for prob, q in cases:
+        rep = validate_problem(prob)
+        assert rep.passed, [f"{c.name}: {c.detail}" for c in rep.failures()]
+        assert rep.q == q
+        assert not rep.failures()
 
 
 def test_validate_rank_deficient_b():
