@@ -116,11 +116,15 @@ class IndexReport:
 
     regular: bool
     index_le_1: bool
-    finite_count: int | None
     rank_e: int
     matches_expected: bool
     #: the spectrum from :func:`generalized_eig_oracle` (empty when singular)
     poles: tuple[PolePair, ...] = ()
+
+    @property
+    def finite_count(self) -> int | None:
+        """Number of finite poles, conjugates counted (None when singular)."""
+        return len(expand_to_values(self.poles)) if self.regular else None
 
 
 def _loose_rank_tol(mat: np.ndarray, rank_rtol: float) -> float | None:
@@ -155,7 +159,7 @@ def index_and_regularity_check(
     try:
         poles = tuple(generalized_eig_oracle(a_c, e_c))
     except SingularPencilError:
-        return IndexReport(False, False, None, rank_e, False)
+        return IndexReport(False, False, rank_e, False)
     finite_count = len(expand_to_values(poles))
     nullb = orthonormal_null_basis(e_c, tol_e)
     if nullb.shape[1]:
@@ -166,7 +170,7 @@ def index_and_regularity_check(
         no_chains = True
     index_ok = (finite_count == rank_e) and no_chains
     matches = True if expected_finite is None else finite_count == expected_finite
-    return IndexReport(True, index_ok, finite_count, rank_e, matches, poles)
+    return IndexReport(True, index_ok, rank_e, matches, poles)
 
 
 def precs_metric(requested, computed) -> float:

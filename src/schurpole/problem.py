@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ParseError, SingularPencilError
 from .linalg import numerical_rank, orthonormal_null_basis
-from .poles import PoleKind, PolePair, count_infinite
+from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 __all__ = [
     "Problem",
@@ -289,9 +289,9 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
     policy):  (a) B has full column rank; (b/c) the finite pole count r
     lies in [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full
     row rank for a null basis Ninf of E; (e) [lambda*E - A, B] has full row
-    rank at every finite open-loop eigenvalue and at ``probes`` fixed
-    pseudo-random complex values.  Requested poles of multiplicity above m
-    are recorded as warnings.
+    rank at every open-loop eigenvalue that (d) does not count as infinite
+    and at ``probes`` fixed pseudo-random complex values.  Requested poles
+    of multiplicity above m are recorded as warnings.
     """
     from .metrics import generalized_eig_oracle  # local import avoids a cycle
 
@@ -325,29 +325,38 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
         )
     )
 
-    lams: list[complex] = []
+    # Probe at every open-loop eigenvalue that check (d) does not count as
+    # infinite.  The oracle counts a pole above about 1e8*||A||/||E|| in
+    # modulus as infinite, although (d) may cover fewer than those with its
+    # n - rank(E) null directions.  The excess poles are the reciprocals of
+    # the eigenvalues mu = 1/lambda of the reversed pencil (E, A), taken by
+    # increasing modulus after the first n - rank(E).
+    k_d = n_inf.shape[1]
+    pairs: list[tuple[complex, complex]] = []  # (a, b) probes a*E - b*A
     try:
-        for pole in generalized_eig_oracle(p.A, p.E):
-            if not pole.is_infinite:
-                lams.append(pole.value)
-                if pole.kind is PoleKind.FINITE_COMPLEX:
-                    lams.append(pole.value.conjugate())
+        spectrum = generalized_eig_oracle(p.A, p.E)
+        pairs += [(lam, 1.0) for lam in expand_to_values(spectrum)]
+        k_inf = count_infinite(spectrum)
+        if k_inf > k_d:
+            mus = sorted(expand_to_values(generalized_eig_oracle(p.E, p.A)), key=abs)
+            pairs += [(1.0, mu) for mu in mus[k_d:k_inf]]
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
     rng = np.random.default_rng(_PROBE_SEED)
     for _ in range(probes):
-        lams.append(complex(rng.standard_normal(), rng.standard_normal()))
+        pairs.append((complex(rng.standard_normal(), rng.standard_normal()), 1.0))
     ok = True
     detail = "full row rank at all probes"
-    for lam in lams:
+    for a, b in pairs:
         # Homogeneous scaling keeps the probe well conditioned for huge
         # eigenvalues, where lam*E - A would drown B under the tolerance.
-        scale = np.sqrt(abs(lam) ** 2 + 1.0)
-        mat = np.hstack([(lam / scale) * p.E - (1.0 / scale) * p.A, p.B.astype(complex)])
+        scale = np.hypot(abs(a), abs(b))
+        mat = np.hstack([(a / scale) * p.E - (b / scale) * p.A, p.B.astype(complex)])
         rk = numerical_rank(mat, tol).rank
         if rk != n:
             ok = False
-            detail = f"rank([lambda*E - A, B])={rk} at lambda={lam:g}"
+            lam = f"{a / b:g}" if b else "inf"
+            detail = f"rank([lambda*E - A, B])={rk} at lambda={lam}"
             break
     checks.append(CheckResult("finite-pole-controllability", ok, detail))
 

@@ -261,17 +261,20 @@ def test_validate_finite_pole_count_bound():
 
 
 def test_validate_uncontrollable_finite_mode():
+    poles = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
     # Mode at lambda = 2 is untouched by B = e1.
-    prob = Problem(
-        E=np.eye(2),
-        A=np.diag([1.0, 2.0]),
-        B=np.array([[1.0], [0.0]]),
-        poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
-        r=2,
+    small = Problem(
+        E=np.eye(2), A=np.diag([1.0, 2.0]), B=np.array([[1.0], [0.0]]), poles=poles, r=2
     )
-    rep = validate_problem(prob)
-    names = [c.name for c in rep.failures()]
-    assert "finite-pole-controllability" in names
+    # Mode at lambda = 1e10 is untouched by B = e2.  QZ counts it as
+    # infinite, but rank(E) = 2 leaves it to the finite-mode probes.
+    huge = Problem(
+        E=np.diag([1e-10, 1.0]), A=np.eye(2), B=np.array([[0.0], [1.0]]), poles=poles, r=2
+    )
+    for prob in (small, huge):
+        rep = validate_problem(prob)
+        names = [c.name for c in rep.failures()]
+        assert "finite-pole-controllability" in names
 
 
 def test_validate_uncontrollable_at_infinity():
@@ -298,11 +301,12 @@ def test_validate_uncontrollable_at_infinity():
 
 
 def test_validate_huge_finite_eigenvalue_probe_is_scale_free():
-    # Open-loop eigenvalue near 1e17: the naive probe rank([lam*E - A, B])
-    # drowns B below the tolerance; the homogeneous probe must pass.
+    # Open-loop eigenvalue near 1e17, finite for QZ beside the one at 1e12:
+    # the naive probe rank([lam*E - A, B]) drowns B below the tolerance; the
+    # homogeneous probe must pass.
     prob = Problem(
         E=np.diag([1e-17, 1.0]),
-        A=np.eye(2),
+        A=np.diag([1.0, 1e12]),
         B=np.eye(2),
         poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
         r=2,
