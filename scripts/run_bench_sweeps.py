@@ -35,12 +35,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--trials", type=int, default=50, help="trials per (config, r)")
     ap.add_argument("--seed", type=int, default=0, help="base seed for instance draws")
     ap.add_argument(
-        "--order",
-        choices=("inf-first", "fin-first"),
-        default="inf-first",
-        help="pole assignment order (default: inf-first)",
-    )
-    ap.add_argument(
         "--out",
         type=pathlib.Path,
         default=pathlib.Path("results"),
@@ -59,9 +53,7 @@ def main(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     for n, rank_e, m in configs:
-        cfg = BenchConfig(
-            n=n, rank_e=rank_e, m=m, trials=args.trials, seed=args.seed, order=args.order
-        )
+        cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=args.trials, seed=args.seed)
         t0 = time.time()
         rows = run_sweep(cfg)
         dt = time.time() - t0

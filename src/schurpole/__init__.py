@@ -29,7 +29,6 @@ from .metrics import (
     Report,
     departure_measure,
     eigenvector_condition,
-    extract_poles_from_schur,
     frobenius_condition,
     generalized_eig_oracle,
     index_and_regularity_check,
@@ -79,7 +78,6 @@ __all__ = [
     "departure_measure",
     "eigenvector_condition",
     "extract_feedback",
-    "extract_poles_from_schur",
     "frobenius_condition",
     "generalized_eig_oracle",
     "generate_random_instance",

@@ -17,7 +17,9 @@ the closed-loop pencil stays close to a normal pair and the assigned
 spectrum is insensitive to perturbations.  Once all n columns exist, X is
 completed from Xi by an orthogonal complement and (F, G) are read off.
 
-Diagonal blocks of (S, T) encode the poles:
+The infinite poles come first: they open the factors as one block with
+S = I and T = 0.  The finite real poles follow in ascending order, then the
+complex pairs in input order.  Diagonal blocks of (S, T) encode the poles:
 
 * infinite pole:            1x1 pair (1, 0);
 * real pair (a, b):         1x1 pair (a, b)/sqrt(a^2 + b^2);
@@ -43,7 +45,6 @@ from .linalg import (
     sym_eig,
 )
 from .poles import (
-    NormalizedPole,
     PoleCase,
     PoleKind,
     PolePair,
@@ -133,15 +134,6 @@ class AssignState:
     def j(self) -> int:
         return self.P.shape[1]
 
-    def relation_residuals(self, a, e, par: Parametrization) -> dict:
-        """Frobenius residuals of the growth invariants (for testing)."""
-        q2t = par.q2.T
-        return {
-            "resA": float(np.linalg.norm(q2t @ (a @ self.P) - self.Xi @ self.S)),
-            "resE": float(np.linalg.norm(q2t @ (e @ self.P) - self.Xi @ self.T)),
-            "orth": float(np.linalg.norm(self.P.T @ self.P - np.eye(self.j))),
-        }
-
 
 @dataclass(eq=False)
 class Solution:
@@ -171,19 +163,6 @@ def compute_parametrization(b) -> Parametrization:
     q, r = qr_decompose(b)
     m = b.shape[1]
     return Parametrization(q1=q[:, :m], q2=q[:, m:], r=r)
-
-
-def _empty_state(n: int, m: int) -> AssignState:
-    return AssignState(
-        n,
-        m,
-        np.zeros((n, 0)),
-        np.zeros((n - m, 0)),
-        np.zeros((0, 0)),
-        np.zeros((0, 0)),
-        (),
-        (),
-    )
 
 
 def _grown(mat: np.ndarray, vcols: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -242,9 +221,9 @@ def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | N
 
 def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
     # The null space has dimension m + j generically; it is larger when the
-    # top block is rank deficient (e.g. deferred infinite poles), which only
-    # adds freedom.  A smaller dimension means the instance violates the
-    # full-row-rank condition required for assignment.
+    # top block is rank deficient, which only adds freedom.  A smaller
+    # dimension means the instance violates the full-row-rank condition
+    # required for assignment.
     mt = np.vstack([row_top, np.hstack([p_mat.T, np.zeros((j, 2 * j))])])
     z = orthonormal_null_basis(mt, tol)
     if z.shape[1] < m + j:
@@ -256,16 +235,15 @@ def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
 
 
 def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization, tol: float | None = None) -> AssignState:
-    """Append one column carrying a real pole (or an infinite one given as
-    the limiting pair (1, 0), used by the finite-poles-first ordering).
+    """Append one column carrying a finite real pole.
 
     Among all unit feasible directions, the new column maximizes the share
     of the null vector living in the P-component, which minimizes the norm
     of the off-diagonal entries added to S and T.
     """
+    if pole.kind is not PoleKind.FINITE_REAL:
+        raise ValueError("assign_real_pole needs a finite real pole")
     npole = normalize_pole(pole)
-    if npole.case is not PoleCase.REAL:
-        raise ValueError("assign_real_pole needs a real or infinite pole")
     eps1 = float(npole.eps1.real)
     eps2 = float(npole.eps2.real)
     n, m, j = state.n, state.m, state.j
@@ -296,24 +274,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     else:
         xi_new = (q2t @ (e @ p_new) - xi @ v_t) / eps2
 
-    if pole.is_infinite:
-        # A deferred infinite pole may not couple through T to an earlier
-        # infinite column: such an entry makes the trailing T block
-        # nilpotent of index 2, so the closed-loop index exceeds one.  The
-        # coupling vanishes automatically when at most one input is
-        # available, but is generically nonzero for m >= 2 with two or
-        # more deferred infinite poles; it is an infeasibility of this
-        # processing order, not of the instance.
-        chain = [abs(v_t[blk.start]) for blk in state.blocks if blk.kind is BlockKind.INFINITE]
-        if chain and max(chain) > 1e-8 * max(1.0, float(np.linalg.norm(v_t))):
-            raise DegenerateStepError(
-                "deferred infinite pole couples to an earlier infinite column "
-                f"(|T| entry {max(chain):.3g}), which would raise the closed-loop "
-                "index above one; re-run with the infinite-poles-first order"
-            )
-
-    kind = BlockKind.INFINITE if pole.is_infinite else BlockKind.REAL
-    block = BlockDescriptor(start=j, size=1, kind=kind, eps1=eps1, eps2=eps2)
+    block = BlockDescriptor(start=j, size=1, kind=BlockKind.REAL, eps1=eps1, eps2=eps2)
     rec = StepRecord(
         "real",
         j,
@@ -610,34 +571,23 @@ def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray
     return f, g
 
 
-def run_pipeline(problem, order: str = "inf-first", tol: float | None = None) -> Solution:
+def run_pipeline(problem, tol: float | None = None) -> Solution:
     """Assign the requested spectrum of ``problem`` and return (F, G) with
     all factors.
 
-    ``order`` picks the processing sequence: ``inf-first`` (default) opens
-    with the infinite block, then finite real poles in ascending order,
-    then complex pairs in input order; ``fin-first`` defers the infinite
-    poles to the end, where they run through the real-pole step as the
-    limiting pair (1, 0).  The latter is best effort: its feasibility is
-    checked live and a DegenerateStepError is raised on violation.
+    The infinite block comes first, then the finite real poles in ascending
+    order, then the complex pairs in input order.
     """
-    if order not in ("inf-first", "fin-first"):
-        raise ValueError(f"unknown order {order!r}")
     par = compute_parametrization(problem.B)
     a, e = problem.A, problem.E
     n, r = problem.n, problem.r
-    inf_count = n - r
     reals = sorted(
         (p for p in problem.finite_poles if p.kind is PoleKind.FINITE_REAL),
         key=lambda p: p.value.real,
     )
     cplx = [p for p in problem.finite_poles if p.kind is PoleKind.FINITE_COMPLEX]
-    if order == "inf-first":
-        state = assign_infinite_block(a, e, par, inf_count, tol)
-        queue = reals + cplx
-    else:
-        state = _empty_state(n, par.m)
-        queue = reals + cplx + [PolePair.infinite()] * inf_count
+    state = assign_infinite_block(a, e, par, n - r, tol)
+    queue = reals + cplx
     for idx, pole in enumerate(queue):
         try:
             if pole.kind is PoleKind.FINITE_COMPLEX:

@@ -61,7 +61,6 @@ class BenchConfig:
     m: int
     trials: int = 50
     seed: int = 0
-    order: str = "inf-first"
 
     def __post_init__(self):
         if not 1 <= self.rank_e < self.n:
@@ -70,8 +69,6 @@ class BenchConfig:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.order not in ("inf-first", "fin-first"):
-            raise ValueError(f"unknown order {self.order!r}")
 
     @property
     def q(self) -> int:
@@ -172,7 +169,7 @@ def run_trial(cfg: BenchConfig, r: int, trial: int, tol: float = 1e-8) -> TrialR
             error="; ".join(f"{c.name}: {c.detail}" for c in val.failures()),
         )
     try:
-        sol = run_pipeline(problem, order=cfg.order)
+        sol = run_pipeline(problem)
     except DegenerateStepError as exc:
         return TrialResult(r, trial, ok=False, error=str(exc))
     rep = verify_solution(problem, sol, tol=tol)

@@ -6,8 +6,8 @@ Three subcommands:
 * ``bench``   — run a randomized sweep and write a CSV summary;
 * ``verify``  — re-check a previously computed feedback pair.
 
-Exit codes: 0 success, 1 parse/validation failure, 2 assignment failure,
-3 verification failure.  All numeric output uses repr-faithful %.17g
+Exit codes: 0 success, 1 usage/parse/validation failure, 2 assignment
+failure, 3 verification failure.  All numeric output uses repr-faithful %.17g
 formatting so runs are byte-for-byte reproducible.
 """
 
@@ -105,7 +105,7 @@ def _cmd_assign(args) -> int:
     if problem is None:
         return code
     try:
-        sol = run_pipeline(problem, order=args.order, tol=None)
+        sol = run_pipeline(problem)
     except DegenerateStepError as exc:
         print(f"error: assignment failed: {exc}", file=sys.stderr)
         return 2
@@ -122,7 +122,6 @@ def _cmd_bench(args) -> int:
             m=args.m,
             trials=args.trials,
             seed=args.seed,
-            order=args.order,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -181,12 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("problem", help="path to a problem file")
     pa.add_argument("--tol", type=float, default=1e-8, help="verification tolerance (default 1e-8)")
     pa.add_argument(
-        "--order",
-        choices=("inf-first", "fin-first"),
-        default="inf-first",
-        help="pole processing order (default inf-first)",
-    )
-    pa.add_argument(
         "--report",
         choices=("text", "json"),
         default="text",
@@ -200,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--m", type=int, required=True, help="number of inputs")
     pb.add_argument("--trials", type=int, default=50, help="trials per pole count (default 50)")
     pb.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    pb.add_argument(
-        "--order",
-        choices=("inf-first", "fin-first"),
-        default="inf-first",
-        help="pole processing order (default inf-first)",
-    )
     pb.add_argument("--csv", required=True, help="output CSV path")
     pb.set_defaults(func=_cmd_bench)
 
@@ -219,7 +206,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a failed
+        # assignment; a bad command line is an input failure instead.
+        return 1 if exc.code else 0
     return args.func(args)
 
 

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "RankDecision",
     "qr_decompose",
-    "svd",
     "orthonormal_null_basis",
     "numerical_rank",
     "sym_eig",
@@ -83,16 +82,6 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
             r[k, :] = -r[k, :]
             q[:, k] = -q[:, k]
     return q, r
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full singular value decomposition M = U diag(s) V^*.
-
-    Returns ``(u, s, vh)`` with square U and V^*; ``s`` is the 1-D vector of
-    singular values in descending order.
-    """
-    a = _as_matrix(m)
-    return np.linalg.svd(a, full_matrices=True)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape, tol: float | None) -> tuple[int, float]:

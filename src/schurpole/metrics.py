@@ -37,7 +37,6 @@ __all__ = [
     "precs_metric",
     "departure_measure",
     "assemble_prescribed_blocks",
-    "extract_poles_from_schur",
     "frobenius_condition",
     "eigenvector_condition",
     "Report",
@@ -246,22 +245,6 @@ def departure_measure(s, t, blocks: tuple[BlockDescriptor, ...]) -> float:
         if blk.size == 2:
             total += blk.tau**2 * (blk.delta - 1.0 / blk.delta) ** 2
     return total
-
-
-def extract_poles_from_schur(s, t, blocks: tuple[BlockDescriptor, ...]) -> list[PolePair]:
-    """Pole pairs encoded on the diagonal of a quasi-triangular pair."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    out: list[PolePair] = []
-    for blk in sorted(blocks, key=lambda b: b.start):
-        k = blk.start
-        if blk.size == 1:
-            out.append(PolePair.make(s[k, k], t[k, k]))
-        else:
-            gam = complex(blk.sigma, blk.tau)
-            lam = 1.0 / gam if blk.kind is BlockKind.COMPLEX_ALPHA else gam
-            out.append(PolePair.make(lam, 1.0))
-    return out
 
 
 def frobenius_condition(x) -> float:

@@ -117,9 +117,8 @@ class NormalizedPole:
 def normalize_pole(pole: PolePair) -> NormalizedPole:
     """Compute the diagonal-block data used when assigning ``pole``.
 
-    Infinite poles map onto the real case with (eps1, eps2) = (1, 0); the
-    real-case formulas extend continuously to beta = 0, which is what the
-    finite-poles-first ordering relies on.
+    Infinite poles map onto the real case with (eps1, eps2) = (1, 0), the
+    continuous extension of the real-case formulas to beta = 0.
     """
     if pole.is_infinite:
         return NormalizedPole(PoleCase.REAL, complex(1.0), complex(0.0))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from schurpole import BenchConfig, generate_random_instance
+from schurpole import BenchConfig, PolePair, Problem, generalized_eig_oracle, generate_random_instance
 
 # Numerical tests can be slow on loaded CI boxes; wall-clock deadlines only
 # produce flaky failures there.
@@ -22,6 +22,26 @@ def make_instance(n, rank_e, m, r, trial=0, seed=0):
     """Deterministic random problem with the benchmark generator."""
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=max(trial + 1, 1), seed=seed)
     return generate_random_instance(cfg, r=r, trial=trial)
+
+
+def unsolvable_instance():
+    """A validated instance on which ``run_pipeline`` raises DegenerateStepError.
+
+    n = 70, m = 2, r = 44, with E = U V a product of Gaussian factors
+    (70 x 42 times 42 x 70) and the 44 finite poles drawn as the spectrum of
+    a random 44 x 44 pencil.  ``validate_problem`` passes it, but the solver
+    loses accuracy on product-factor E at n >= 60, and ``complete_X`` finds
+    that Xi lost full row rank.  It is the exit-code-2 case of the CLI
+    contract: if a solver change makes it solvable, that check needs a new
+    instance, not its removal.
+    """
+    rng = np.random.default_rng([0, 42, 2, 44])
+    e = rng.standard_normal((70, 42)) @ rng.standard_normal((42, 70))
+    a = rng.standard_normal((70, 70))
+    b = rng.standard_normal((70, 2))
+    spectrum = generalized_eig_oracle(rng.standard_normal((44, 44)), rng.standard_normal((44, 44)))
+    finite = tuple(p for p in spectrum if not p.is_infinite)
+    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * 26 + finite, r=44)
 
 
 def rng_matrix(seed, rows, cols, scale=1.0):

@@ -39,6 +39,8 @@ from schurpole.cli import main as cli_main
 from schurpole.metrics import generalized_eig_oracle, verify_solution
 from schurpole.poles import count_infinite, expand_to_values
 
+from conftest import unsolvable_instance
+
 SMALL = [(6, rank_e, m) for rank_e in (2, 3, 5) for m in (2, 3, 4)]
 LARGE = [(30, rank_e, m) for rank_e in (2, 15, 29) for m in (2, 15, 28)]
 SMALL_TRIALS = 50
@@ -507,14 +509,27 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     capsys.readouterr()
     results["validation-failure"] = (rc == 1, f"exit {rc}, want 1")
 
-    coupled = generate_random_instance(
-        BenchConfig(n=6, rank_e=2, m=2, trials=1, seed=0), r=2, trial=0
-    )
-    coupled_path = tmp_path / "coupled.txt"
-    coupled_path.write_text(serialize_problem(coupled))
-    rc = cli_main(["assign", str(coupled_path), "--order", "fin-first"])
+    # The solver's accuracy loss on product-factor E at n >= 60 makes this
+    # validated instance unsolvable (see unsolvable_instance).  Should a
+    # solver change make it solvable, this case needs a new instance.
+    unsolvable_path = tmp_path / "unsolvable.txt"
+    unsolvable_path.write_text(serialize_problem(unsolvable_instance()))
+    rc = cli_main(["assign", str(unsolvable_path)])
     capsys.readouterr()
     results["degenerate-step"] = (rc == 2, f"exit {rc}, want 2")
+
+    for name, argv in (
+        # the option that chose between pole-processing orders is gone
+        ("usage-removed-option", ["assign", str(prob_path), "--order", "inf-first"]),
+        ("usage-bad-choice", ["assign", str(prob_path), "--report", "xml"]),
+        ("usage-missing-option", ["bench", "--n", "5"]),
+    ):
+        rc = cli_main(argv)
+        capsys.readouterr()
+        results[name] = (rc == 1, f"exit {rc}, want 1")
+    rc = cli_main(["assign", "-h"])
+    capsys.readouterr()
+    results["help"] = (rc == 0, f"exit {rc}, want 0")
 
     rng = np.random.default_rng(3)
     defective = Problem(

@@ -11,6 +11,7 @@ from schurpole import DegenerateStepError, PolePair, Problem, run_pipeline
 from schurpole.assign import (
     _complex_pair_core,
     assign_infinite_block,
+    assign_real_pole,
     compute_parametrization,
     d_delta_block,
 )
@@ -55,13 +56,19 @@ def test_infinite_block_is_exact_identity_zero():
     # S gets the identity and T the zero matrix.
     assert np.array_equal(state.S, np.eye(k))
     assert np.array_equal(state.T, np.zeros((k, k)))
-    res = state.relation_residuals(prob.A, prob.E, par)
-    assert res["resA"] <= 1e-12 * max(1.0, np.linalg.norm(prob.A))
-    assert res["resE"] <= 1e-12 * max(1.0, np.linalg.norm(prob.E))
-    assert res["orth"] <= 1e-13
+    # The growth invariants Q2^T A P = Xi S and Q2^T E P = Xi T hold.
+    q2t = par.q2.T
+    res_a = np.linalg.norm(q2t @ (prob.A @ state.P) - state.Xi @ state.S)
+    res_e = np.linalg.norm(q2t @ (prob.E @ state.P) - state.Xi @ state.T)
+    assert res_a <= 1e-12 * max(1.0, np.linalg.norm(prob.A))
+    assert res_e <= 1e-12 * max(1.0, np.linalg.norm(prob.E))
+    assert np.linalg.norm(state.P.T @ state.P - np.eye(k)) <= 1e-13
     # Columns of P span directions that E + BG will annihilate: E P lies in
     # the range of B.
     assert np.linalg.norm(par.q2.T @ prob.E @ state.P) <= 1e-12
+    # Infinite poles enter only through this block, never the real step.
+    with pytest.raises(ValueError, match="finite real pole"):
+        assign_real_pole(state, PolePair.infinite(), prob.A, prob.E, par)
 
 
 def test_infinite_block_zero_count_is_empty():
@@ -95,17 +102,19 @@ def test_state_space_assignment_matches_inverse_reduction():
 
 
 def test_pipeline_residual_identities():
-    prob = make_instance(6, 3, 3, 5, trial=2)
-    sol = run_pipeline(prob)
-    a_c = prob.A + prob.B @ sol.F
-    e_c = prob.E + prob.B @ sol.G
-    scale = np.linalg.norm(prob.A) + np.linalg.norm(prob.E) + np.linalg.norm(sol.X)
-    assert np.linalg.norm(a_c @ sol.P - sol.X @ sol.S) <= 1e-10 * scale
-    assert np.linalg.norm(e_c @ sol.P - sol.X @ sol.T) <= 1e-10 * scale
-    assert np.linalg.norm(sol.P.T @ sol.P - np.eye(prob.n)) <= 1e-12 * prob.n
-    # S, T are upper (quasi-)triangular by construction.
-    assert np.allclose(sol.S, np.triu(sol.S, -1))
-    assert np.allclose(sol.T, np.triu(sol.T, -1))
+    # The second instance has a single input (m = 1), which
+    # test_pipeline_invariants_random does not sample.
+    for prob in (make_instance(6, 3, 3, 5, trial=2), make_instance(6, 3, 1, 3, trial=1)):
+        sol = run_pipeline(prob)
+        a_c = prob.A + prob.B @ sol.F
+        e_c = prob.E + prob.B @ sol.G
+        scale = np.linalg.norm(prob.A) + np.linalg.norm(prob.E) + np.linalg.norm(sol.X)
+        assert np.linalg.norm(a_c @ sol.P - sol.X @ sol.S) <= 1e-10 * scale
+        assert np.linalg.norm(e_c @ sol.P - sol.X @ sol.T) <= 1e-10 * scale
+        assert np.linalg.norm(sol.P.T @ sol.P - np.eye(prob.n)) <= 1e-12 * prob.n
+        # S, T are upper (quasi-)triangular by construction.
+        assert np.allclose(sol.S, np.triu(sol.S, -1))
+        assert np.allclose(sol.T, np.triu(sol.T, -1))
 
 
 @settings(max_examples=25)
@@ -137,40 +146,6 @@ def test_pipeline_is_deterministic():
     assert np.array_equal(s1.G, s2.G)
     assert np.array_equal(s1.P, s2.P)
     assert np.array_equal(s1.X, s2.X)
-
-
-def test_pipeline_rejects_unknown_order():
-    prob = make_instance(4, 2, 2, 3, trial=0)
-    with pytest.raises(ValueError, match="unknown order"):
-        run_pipeline(prob, order="sideways")
-
-
-# ---------------------------------------------------------------------------
-# processing orders
-
-
-def test_fin_first_matches_inf_first_spectrum_m1():
-    # With a single input the deferred infinite poles decouple exactly, so
-    # the finite-poles-first order must succeed and hit the same spectrum.
-    prob = make_instance(6, 3, 1, 3, trial=1)
-    sol_a = run_pipeline(prob, order="inf-first")
-    sol_b = run_pipeline(prob, order="fin-first")
-    for sol in (sol_a, sol_b):
-        a_c = prob.A + prob.B @ sol.F
-        e_c = prob.E + prob.B @ sol.G
-        scale = np.linalg.norm(prob.A) + np.linalg.norm(prob.E) + np.linalg.norm(sol.X)
-        assert np.linalg.norm(a_c @ sol.P - sol.X @ sol.S) <= 1e-10 * scale
-        assert np.linalg.norm(e_c @ sol.P - sol.X @ sol.T) <= 1e-10 * scale
-
-
-def test_fin_first_deferred_coupling_is_refused():
-    # Two deferred infinite poles with m = 2 genuinely couple through T,
-    # which would push the closed-loop index above one; the step must
-    # refuse with a pointer to the safe order instead of emitting garbage.
-    prob = make_instance(6, 2, 2, 2, trial=0)
-    run_pipeline(prob, order="inf-first")  # the safe order succeeds
-    with pytest.raises(DegenerateStepError, match="infinite-poles-first"):
-        run_pipeline(prob, order="fin-first")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from schurpole import PolePair, Problem, serialize_problem, serialize_solution
 from schurpole.cli import main
 
-from conftest import make_instance
+from conftest import make_instance, unsolvable_instance
 
 
 @pytest.fixture
@@ -84,16 +84,12 @@ def test_assign_infeasible_bound(capsys, tmp_path):
 
 
 def test_assign_degenerate_order_exit_code(capsys, tmp_path):
-    # Deferred infinite poles coupling under fin-first: assignment refused.
-    prob = make_instance(6, 2, 2, 2, trial=0)
-    path = tmp_path / "coupled.txt"
-    path.write_text(serialize_problem(prob))
-    rc, _, err = run_cli(capsys, "assign", str(path), "--order", "fin-first")
+    # A validated instance the solver cannot finish: assignment refused.
+    path = tmp_path / "unsolvable.txt"
+    path.write_text(serialize_problem(unsolvable_instance()))
+    rc, _, err = run_cli(capsys, "assign", str(path))
     assert rc == 2
-    assert "infinite-poles-first" in err
-    # The default order succeeds on the same file.
-    rc2, _, _ = run_cli(capsys, "assign", str(path))
-    assert rc2 == 0
+    assert "assignment failed" in err
 
 
 def test_assign_failed_verification_exit_code(capsys, tmp_path):
