@@ -11,7 +11,8 @@ exactly when  Q2^T (A P - X S) = 0  and  Q2^T (E P - X T) = 0, in which case
     F = R^{-1} Q1^T (X S P^T - A),    G = R^{-1} Q1^T (X T P^T - E).
 
 Columns of P and of Xi = Q2^T X are grown one pole (or one conjugate pair)
-at a time.  Each step solves a structured null-space problem; the free
+at a time.  Each step solves a structured null-space problem in the
+orthogonal complement of the columns accepted so far; the free
 coefficients are chosen to keep the off-diagonal mass of (S, T) small, so
 the closed-loop pencil stays close to a normal pair and the assigned
 spectrum is insensitive to perturbations.  Once all n columns exist, X is
@@ -196,7 +197,9 @@ def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | N
 
     P's first columns come from the null space of Q2^T E, giving the exact
     leading structure S = I, T = 0 with no off-diagonal contribution at
-    all, which is the optimum for these steps.
+    all, which is the optimum for these steps.  When that null space is
+    larger than ``count``, its first ``count`` basis columns are taken: an
+    arbitrary pick, fixed by :func:`orthonormal_null_basis`'s convention.
     """
     n, m = par.n, par.m
     if not 0 <= count <= n:
@@ -220,18 +223,31 @@ def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | N
 
 
 def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
+    """Orthonormal basis of the step's solutions (p, v_s, v_t).
+
+    A solution satisfies row_top [p; v_s; v_t] = 0 with p orthogonal to
+    the accepted columns P.  Writing p = P_perp y, for P_perp an
+    orthonormal basis of the complement of range(P) (from one complete QR
+    of P), turns that into the null space of the smaller block
+    [row_top[:, :n] P_perp, row_top[:, n:]] (the complement bookkeeping of
+    Kautsky, Nichols & Van Dooren, Int. J. Control 41, 1985).  Returns
+    (P_perp, Y1, Z3, Z4) with Z1 = P_perp Y1: P_perp is an isometry, so
+    (Z1; Z3; Z4) is orthonormal and spans the null space of the stacked
+    [row_top; P^T 0 0].
+    """
     # The null space has dimension m + j generically; it is larger when the
     # top block is rank deficient, which only adds freedom.  A smaller
     # dimension means the instance violates the full-row-rank condition
     # required for assignment.
-    mt = np.vstack([row_top, np.hstack([p_mat.T, np.zeros((j, 2 * j))])])
-    z = orthonormal_null_basis(mt, tol)
+    p_perp = np.linalg.qr(p_mat, mode="complete")[0][:, j:]
+    z = orthonormal_null_basis(np.hstack([row_top[:, :n] @ p_perp, row_top[:, n:]]), tol)
     if z.shape[1] < m + j:
         raise DegenerateStepError(
             f"{what}: constraint matrix null space has dimension "
             f"{z.shape[1]} < {m + j}; the instance is not assignable here"
         )
-    return z[:n], z[n : n + j], z[n + j :]
+    k = n - j
+    return p_perp, z[:k], z[k : k + j], z[k + j :]
 
 
 def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization, tol: float | None = None) -> AssignState:
@@ -257,7 +273,8 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     else:
         ratio = eps1 / eps2
         row_top = np.hstack([q2t @ (a - ratio * e), -xi, ratio * xi])
-    z1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, tol, "real-pole step")
+    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, tol, "real-pole step")
+    z1 = p_perp @ y1
 
     w_eig, v_eig = sym_eig(z1.T @ z1)
     lam = float(w_eig[0])
@@ -359,9 +376,14 @@ def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
 
     Returns the unnormalized complex column p (real and imaginary parts
     become the two new P columns), the matching stacked v-column, and a
-    diagnostics dict.
+    diagnostics dict.  ``z1`` may be given in any real orthonormal
+    coordinates of the p-space, and p comes back in the same coordinates:
+    z1 enters only through inner products of real and imaginary parts,
+    which a real isometry keeps.
     """
-    u, nus, vh = np.linalg.svd(z1, full_matrices=True)
+    # Every coefficient direction is used, so V must be square; U is read
+    # only in its first two columns and stays thin whenever it can.
+    u, nus, vh = np.linalg.svd(z1, full_matrices=z1.shape[1] > z1.shape[0])
     v = vh.conj().T
     if nus.size == 0 or nus[0] <= 1e-13:
         raise DegenerateStepError("complex step: direction matrix Z1 vanishes")
@@ -501,9 +523,10 @@ def assign_complex_pair(
         row_top = np.hstack([q2t @ (e - gamma * a), gamma * xi, -xi.astype(complex)])
     else:
         row_top = np.hstack([q2t @ (a - gamma * e), -xi.astype(complex), gamma * xi])
-    z1, z3, z4 = _step_null_basis(row_top, state.P.astype(complex), n, m, j, tol, "complex-pair step")
+    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, tol, "complex-pair step")
 
-    pc, vc, diag = _complex_pair_core(z1, z3, z4, tau, rank1_rtol)
+    pc, vc, diag = _complex_pair_core(y1, z3, z4, tau, rank1_rtol)
+    pc = p_perp @ pc
     pt1, pt2 = pc.real.copy(), pc.imag.copy()
     vs1 = float(np.linalg.norm(pt1))
     vs2 = float(np.linalg.norm(pt2))
@@ -528,7 +551,7 @@ def assign_complex_pair(
         kind = BlockKind.COMPLEX_BETA
 
     block = BlockDescriptor(start=j, size=2, kind=kind, delta=delta, sigma=sigma, tau=tau)
-    diag.update({"z1": z1, "z3": z3, "z4": z4, "delta": delta, "tau_penalty": tau})
+    diag.update({"z1": p_perp @ y1, "z3": z3, "z4": z4, "delta": delta, "tau_penalty": tau})
     rec = StepRecord("complex", j, m + j, diag)
     return AssignState(
         n,

@@ -7,7 +7,10 @@ are pinned here so downstream computations are reproducible run to run:
 * ``qr_decompose``: the triangular factor has a nonnegative diagonal.
 * ``sym_eig``: eigenvalues descending, first nonzero component of every
   eigenvector positive.
-* ``orthonormal_null_basis``: trailing right singular vectors, in order.
+* ``orthonormal_null_basis``: on square and tall input, the trailing right
+  singular vectors in order; on wide input, the null directions of the
+  square triangular factor of a complete QR of the conjugate transpose,
+  followed by that QR's trailing columns.
 
 All routines reject matrices containing NaN or infinity.
 """
@@ -108,9 +111,16 @@ def numerical_rank(m, tol: float | None = None) -> RankDecision:
 def orthonormal_null_basis(m, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``m``.
 
-    Columns are the trailing right singular vectors, so the result is
-    reproducible for identical inputs.  Column count equals
-    cols(m) - numerical_rank(m).
+    Column count equals cols(m) - numerical_rank(m, tol), the rank counting
+    singular values of ``m`` above ``tol`` (an absolute cutoff; default
+    max(rows, cols) * eps * sigma_max).  Square and tall inputs take a full
+    SVD and return the trailing right singular vectors, in order.  A wide
+    input M (rows < cols) takes one complete QR, M^H = Q [R; 0] with
+    Q = [Q1 Q2], and the singular values of the square R, which are M's.
+    Q2 spans the generic cols - rows null directions; when M has less than
+    full row rank, the extra ones, Q1 U_R[:, rank:] for R = U_R S V_R^H,
+    come first.  The result is reproducible for identical inputs, but which
+    orthonormal basis of the null space it is remains a convention.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
@@ -118,9 +128,17 @@ def orthonormal_null_basis(m, tol: float | None = None) -> np.ndarray:
         return np.zeros((0, 0), dtype=a.dtype)
     if rows == 0 or not np.any(a):
         return np.eye(cols, dtype=a.dtype)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank, _ = _rank_from_singular_values(s, a.shape, tol)
-    return vh[rank:].conj().T.copy()
+    if rows >= cols:
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        rank, _ = _rank_from_singular_values(s, a.shape, tol)
+        return vh[rank:].conj().T.copy()
+    q, r = np.linalg.qr(a.conj().T, mode="complete")
+    r = r[:rows]
+    rank, _ = _rank_from_singular_values(np.linalg.svd(r, compute_uv=False), a.shape, tol)
+    if rank == rows:
+        return q[:, rows:].copy()
+    u_r = np.linalg.svd(r)[0]
+    return np.hstack([q[:, :rows] @ u_r[:, rank:], q[:, rows:]])
 
 
 def sym_eig(h, asym_rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

@@ -134,6 +134,12 @@ def _loose_rank_tol(mat: np.ndarray, rank_rtol: float) -> float | None:
     return rank_rtol * top if top > 0 else None
 
 
+def _unit_frobenius(mat: np.ndarray) -> np.ndarray:
+    """``mat`` scaled to unit Frobenius norm (a zero matrix is returned as is)."""
+    norm = float(np.linalg.norm(mat))
+    return mat / norm if norm > 0 else mat
+
+
 def index_and_regularity_check(
     a_c, e_c, expected_finite: int | None = None, rank_rtol: float = 1e-11
 ) -> IndexReport:
@@ -146,9 +152,11 @@ def index_and_regularity_check(
     construction roundoff (E_c produced by a feedback computation carries
     noise-level singular values near 1e-14 of its norm) from genuinely
     small directions of an ill-conditioned but invertible leading part
-    (observed down to a few 1e-9 on hard full-rank assignments).  The
-    report carries the spectrum, so a caller that needs both computes it
-    once.
+    (observed down to a few 1e-9 on hard full-rank assignments).  E_c and
+    A_c * N are each scaled to unit Frobenius norm before the stacked rank
+    test, so the verdict does not change when A_c alone is rescaled (a
+    time scaling, which multiplies every pole too).  The report carries the
+    spectrum, so a caller that needs both computes it once.
     """
     a_c = np.asarray(a_c, dtype=np.float64)
     e_c = np.asarray(e_c, dtype=np.float64)
@@ -162,7 +170,7 @@ def index_and_regularity_check(
     finite_count = len(expand_to_values(poles))
     nullb = orthonormal_null_basis(e_c, tol_e)
     if nullb.shape[1]:
-        stacked = np.hstack([e_c, a_c @ nullb])
+        stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ nullb)])
         tol_s = _loose_rank_tol(stacked, rank_rtol)
         no_chains = numerical_rank(stacked, tol_s).rank == n
     else:

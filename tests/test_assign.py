@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schurpole.assign as assign_module
 from schurpole import DegenerateStepError, PolePair, Problem, run_pipeline
 from schurpole.assign import (
     _complex_pair_core,
@@ -77,6 +79,72 @@ def test_infinite_block_zero_count_is_empty():
     state = assign_infinite_block(prob.A, prob.E, par, 0)
     assert state.j == 0
     assert state.S.shape == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# step null space in the complement of P
+
+
+def _recorded_step_calls(monkeypatch, prob):
+    """Arguments and results of every _step_null_basis call of one solve."""
+    calls = []
+    original = assign_module._step_null_basis
+
+    def recording(row_top, p_mat, n, m, j, tol, what):
+        out = original(row_top, p_mat, n, m, j, tol, what)
+        calls.append(((row_top, p_mat, n, m, j, tol, what), out))
+        return out
+
+    monkeypatch.setattr(assign_module, "_step_null_basis", recording)
+    run_pipeline(prob)
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out, extra=0):
+    p_perp, y1, z3, z4 = out
+    z1 = p_perp @ y1
+    z = np.vstack([z1, z3, z4])
+    # the constraint matrix that carries p orthogonal to P as j extra rows
+    stacked = np.vstack([row_top, np.hstack([p_mat.T, np.zeros((j, 2 * j))])])
+    ref = scipy.linalg.null_space(stacked)
+    assert z.shape[1] == ref.shape[1] == m + j + extra
+    assert np.allclose(z.conj().T @ z, np.eye(z.shape[1]), atol=1e-12)
+    assert np.linalg.norm(z @ z.conj().T - ref @ ref.conj().T) <= 1e-10
+    assert np.linalg.norm(p_mat.T @ z1) <= 1e-12
+
+
+def test_step_null_basis_spans_the_stacked_null_space(monkeypatch):
+    kinds = set()
+    # the second has no infinite poles, so its first step has no prior columns
+    cases = (
+        make_instance(6, 3, 2, 4, trial=3),
+        make_instance(6, 3, 3, 6, trial=1),
+        make_instance(30, 15, 2, 17),
+    )
+    for prob in cases:
+        for (row_top, p_mat, n, m, j, _, what), out in _recorded_step_calls(monkeypatch, prob):
+            kinds.add((what, np.iscomplexobj(row_top), j > 0))
+            _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out)
+    assert {(w, c) for w, c, _ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
+    assert {first for *_, first in kinds} == {False, True}
+
+
+def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little(monkeypatch):
+    prob = make_instance(30, 15, 2, 17)
+    last_of_kind = {args[-1]: args for args, _ in _recorded_step_calls(monkeypatch, prob)}
+    assert set(last_of_kind) == {"real-pole step", "complex-pair step"}
+    for row_top, p_mat, n, m, j, tol, what in last_of_kind.values():
+        # a repeated row leaves the top block rank deficient: one more
+        # null direction, which the step must keep
+        deficient = np.vstack([row_top[:-1], row_top[:1]])
+        out = assign_module._step_null_basis(deficient, p_mat, n, m, j, tol, what)
+        _assert_spans_stacked_null_space(deficient, p_mat, n, m, j, out, extra=1)
+        # one independent row too many leaves fewer than m + j directions
+        rng = np.random.default_rng(j)
+        extra_row = rng.standard_normal((1, row_top.shape[1])).astype(row_top.dtype)
+        with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension"):
+            assign_module._step_null_basis(np.vstack([row_top, extra_row]), p_mat, n, m, j, tol, what)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -103,6 +104,45 @@ def test_null_basis_annihilates(seed, n, k):
     if nb.shape[1]:
         assert np.linalg.norm(a @ nb) <= 1e-10 * max(1.0, np.linalg.norm(a))
         assert np.allclose(nb.T @ nb, np.eye(nb.shape[1]), atol=1e-12)
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.booleans(),
+)
+def test_null_basis_wide_matches_independent_svd(seed, rows, extra_cols, rank, is_complex):
+    # Wide input takes the QR route; compare with scipy's SVD-based null
+    # space, whose default cutoff max(shape) * eps * sigma_1 is the same.
+    cols = rows + extra_cols
+    rank = min(rank, rows)
+    left = rng_matrix(seed, rows, rank)
+    right = rng_matrix(seed + 1, rank, cols)
+    if is_complex:
+        left = left + 1j * rng_matrix(seed + 2, rows, rank)
+        right = right + 1j * rng_matrix(seed + 3, rank, cols)
+    a = left @ right if rank else np.zeros((rows, cols), dtype=left.dtype)
+    nb = orthonormal_null_basis(a)
+    assert nb.shape == (cols, cols - rank)
+    assert np.allclose(nb.conj().T @ nb, np.eye(cols - rank), atol=1e-12)
+    ref = scipy.linalg.null_space(a)
+    assert ref.shape[1] == cols - rank
+    assert np.linalg.norm(nb @ nb.conj().T - ref @ ref.conj().T) <= 1e-10
+
+
+def test_null_basis_wide_explicit_tol_is_absolute():
+    a = np.hstack([np.diag([1.0, 1e-6]), np.zeros((2, 2))])
+    assert orthonormal_null_basis(a).shape == (4, 2)
+    wide_null = orthonormal_null_basis(a, tol=1e-3)
+    assert wide_null.shape == (4, 3)
+    # the dropped direction is the one of singular value 1e-6
+    assert np.linalg.norm(wide_null.T @ np.eye(4)[:, 1]) == pytest.approx(1.0, abs=1e-12)
+    assert orthonormal_null_basis(a, tol=1e-7).shape == (4, 2)
+    # an absolute cutoff does not scale with the matrix
+    assert orthonormal_null_basis(1e6 * a, tol=1e-3).shape == (4, 2)
+    assert orthonormal_null_basis(1e-6 * a, tol=1e-3).shape == (4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,24 @@ def test_verify_solution_passes_on_pipeline_output():
     ]
 
 
+@settings(max_examples=30)
+@given(
+    st.sampled_from([(6, 3, 2, 4), (6, 3, 2, 5), (6, 4, 1, 4), (6, 5, 3, 5), (6, 2, 2, 3)]),
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([1e-6, 1e6]),
+)
+def test_verify_verdict_is_invariant_under_time_scaling(cell, trial, s):
+    # A -> sA with every pole -> s*pole rescales time only.  The closed
+    # loops of these scaled problems keep E_c directions near 1e-6 of its
+    # norm, which the index check must not lose against the large A_c.
+    prob = make_instance(*cell, trial=trial)
+    poles = tuple(p if p.is_infinite else PolePair.from_value(s * p.value) for p in prob.poles)
+    scaled = Problem(E=prob.E, A=s * prob.A, B=prob.B, poles=poles, r=prob.r)
+    assert verify_solution(prob, run_pipeline(prob)).passed
+    rep = verify_solution(scaled, run_pipeline(scaled))
+    assert rep.passed and rep.index_ok
+
+
 def test_verify_feedback_zero_feedback_fixed_point():
     # Prescribing the open-loop spectrum makes (0, 0) a valid feedback.
     prob = Problem(
