@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Time ``run_pipeline`` as n grows and write the timings as JSON.
+"""Time ``run_pipeline`` and ``verify_solution`` as n grows; write JSON.
 
 For every n in ``--sizes`` one instance family is drawn with
 ``generate_random_instance``: rank E = n/2, m = n/10, r = rank E + m (the
 largest admissible pole count), trials 0 .. draws-1 of ``--seed``.  Each
-draw is solved once, and the median wall time of ``run_pipeline`` is
-recorded, together with the median time spent in the solver's null-space
-kernel (``orthonormal_null_basis`` as the solver calls it), so the file
-shows where that cost dominates.  A least-squares line through
-(log n, log median) gives the growth exponent.  The numpy/scipy versions,
-their BLAS build, the BLAS thread variables and the CPU count are recorded
-with the timings.
+draw is solved once and its solution verified once.  The median wall time
+of ``run_pipeline`` is recorded, together with the median time spent in
+the solver's null-space kernel (``orthonormal_null_basis`` as the solver
+calls it), so the file shows where that cost dominates, and so is the
+median wall time of ``verify_solution`` on the same solutions.  A
+least-squares line through (log n, log median) gives the growth exponent
+of each.  The numpy/scipy versions, their BLAS build, the BLAS thread
+variables and the CPU count are recorded with the timings.
 
 Example:
     PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
@@ -31,7 +32,7 @@ import numpy as np
 import scipy
 
 import schurpole.assign as assign
-from schurpole import BenchConfig, generate_random_instance
+from schurpole import BenchConfig, generate_random_instance, verify_solution
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -67,14 +68,17 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
     rank_e, m = n // 2, max(n // 10, 1)
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=draws, seed=seed)
     r = cfg.r_values[-1]
-    totals, kernel = [], []
+    totals, kernel, verify = [], [], []
     for trial in range(draws):
         prob = generate_random_instance(cfg, r=r, trial=trial)
         clock.seconds = 0.0
         t0 = time.perf_counter()
-        assign.run_pipeline(prob)
+        sol = assign.run_pipeline(prob)
         totals.append(time.perf_counter() - t0)
         kernel.append(clock.seconds)
+        t0 = time.perf_counter()
+        verify_solution(prob, sol)
+        verify.append(time.perf_counter() - t0)
     med = statistics.median(totals)
     med_kernel = statistics.median(kernel)
     return {
@@ -86,7 +90,17 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
         "median_s": med,
         "null_basis_median_s": med_kernel,
         "null_basis_share": med_kernel / med,
+        "verify_solution_s": verify,
+        "verify_median_s": statistics.median(verify),
     }
+
+
+def growth_exponent(rows: list[dict], key: str) -> float | None:
+    """Slope of the least-squares line through (log n, log row[key])."""
+    if len(rows) < 2:
+        return None
+    logn = np.log([row["n"] for row in rows])
+    return float(np.polyfit(logn, np.log([row[key] for row in rows]), 1)[0])
 
 
 def environment() -> dict:
@@ -116,20 +130,20 @@ def main(argv=None) -> int:
         rows.append(row)
         print(
             f"n={n:4d}  median {row['median_s']:.3f} s  "
-            f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)"
+            f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)  "
+            f"verify {row['verify_median_s']:.3f} s"
         )
-    exponent = None
-    if len(rows) > 1:
-        logn = np.log([row["n"] for row in rows])
-        logt = np.log([row["median_s"] for row in rows])
-        exponent = float(np.polyfit(logn, logt, 1)[0])
-        print(f"growth exponent {exponent:.2f}")
+    exponent = growth_exponent(rows, "median_s")
+    verify_exponent = growth_exponent(rows, "verify_median_s")
+    if exponent is not None:
+        print(f"growth exponent: run_pipeline {exponent:.2f}, verify_solution {verify_exponent:.2f}")
     result = {
         "family": "generate_random_instance, rank E = n/2, m = n/10, r = rank E + m",
         "seed": args.seed,
         "draws": args.draws,
         "sizes": rows,
         "growth_exponent": exponent,
+        "verify_growth_exponent": verify_exponent,
         "environment": environment(),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")

@@ -6,11 +6,14 @@ closed-loop matrices, independently of how the feedback was constructed:
 * an eigenvalue oracle: one QZ call (Moler & Stewart, SIAM J. Numer.
   Anal. 10, 1973) on the norm-scaled pencil, whose homogeneous pairs
   (alpha, beta) give the finite poles and count the infinite ones;
-* a regularity / nilpotency-index check, which carries that spectrum so
-  a verification computes it once;
+* a regularity / nilpotency-index check, which carries that spectrum and
+  its eigenvectors so a verification runs QZ once;
 * the matched relative pole error on a log10 scale;
 * the departure of a quasi-triangular pair from its block-diagonal target;
-* Frobenius condition numbers and feedback norms.
+* Frobenius condition numbers and feedback norms; kappaX is that of the
+  unit QZ eigenvectors of the finite poles beside an orthonormal null(E_c)
+  basis at the index check's cutoff, unavailable when two finite poles
+  agree to 1e-8 or that basis has the wrong size.
 
 The solver never calls QZ and nothing here reuses its factors, so the
 oracle is an independent cross-check of the Schur-based construction.
@@ -19,7 +22,7 @@ oracle is an independent cross-check of the Schur-based construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eig
@@ -27,7 +30,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .assign import BlockDescriptor, BlockKind, d_delta_block
 from .errors import SingularPencilError
-from .linalg import numerical_rank, orthonormal_null_basis
 from .poles import PolePair, count_infinite, expand_to_values
 
 __all__ = [
@@ -54,7 +56,7 @@ _INF_CUTOFF = 1e-8
 _SINGULAR_CUTOFF = 100.0
 
 
-def generalized_eig_oracle(a_c, e_c) -> list[PolePair]:
+def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
 
     One QZ call (``scipy.linalg.eig``, LAPACK ``*ggev``) on the scaled
@@ -63,6 +65,10 @@ def generalized_eig_oracle(a_c, e_c) -> list[PolePair]:
     poles come first, then the finite ones sorted by (real, imag); a
     complex conjugate couple is returned once, with positive imaginary
     part.
+
+    ``vectors=True`` returns ``(poles, eigvecs)``: one unit right
+    eigenvector column per value of ``expand_to_values(poles)``, in order.
+    QZ's infinite eigenvectors, an arbitrary basis, are not returned.
 
     Both cutoffs rest on QZ's backward stability: the computed pairs are
     the exact generalized Schur diagonal of a pencil within about n*eps of
@@ -90,23 +96,28 @@ def generalized_eig_oracle(a_c, e_c) -> list[PolePair]:
     if a_c.ndim != 2 or a_c.shape[0] != a_c.shape[1] or a_c.shape != e_c.shape:
         raise ValueError("oracle needs two square matrices of equal shape")
     n = a_c.shape[0]
-    if n == 0:
-        return []
     norm_a = float(np.linalg.norm(a_c)) or 1.0
     norm_e = float(np.linalg.norm(e_c)) or 1.0
-    alpha, beta = eig(a_c / norm_a, e_c / norm_e, right=False, homogeneous_eigvals=True)
+    out = eig(a_c / norm_a, e_c / norm_e, right=vectors, homogeneous_eigvals=True)
+    (alpha, beta), vr = out if vectors else (out, None)
     negligible = _SINGULAR_CUTOFF * n * np.finfo(np.float64).eps
     if np.any((np.abs(alpha) <= negligible) & (np.abs(beta) <= negligible)):
         raise SingularPencilError(
             "a QZ pair (alpha, beta) vanishes; the pencil is singular "
             "(or indistinguishable from singular at working precision)"
         )
-    finite = np.abs(beta) > _INF_CUTOFF * np.abs(alpha)
-    # real ggev returns conjugate couples exactly mirrored: keep the upper one
+    finite = np.flatnonzero(np.abs(beta) > _INF_CUTOFF * np.abs(alpha))
     lams = alpha[finite] / beta[finite] * (norm_a / norm_e)
-    poles = [PolePair.from_value(lam) for lam in lams if lam.imag >= 0.0]
-    poles.sort(key=lambda p: (p.value.real, p.value.imag))
-    return [PolePair.infinite()] * (n - int(np.count_nonzero(finite))) + poles
+    # real ggev returns conjugate couples exactly mirrored: keep the upper one
+    upper = sorted(np.flatnonzero(lams.imag >= 0.0), key=lambda k: (lams[k].real, lams[k].imag))
+    poles = [PolePair.infinite()] * (n - finite.size) + [PolePair.from_value(lams[k]) for k in upper]
+    if not vectors:
+        return poles
+    cols = []
+    for k in upper:
+        v = vr[:, finite[k]] / np.linalg.norm(vr[:, finite[k]])
+        cols.extend([v, v.conj()] if lams[k].imag > 0.0 else [v])
+    return poles, np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,10 @@ class IndexReport:
     matches_expected: bool
     #: the spectrum from :func:`generalized_eig_oracle` (empty when singular)
     poles: tuple[PolePair, ...] = ()
+    #: unit right eigenvectors, one per value of ``expand_to_values(poles)``
+    eigvecs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    #: orthonormal basis of null(E_c) at the rank cutoff, n x (n - rank_e)
+    null_e: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def finite_count(self) -> int | None:
@@ -126,12 +141,9 @@ class IndexReport:
         return len(expand_to_values(self.poles)) if self.regular else None
 
 
-def _loose_rank_tol(mat: np.ndarray, rank_rtol: float) -> float | None:
-    """Absolute rank cutoff ``rank_rtol * sigma_max`` (None for a zero matrix)."""
-    if mat.size == 0:
-        return None
-    top = float(np.linalg.norm(mat, 2))
-    return rank_rtol * top if top > 0 else None
+def _rank_at(svals: np.ndarray, rank_rtol: float) -> int:
+    """Number of singular values above ``rank_rtol * sigma_max`` (0 for a zero matrix)."""
+    return int(np.count_nonzero(svals > rank_rtol * svals[0])) if svals.size else 0
 
 
 def _unit_frobenius(mat: np.ndarray) -> np.ndarray:
@@ -155,29 +167,32 @@ def index_and_regularity_check(
     (observed down to a few 1e-9 on hard full-rank assignments).  E_c and
     A_c * N are each scaled to unit Frobenius norm before the stacked rank
     test, so the verdict does not change when A_c alone is rescaled (a
-    time scaling, which multiplies every pole too).  The report carries the
-    spectrum, so a caller that needs both computes it once.
+    time scaling, which multiplies every pole too).
+
+    One SVD of E_c gives rank(E_c) and an orthonormal N.  The report
+    carries N and the spectrum and unit finite eigenvectors of the one QZ
+    call, from which :func:`eigenvector_condition` builds kappaX (None when
+    two finite poles agree to 1e-8 or N lacks n - finite count columns).
     """
     a_c = np.asarray(a_c, dtype=np.float64)
     e_c = np.asarray(e_c, dtype=np.float64)
     n = a_c.shape[0]
-    tol_e = _loose_rank_tol(e_c, rank_rtol)
-    rank_e = numerical_rank(e_c, tol_e).rank
+    _, s_e, vh_e = np.linalg.svd(e_c)
+    rank_e = _rank_at(s_e, rank_rtol)
+    null_e = vh_e[rank_e:].T
     try:
-        poles = tuple(generalized_eig_oracle(a_c, e_c))
+        poles, eigvecs = generalized_eig_oracle(a_c, e_c, vectors=True)
     except SingularPencilError:
         return IndexReport(False, False, rank_e, False)
-    finite_count = len(expand_to_values(poles))
-    nullb = orthonormal_null_basis(e_c, tol_e)
-    if nullb.shape[1]:
-        stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ nullb)])
-        tol_s = _loose_rank_tol(stacked, rank_rtol)
-        no_chains = numerical_rank(stacked, tol_s).rank == n
+    finite_count = eigvecs.shape[1]
+    if null_e.shape[1]:
+        stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ null_e)])
+        no_chains = _rank_at(np.linalg.svd(stacked, compute_uv=False), rank_rtol) == n
     else:
         no_chains = True
     index_ok = (finite_count == rank_e) and no_chains
     matches = True if expected_finite is None else finite_count == expected_finite
-    return IndexReport(True, index_ok, rank_e, matches, poles)
+    return IndexReport(True, index_ok, rank_e, matches, tuple(poles), eigvecs, null_e)
 
 
 def precs_metric(requested, computed) -> float:
@@ -264,48 +279,26 @@ def frobenius_condition(x) -> float:
     return float(np.sqrt(np.sum(svals**2)) * np.sqrt(np.sum(svals**-2.0)))
 
 
-def eigenvector_condition(a_c, e_c, poles, rank_rtol: float = 1e-8) -> float | None:
-    """kappa_F of an eigenvector matrix of the pencil, or None.
+def eigenvector_condition(values, eigvecs, null_e) -> float | None:
+    """kappa_F of the eigenvector matrix X = [V, N] (Kautsky, Nichols &
+    Van Dooren, 1985), or None.
 
-    Available only for simple spectra: pairwise distinct finite poles, one
-    eigenvector each (from the null space of A_c - lambda*E_c), and a full
-    set of infinite eigenvectors from the null space of E_c.  Conjugate
-    partners contribute their conjugated eigenvectors.  Null spaces are
-    taken at the relative cutoff ``rank_rtol`` because the pole estimates
-    carry oracle error, so the shifted pencils are only near-singular.
+    V: the unit QZ right eigenvectors of the finite eigenvalues ``values``,
+    conjugates included; N: an orthonormal null(E_c) basis at the index
+    check's rank cutoff, spanning the infinite eigenvectors of an index-1
+    pencil.  kappa_F does not depend on which orthonormal N or on V's
+    phases.  None (``kappaX`` reads ``unavailable``) when two values agree
+    to 1e-8 relative, when N lacks n - len(values) columns, or when X is
+    singular to 1e-14 relative.
     """
-    a_c = np.asarray(a_c, dtype=np.float64)
-    e_c = np.asarray(e_c, dtype=np.float64)
-    n = a_c.shape[0]
-    vals = expand_to_values(poles)
-    n_inf = count_infinite(poles)
-    if len(vals) + n_inf != n:
+    vals = np.asarray(values, dtype=complex)
+    if vals.size + null_e.shape[1] != null_e.shape[0]:
         return None
-    for i in range(len(vals)):
-        for k in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[k]) <= 1e-8 * max(1.0, abs(vals[i]), abs(vals[k])):
-                return None
-    cols = []
-    for pole in poles:
-        if pole.is_infinite:
-            continue
-        lam = pole.value
-        shifted = a_c - lam * e_c.astype(complex)
-        nb = orthonormal_null_basis(shifted, _loose_rank_tol(shifted, rank_rtol))
-        if nb.shape[1] != 1:
-            return None
-        cols.append(nb[:, 0])
-        if abs(lam.imag) > 0:
-            cols.append(nb[:, 0].conj())
-    inf_basis = orthonormal_null_basis(e_c, _loose_rank_tol(e_c, rank_rtol))
-    if inf_basis.shape[1] != n_inf:
+    mag = np.abs(vals)
+    close = np.abs(vals[:, None] - vals[None, :]) <= 1e-8 * np.maximum(1.0, np.maximum.outer(mag, mag))
+    if np.any(np.triu(close, k=1)):
         return None
-    for k in range(n_inf):
-        cols.append(inf_basis[:, k].astype(complex))
-    xmat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
-    if xmat.shape != (n, n):
-        return None
-    svals = np.linalg.svd(xmat, compute_uv=False)
+    svals = np.linalg.svd(np.hstack([eigvecs, null_e]), compute_uv=False)
     if svals[-1] <= 1e-14 * svals[0]:
         return None
     return float(np.sqrt(np.sum(svals**2)) * np.sqrt(np.sum(svals**-2.0)))
@@ -364,10 +357,11 @@ def _closed_loop_report(
     idx = index_and_regularity_check(a_c, e_c, expected_finite=r)
     regular, index_ok = idx.regular, idx.index_le_1
     if regular:
-        precs = precs_metric(expand_to_values(problem.poles), expand_to_values(idx.poles))
+        computed = expand_to_values(idx.poles)
+        precs = precs_metric(expand_to_values(problem.poles), computed)
         inf_count = count_infinite(idx.poles)
         mismatch = math.isinf(precs) or inf_count != (n - r)
-        kappa_eig = eigenvector_condition(a_c, e_c, idx.poles)
+        kappa_eig = eigenvector_condition(computed, idx.eigvecs, idx.null_e)
     else:
         precs = math.inf
         inf_count = None

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -98,3 +102,15 @@ def test_invalid_r_rejected():
     cfg = BenchConfig(n=6, rank_e=3, m=2, trials=2, seed=0)
     with pytest.raises(ValueError):
         generate_random_instance(cfg, r=1, trial=0)  # below q - m
+
+
+def test_traced_functions_exist():
+    # perfbench/tracing.py looks up every (module, name) of TRACED with
+    # getattr when a traced run starts; a renamed function would crash it.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module, name in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(f"schurpole.{module}"), name, None)), f"{module}.{name}"

@@ -277,18 +277,59 @@ def test_frobenius_condition_known_value():
     assert math.isinf(frobenius_condition(np.zeros((2, 2))))
 
 
+def _kappa_x(a, e):
+    """kappaX of (A, E) as a verification computes it."""
+    idx = index_and_regularity_check(a, e)
+    return eigenvector_condition(expand_to_values(idx.poles), idx.eigvecs, idx.null_e)
+
+
 def test_eigenvector_condition_identity_case():
     # Diagonal pencil with distinct eigenvalues: eigenvector matrix is a
     # permutation of the identity, kappa_F = n.
-    poles = generalized_eig_oracle(np.diag([1.0, 2.0, 3.0]), np.eye(3))
-    kappa = eigenvector_condition(np.diag([1.0, 2.0, 3.0]), np.eye(3), poles)
+    kappa = _kappa_x(np.diag([1.0, 2.0, 3.0]), np.eye(3))
     assert kappa is not None
     assert np.isclose(kappa, 3.0, atol=1e-9)
 
 
 def test_eigenvector_condition_none_for_repeated():
-    poles = generalized_eig_oracle(np.eye(2), np.eye(2))
-    assert eigenvector_condition(np.eye(2), np.eye(2), poles) is None
+    assert _kappa_x(np.eye(2), np.eye(2)) is None
+
+
+@settings(max_examples=50)
+@given(
+    seeds,
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+)
+def test_eigenvector_condition_orthonormalizes_the_infinite_block(seed, n_real, n_inf, pair):
+    # (A, E) = (W diag(L, I) X^-1, W diag(I, 0) X^-1): the finite
+    # eigenvectors are X's leading columns (x1 + i x2 for the block
+    # [[a, b], [-b, a]]), the infinite ones span X's trailing columns.
+    # kappaX measures the unit finite eigenvectors beside an orthonormal
+    # basis of that span, not beside QZ's own infinite eigenvectors.
+    rng = np.random.default_rng(seed)
+    k = n_real + 2 * pair
+    n = k + n_inf
+    x = rng.standard_normal((n, n))
+    w = rng.standard_normal((n, n))
+    lam = np.zeros((n, n))
+    lam[:n_real, :n_real] = np.diag(-1.0 - np.arange(n_real) - 0.3 * rng.random(n_real))
+    if pair:
+        re, im = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        lam[n_real:k, n_real:k] = [[re, im], [-im, re]]
+    ident = np.diag([1.0] * k + [0.0] * n_inf)
+    x_inv = np.linalg.inv(x)
+    a = w @ (lam + np.eye(n) - ident) @ x_inv
+    e = w @ ident @ x_inv
+    fin = [x[:, j].astype(complex) for j in range(n_real)]
+    if pair:
+        v = x[:, n_real] + 1j * x[:, n_real + 1]
+        fin += [v, v.conj()]
+    want = np.column_stack([c / np.linalg.norm(c) for c in fin] + [np.linalg.qr(x[:, k:])[0]])
+    kappa = _kappa_x(a, e)
+    assert kappa is not None
+    assert abs(kappa - np.linalg.cond(want, "fro")) <= 1e-8 * kappa
 
 
 # ---------------------------------------------------------------------------
