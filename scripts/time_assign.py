@@ -8,10 +8,13 @@ draw is solved once and its solution verified once.  The median wall time
 of ``run_pipeline`` is recorded, together with the median time spent in
 the solver's null-space kernel (``orthonormal_null_basis`` as the solver
 calls it), so the file shows where that cost dominates, and so is the
-median wall time of ``verify_solution`` on the same solutions.  A
-least-squares line through (log n, log median) gives the growth exponent
-of each.  The numpy/scipy versions, their BLAS build, the BLAS thread
-variables and the CPU count are recorded with the timings.
+median wall time of ``verify_solution`` on the same solutions.  One more,
+untimed ``run_pipeline`` call per draw runs under ``tracemalloc``, and the
+median of its peak traced allocation is recorded: the memory a solve
+holds at once, its returned ``Solution`` included.  A least-squares line
+through (log n, log median) gives the growth exponent of each time.  The
+numpy/scipy versions, their BLAS build, the BLAS thread variables and the
+CPU count are recorded with the timings.
 
 Example:
     PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
@@ -27,6 +30,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import scipy
@@ -64,11 +68,21 @@ class _KernelClock:
             self.seconds += time.perf_counter() - t0
 
 
+def alloc_peak_mb(prob) -> float:
+    """Peak traced allocation of one ``run_pipeline`` call, in MB."""
+    tracemalloc.start()
+    try:
+        assign.run_pipeline(prob)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
     rank_e, m = n // 2, max(n // 10, 1)
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=draws, seed=seed)
     r = cfg.r_values[-1]
-    totals, kernel, verify = [], [], []
+    totals, kernel, verify, peaks = [], [], [], []
     for trial in range(draws):
         prob = generate_random_instance(cfg, r=r, trial=trial)
         clock.seconds = 0.0
@@ -79,6 +93,7 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
         t0 = time.perf_counter()
         verify_solution(prob, sol)
         verify.append(time.perf_counter() - t0)
+        peaks.append(alloc_peak_mb(prob))
     med = statistics.median(totals)
     med_kernel = statistics.median(kernel)
     return {
@@ -92,6 +107,8 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
         "null_basis_share": med_kernel / med,
         "verify_solution_s": verify,
         "verify_median_s": statistics.median(verify),
+        "alloc_peak_mb": peaks,
+        "alloc_peak_median_mb": statistics.median(peaks),
     }
 
 
@@ -131,7 +148,8 @@ def main(argv=None) -> int:
         print(
             f"n={n:4d}  median {row['median_s']:.3f} s  "
             f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)  "
-            f"verify {row['verify_median_s']:.3f} s"
+            f"verify {row['verify_median_s']:.3f} s  "
+            f"alloc peak {row['alloc_peak_median_mb']:.1f} MB"
         )
     exponent = growth_exponent(rows, "median_s")
     verify_exponent = growth_exponent(rows, "verify_median_s")

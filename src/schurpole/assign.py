@@ -17,6 +17,8 @@ coefficients are chosen to keep the off-diagonal mass of (S, T) small, so
 the closed-loop pencil stays close to a normal pair and the assigned
 spectrum is insensitive to perturbations.  Once all n columns exist, X is
 completed from Xi by an orthogonal complement and (F, G) are read off.
+A step's null-space basis is scratch: it is used once, and each step
+leaves only a ``StepRecord`` of scalars (null dimension, P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -91,14 +93,30 @@ class BlockDescriptor:
     tau: float | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class StepRecord:
-    """Diagnostics captured by one assignment step (used by tests)."""
+    """What one assignment step decided, as scalars.
+
+    ``kind`` is "infinite-block", "real" or "complex"; ``j_before`` counts
+    the columns of P before the step.  ``null_dim`` is the width of the
+    null-space basis the step chose from (m + j generically; on the
+    infinite block, the dimension of null(Q2^T E)).  ``p_share`` is the
+    P-component share of the chosen direction: the top eigenvalue of
+    Z1^T Z1 on a real step, nu1^2 on a complex step.  A complex step also
+    records its ``branch`` ("rank1", "hamiltonian" or "jacobi"), Z1's second
+    singular value ``nu2``, and the objectives ``rho1``, ``rho2`` of the
+    single- and two-direction choices (None on the rank-1 branch).  The
+    off-diagonal mass a step adds is its column of the returned S and T.
+    """
 
     kind: str
     j_before: int
     null_dim: int
-    data: dict
+    p_share: float | None = None
+    branch: str | None = None
+    nu2: float | None = None
+    rho1: float | None = None
+    rho2: float | None = None
 
 
 @dataclass(eq=False)
@@ -192,7 +210,7 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | None = None) -> AssignState:
+def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState:
     """Open the factors with ``count`` infinite poles.
 
     P's first columns come from the null space of Q2^T E, giving the exact
@@ -206,7 +224,7 @@ def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | N
         raise ValueError(f"infinite pole count {count} outside [0, {n}]")
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    z = orthonormal_null_basis(par.q2.T @ e, tol)
+    z = orthonormal_null_basis(par.q2.T @ e)
     if z.shape[1] < count:
         raise DegenerateStepError(
             f"null space of Q2^T E has dimension {z.shape[1]} < {count}; "
@@ -218,11 +236,11 @@ def assign_infinite_block(a, e, par: Parametrization, count: int, tol: float | N
         BlockDescriptor(start=k, size=1, kind=BlockKind.INFINITE, eps1=1.0, eps2=0.0)
         for k in range(count)
     )
-    steps = (StepRecord("infinite-block", 0, z.shape[1], {"z": z, "count": count}),)
+    steps = (StepRecord("infinite-block", 0, z.shape[1]),)
     return AssignState(n, m, p, xi, np.eye(count), np.zeros((count, count)), blocks, steps)
 
 
-def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
+def _step_null_basis(row_top, p_mat, n, m, j, what):
     """Orthonormal basis of the step's solutions (p, v_s, v_t).
 
     A solution satisfies row_top [p; v_s; v_t] = 0 with p orthogonal to
@@ -240,7 +258,7 @@ def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
     # dimension means the instance violates the full-row-rank condition
     # required for assignment.
     p_perp = np.linalg.qr(p_mat, mode="complete")[0][:, j:]
-    z = orthonormal_null_basis(np.hstack([row_top[:, :n] @ p_perp, row_top[:, n:]]), tol)
+    z = orthonormal_null_basis(np.hstack([row_top[:, :n] @ p_perp, row_top[:, n:]]))
     if z.shape[1] < m + j:
         raise DegenerateStepError(
             f"{what}: constraint matrix null space has dimension "
@@ -250,7 +268,7 @@ def _step_null_basis(row_top, p_mat, n, m, j, tol, what):
     return p_perp, z[:k], z[k : k + j], z[k + j :]
 
 
-def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization, tol: float | None = None) -> AssignState:
+def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
     """Append one column carrying a finite real pole.
 
     Among all unit feasible directions, the new column maximizes the share
@@ -273,7 +291,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     else:
         ratio = eps1 / eps2
         row_top = np.hstack([q2t @ (a - ratio * e), -xi, ratio * xi])
-    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, tol, "real-pole step")
+    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, "real-pole step")
     z1 = p_perp @ y1
 
     w_eig, v_eig = sym_eig(z1.T @ z1)
@@ -292,20 +310,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
         xi_new = (q2t @ (e @ p_new) - xi @ v_t) / eps2
 
     block = BlockDescriptor(start=j, size=1, kind=BlockKind.REAL, eps1=eps1, eps2=eps2)
-    rec = StepRecord(
-        "real",
-        j,
-        m + j,
-        {
-            "z1": z1,
-            "z3": z3,
-            "z4": z4,
-            "u": uvec,
-            "top_eigenvalue": lam,
-            "eps1": eps1,
-            "eps2": eps2,
-        },
-    )
+    rec = StepRecord("real", j, y1.shape[1], p_share=lam)
     return AssignState(
         n,
         m,
@@ -371,15 +376,15 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     return best_u / np.linalg.norm(best_u)
 
 
-def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
+def _complex_pair_core(z1, z3, z4, tau_pen):
     """Pick the complex combination of null-basis columns for one pair.
 
     Returns the unnormalized complex column p (real and imaginary parts
     become the two new P columns), the matching stacked v-column, and a
-    diagnostics dict.  ``z1`` may be given in any real orthonormal
-    coordinates of the p-space, and p comes back in the same coordinates:
-    z1 enters only through inner products of real and imaginary parts,
-    which a real isometry keeps.
+    dict of the data behind the choice.  ``z1`` may be given in any real
+    orthonormal coordinates of the p-space, and p comes back in the same
+    coordinates: z1 enters only through inner products of real and
+    imaginary parts, which a real isometry keeps.
     """
     # Every coefficient direction is used, so V must be square; U is read
     # only in its first two columns and stays thin whenever it can.
@@ -390,9 +395,9 @@ def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
     nu1 = float(nus[0])
     nu2 = float(nus[1]) if nus.size > 1 else 0.0
     zv = np.vstack([z3, z4]) @ v
-    diag: dict = {"nu": nus.copy()}
+    diag: dict = {"nu1": nu1, "nu2": nu2}
 
-    if nu2 <= rank1_rtol * nu1:
+    if nu2 <= 1e-8 * nu1:
         # single usable direction: orthogonalize its real/imaginary parts
         # by a plane rotation, then choose the residual coefficients from
         # an unconstrained convex quadratic.
@@ -437,7 +442,7 @@ def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
             g = np.zeros(0, dtype=complex)
             diag.update({"H": None, "h": None, "y": np.zeros(0), "w": w, "W": big_w})
         bvec = (c + 1j * s) * (v @ np.concatenate([[1.0 / nu1], g]))
-        diag.update({"branch": "rank1", "c": c, "s": s, "V": v, "vs": (vs1, vs2)})
+        diag.update({"branch": "rank1", "c": c, "s": s, "vs": (vs1, vs2)})
     else:
         psi1 = u[:, 0]
         psi2 = u[:, 1]
@@ -473,16 +478,7 @@ def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
         rho2 = 2.0 * (
             c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2)
         )
-        diag.update(
-            {
-                "nu1": nu1,
-                "nu2": nu2,
-                "rho1": float(rho1),
-                "rho2": float(rho2),
-                "coeff": coeff,
-                "hamiltonian": hm,
-            }
-        )
+        diag.update({"rho1": float(rho1), "rho2": float(rho2), "coeff": coeff})
         if rho2 <= rho1:
             gz = coeff[:2] + 1j * coeff[2:]
             bvec = v[:, :2] @ (gz / nus[:2])
@@ -494,19 +490,10 @@ def _complex_pair_core(z1, z3, z4, tau_pen, rank1_rtol=1e-8):
 
     pc = z1 @ bvec
     vc = np.vstack([z3, z4]) @ bvec
-    diag["b"] = bvec
     return pc, vc, diag
 
 
-def assign_complex_pair(
-    state: AssignState,
-    pole: PolePair,
-    a,
-    e,
-    par: Parametrization,
-    tol: float | None = None,
-    rank1_rtol: float = 1e-8,
-) -> AssignState:
+def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
     """Append the two columns carrying a complex conjugate pole pair."""
     if pole.kind is not PoleKind.FINITE_COMPLEX:
         raise ValueError("assign_complex_pair needs a complex pole pair")
@@ -523,9 +510,9 @@ def assign_complex_pair(
         row_top = np.hstack([q2t @ (e - gamma * a), gamma * xi, -xi.astype(complex)])
     else:
         row_top = np.hstack([q2t @ (a - gamma * e), -xi.astype(complex), gamma * xi])
-    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, tol, "complex-pair step")
+    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, "complex-pair step")
 
-    pc, vc, diag = _complex_pair_core(y1, z3, z4, tau, rank1_rtol)
+    pc, vc, diag = _complex_pair_core(y1, z3, z4, tau)
     pc = p_perp @ pc
     pt1, pt2 = pc.real.copy(), pc.imag.copy()
     vs1 = float(np.linalg.norm(pt1))
@@ -551,8 +538,16 @@ def assign_complex_pair(
         kind = BlockKind.COMPLEX_BETA
 
     block = BlockDescriptor(start=j, size=2, kind=kind, delta=delta, sigma=sigma, tau=tau)
-    diag.update({"z1": p_perp @ y1, "z3": z3, "z4": z4, "delta": delta, "tau_penalty": tau})
-    rec = StepRecord("complex", j, m + j, diag)
+    rec = StepRecord(
+        "complex",
+        j,
+        y1.shape[1],
+        p_share=diag["nu1"] ** 2,
+        branch=diag["branch"],
+        nu2=diag["nu2"],
+        rho1=diag.get("rho1"),
+        rho2=diag.get("rho2"),
+    )
     return AssignState(
         n,
         m,
@@ -565,7 +560,7 @@ def assign_complex_pair(
     )
 
 
-def complete_X(par: Parametrization, xi, tol: float | None = None) -> np.ndarray:
+def complete_X(par: Parametrization, xi) -> np.ndarray:
     """Extend Xi = Q2^T X to the full invertible factor X.
 
     The Q1-component is the orthogonal complement of range(Xi^T), which
@@ -576,7 +571,7 @@ def complete_X(par: Parametrization, xi, tol: float | None = None) -> np.ndarray
     if xi.shape != (n - m, n):
         raise ValueError(f"Xi must be (n-m) x n = {(n - m, n)}, got {xi.shape}")
     if n > m:
-        if numerical_rank(xi, tol).rank != n - m:
+        if numerical_rank(xi).rank != n - m:
             raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
         qx, _ = qr_decompose(xi.T)
         y = qx[:, n - m :].T
@@ -594,7 +589,7 @@ def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray
     return f, g
 
 
-def run_pipeline(problem, tol: float | None = None) -> Solution:
+def run_pipeline(problem) -> Solution:
     """Assign the requested spectrum of ``problem`` and return (F, G) with
     all factors.
 
@@ -609,19 +604,19 @@ def run_pipeline(problem, tol: float | None = None) -> Solution:
         key=lambda p: p.value.real,
     )
     cplx = [p for p in problem.finite_poles if p.kind is PoleKind.FINITE_COMPLEX]
-    state = assign_infinite_block(a, e, par, n - r, tol)
+    state = assign_infinite_block(a, e, par, n - r)
     queue = reals + cplx
     for idx, pole in enumerate(queue):
         try:
             if pole.kind is PoleKind.FINITE_COMPLEX:
-                state = assign_complex_pair(state, pole, a, e, par, tol)
+                state = assign_complex_pair(state, pole, a, e, par)
             else:
-                state = assign_real_pole(state, pole, a, e, par, tol)
+                state = assign_real_pole(state, pole, a, e, par)
         except DegenerateStepError as exc:
             raise DegenerateStepError(f"{exc} (while assigning pole {idx + 1} of {len(queue)})") from None
     if state.j != n:
         raise DegenerateStepError(f"assignment finished with {state.j} columns, expected {n}")
-    x = complete_X(par, state.Xi, tol)
+    x = complete_X(par, state.Xi)
     f, g = extract_feedback(a, e, par, x, state.S, state.T, state.P)
     return Solution(
         F=f,

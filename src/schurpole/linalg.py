@@ -87,40 +87,36 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _rank_from_singular_values(s: np.ndarray, shape, tol: float | None) -> tuple[int, float]:
+def _rank_from_singular_values(s: np.ndarray, shape) -> tuple[int, float]:
     if s.size == 0:
-        return 0, 0.0 if tol is None else float(tol)
-    if tol is None:
-        tol = max(shape) * _EPS * float(s[0])
-    return int(np.count_nonzero(s > tol)), float(tol)
+        return 0, 0.0
+    tol = max(shape) * _EPS * float(s[0])
+    return int(np.count_nonzero(s > tol)), tol
 
 
-def numerical_rank(m, tol: float | None = None) -> RankDecision:
-    """Numerical rank of ``m`` with an absolute singular-value cutoff.
-
-    Default cutoff is max(rows, cols) * eps * sigma_max.
-    """
+def numerical_rank(m) -> RankDecision:
+    """Numerical rank of ``m`` at the cutoff max(rows, cols) * eps * sigma_max."""
     a = _as_matrix(m)
     if a.size == 0:
-        return RankDecision(0, 0.0 if tol is None else float(tol), np.zeros(0))
+        return RankDecision(0, 0.0, np.zeros(0))
     s = np.linalg.svd(a, compute_uv=False)
-    rank, used = _rank_from_singular_values(s, a.shape, tol)
+    rank, used = _rank_from_singular_values(s, a.shape)
     return RankDecision(rank, used, s)
 
 
-def orthonormal_null_basis(m, tol: float | None = None) -> np.ndarray:
+def orthonormal_null_basis(m) -> np.ndarray:
     """Orthonormal basis of the (right) null space of ``m``.
 
-    Column count equals cols(m) - numerical_rank(m, tol), the rank counting
-    singular values of ``m`` above ``tol`` (an absolute cutoff; default
-    max(rows, cols) * eps * sigma_max).  Square and tall inputs take a full
-    SVD and return the trailing right singular vectors, in order.  A wide
-    input M (rows < cols) takes one complete QR, M^H = Q [R; 0] with
-    Q = [Q1 Q2], and the singular values of the square R, which are M's.
-    Q2 spans the generic cols - rows null directions; when M has less than
-    full row rank, the extra ones, Q1 U_R[:, rank:] for R = U_R S V_R^H,
-    come first.  The result is reproducible for identical inputs, but which
-    orthonormal basis of the null space it is remains a convention.
+    Column count equals cols(m) - numerical_rank(m), the rank counting
+    singular values of ``m`` above max(rows, cols) * eps * sigma_max.
+    Square and tall inputs take a full SVD and return the trailing right
+    singular vectors, in order.  A wide input M (rows < cols) takes one
+    complete QR, M^H = Q [R; 0] with Q = [Q1 Q2], and the singular values
+    of the square R, which are M's.  Q2 spans the generic cols - rows null
+    directions; when M has less than full row rank, the extra ones,
+    Q1 U_R[:, rank:] for R = U_R S V_R^H, come first.  The result is
+    reproducible for identical inputs, but which orthonormal basis of the
+    null space it is remains a convention.
     """
     a = _as_matrix(m)
     rows, cols = a.shape
@@ -130,24 +126,24 @@ def orthonormal_null_basis(m, tol: float | None = None) -> np.ndarray:
         return np.eye(cols, dtype=a.dtype)
     if rows >= cols:
         _, s, vh = np.linalg.svd(a, full_matrices=True)
-        rank, _ = _rank_from_singular_values(s, a.shape, tol)
+        rank, _ = _rank_from_singular_values(s, a.shape)
         return vh[rank:].conj().T.copy()
     q, r = np.linalg.qr(a.conj().T, mode="complete")
     r = r[:rows]
-    rank, _ = _rank_from_singular_values(np.linalg.svd(r, compute_uv=False), a.shape, tol)
+    rank, _ = _rank_from_singular_values(np.linalg.svd(r, compute_uv=False), a.shape)
     if rank == rows:
         return q[:, rows:].copy()
     u_r = np.linalg.svd(r)[0]
     return np.hstack([q[:, :rows] @ u_r[:, rank:], q[:, rows:]])
 
 
-def sym_eig(h, asym_rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix.
 
     Eigenvalues are returned in descending order.  Each eigenvector is
     scaled so its first nonzero component is positive.  Inputs may deviate
-    from exact symmetry by at most ``asym_rtol`` relative to their norm;
-    larger asymmetry is an error.
+    from exact symmetry by at most 1e-12 relative to their norm; larger
+    asymmetry is an error.
     """
     a = _as_matrix(h)
     if np.iscomplexobj(a):
@@ -156,7 +152,7 @@ def sym_eig(h, asym_rtol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     if rows != cols:
         raise ValueError(f"sym_eig expects a square matrix, got {a.shape}")
     scale = float(np.linalg.norm(a))
-    if scale > 0 and float(np.linalg.norm(a - a.T)) > asym_rtol * scale:
+    if scale > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     a = 0.5 * (a + a.T)
     w, v = np.linalg.eigh(a)

@@ -141,9 +141,17 @@ class IndexReport:
         return len(expand_to_values(self.poles)) if self.regular else None
 
 
-def _rank_at(svals: np.ndarray, rank_rtol: float) -> int:
-    """Number of singular values above ``rank_rtol * sigma_max`` (0 for a zero matrix)."""
-    return int(np.count_nonzero(svals > rank_rtol * svals[0])) if svals.size else 0
+# Relative rank cutoff of the index check.  It must separate construction
+# roundoff (E_c produced by a feedback computation carries noise-level
+# singular values near 1e-14 of its norm) from genuinely small directions
+# of an ill-conditioned but invertible leading part (observed down to a few
+# 1e-9 on hard full-rank assignments).
+_INDEX_RANK_RTOL = 1e-11
+
+
+def _rank_at(svals: np.ndarray) -> int:
+    """Number of singular values above ``_INDEX_RANK_RTOL * sigma_max`` (0 for a zero matrix)."""
+    return int(np.count_nonzero(svals > _INDEX_RANK_RTOL * svals[0])) if svals.size else 0
 
 
 def _unit_frobenius(mat: np.ndarray) -> np.ndarray:
@@ -152,19 +160,14 @@ def _unit_frobenius(mat: np.ndarray) -> np.ndarray:
     return mat / norm if norm > 0 else mat
 
 
-def index_and_regularity_check(
-    a_c, e_c, expected_finite: int | None = None, rank_rtol: float = 1e-11
-) -> IndexReport:
+def index_and_regularity_check(a_c, e_c, expected_finite: int | None = None) -> IndexReport:
     """Check that (A_c, E_c) is regular with nilpotency index at most one.
 
     Index <= 1 holds exactly when the number of finite poles equals
     rank(E_c) and [E_c, A_c * N] has full rank for N a basis of the null
     space of E_c (no generalized eigenvector chains at infinity).  Ranks
-    are taken at the relative cutoff ``rank_rtol``, which must separate
-    construction roundoff (E_c produced by a feedback computation carries
-    noise-level singular values near 1e-14 of its norm) from genuinely
-    small directions of an ill-conditioned but invertible leading part
-    (observed down to a few 1e-9 on hard full-rank assignments).  E_c and
+    are taken at the relative cutoff ``_INDEX_RANK_RTOL`` = 1e-11, which
+    separates construction roundoff from genuinely small directions.  E_c and
     A_c * N are each scaled to unit Frobenius norm before the stacked rank
     test, so the verdict does not change when A_c alone is rescaled (a
     time scaling, which multiplies every pole too).
@@ -178,7 +181,7 @@ def index_and_regularity_check(
     e_c = np.asarray(e_c, dtype=np.float64)
     n = a_c.shape[0]
     _, s_e, vh_e = np.linalg.svd(e_c)
-    rank_e = _rank_at(s_e, rank_rtol)
+    rank_e = _rank_at(s_e)
     null_e = vh_e[rank_e:].T
     try:
         poles, eigvecs = generalized_eig_oracle(a_c, e_c, vectors=True)
@@ -187,7 +190,7 @@ def index_and_regularity_check(
     finite_count = eigvecs.shape[1]
     if null_e.shape[1]:
         stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ null_e)])
-        no_chains = _rank_at(np.linalg.svd(stacked, compute_uv=False), rank_rtol) == n
+        no_chains = _rank_at(np.linalg.svd(stacked, compute_uv=False)) == n
     else:
         no_chains = True
     index_ok = (finite_count == rank_e) and no_chains

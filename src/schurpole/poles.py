@@ -49,12 +49,11 @@ class PolePair:
     kind: PoleKind
 
     @classmethod
-    def make(cls, alpha, beta, real_tol: float = 0.0) -> "PolePair":
+    def make(cls, alpha, beta) -> "PolePair":
         """Canonicalize an arbitrary (alpha, beta) pair.
 
-        ``real_tol`` is the relative imaginary-part threshold below which a
-        ratio is considered real; the default treats only an exactly real
-        ratio as real.
+        Only an exactly real, finite ratio is real; one that overflows
+        stays complex.
         """
         a = complex(alpha)
         b = complex(beta)
@@ -63,7 +62,7 @@ class PolePair:
         if b == 0:
             return cls(complex(1.0), complex(0.0), PoleKind.INFINITE)
         lam = a / b
-        if abs(lam.imag) <= real_tol * (1.0 + abs(lam)):
+        if lam.imag == 0 and math.isfinite(lam.real):
             return cls(complex(lam.real), complex(1.0), PoleKind.FINITE_REAL)
         if lam.imag < 0:
             lam = lam.conjugate()
@@ -74,8 +73,8 @@ class PolePair:
         return cls(complex(1.0), complex(0.0), PoleKind.INFINITE)
 
     @classmethod
-    def from_value(cls, lam, real_tol: float = 0.0) -> "PolePair":
-        return cls.make(lam, 1.0, real_tol=real_tol)
+    def from_value(cls, lam) -> "PolePair":
+        return cls.make(lam, 1.0)
 
     @property
     def is_infinite(self) -> bool:
@@ -87,12 +86,6 @@ class PolePair:
         if self.is_infinite:
             raise ValueError("infinite pole has no finite value")
         return self.alpha / self.beta
-
-    def equivalent(self, other: "PolePair", rtol: float = 0.0) -> bool:
-        """Same pole in homogeneous coordinates: alpha1*beta2 == alpha2*beta1."""
-        lhs = self.alpha * other.beta
-        rhs = other.alpha * self.beta
-        return abs(lhs - rhs) <= rtol * (abs(lhs) + abs(rhs))
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,10 @@ __all__ = [
     "validate_problem",
 ]
 
-# Fixed stream for the random finite-lambda probes of the controllability
-# check; a constant keeps validation reproducible.
+# Fixed stream and count of the random finite-lambda probes of the
+# controllability check; constants keep validation reproducible.
 _PROBE_SEED = 0x5F0C8E
+_PROBE_COUNT = 8
 
 
 @dataclass(eq=False)
@@ -282,16 +283,16 @@ def serialize_solution(f, g) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> ValidationReport:
+def validate_problem(p: Problem) -> ValidationReport:
     """Feasibility checks for an assignment instance.
 
-    Verifies, with numerical ranks at cutoff ``tol`` (None = default
-    policy):  (a) B has full column rank; (b/c) the finite pole count r
-    lies in [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full
-    row rank for a null basis Ninf of E; (e) [lambda*E - A, B] has full row
-    rank at every open-loop eigenvalue that (d) does not count as infinite
-    and at ``probes`` fixed pseudo-random complex values.  Requested poles
-    of multiplicity above m are recorded as warnings.
+    Verifies, with numerical ranks at :func:`numerical_rank`'s cutoff:
+    (a) B has full column rank; (b/c) the finite pole count r lies in
+    [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full row rank
+    for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
+    every open-loop eigenvalue that (d) does not count as infinite and at
+    8 fixed pseudo-random complex values.  Requested poles of multiplicity
+    above m are recorded as warnings.
     """
     from .metrics import generalized_eig_oracle  # local import avoids a cycle
 
@@ -299,12 +300,12 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    b_rank = numerical_rank(p.B, tol).rank
+    b_rank = numerical_rank(p.B).rank
     checks.append(
         CheckResult("b-full-column-rank", b_rank == m, f"rank(B)={b_rank}, m={m}")
     )
 
-    q = numerical_rank(np.hstack([p.E, p.B]), tol).rank
+    q = numerical_rank(np.hstack([p.E, p.B])).rank
     checks.append(
         CheckResult(
             "finite-pole-count-bound",
@@ -314,9 +315,9 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
         )
     )
 
-    n_inf = orthonormal_null_basis(p.E, tol)
+    n_inf = orthonormal_null_basis(p.E)
     stacked = np.hstack([p.E, p.A @ n_inf, p.B])
-    d_rank = numerical_rank(stacked, tol).rank
+    d_rank = numerical_rank(stacked).rank
     checks.append(
         CheckResult(
             "infinite-pole-controllability",
@@ -343,7 +344,7 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
     rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(probes):
+    for _ in range(_PROBE_COUNT):
         pairs.append((complex(rng.standard_normal(), rng.standard_normal()), 1.0))
     ok = True
     detail = "full row rank at all probes"
@@ -352,7 +353,7 @@ def validate_problem(p: Problem, tol: float | None = None, probes: int = 8) -> V
         # eigenvalues, where lam*E - A would drown B under the tolerance.
         scale = np.hypot(abs(a), abs(b))
         mat = np.hstack([(a / scale) * p.E - (b / scale) * p.A, p.B.astype(complex)])
-        rk = numerical_rank(mat, tol).rank
+        rk = numerical_rank(mat).rank
         if rk != n:
             ok = False
             lam = f"{a / b:g}" if b else "inf"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from schurpole import BenchConfig, PolePair, Problem, generalized_eig_oracle, generate_random_instance
+import schurpole.assign as assign_module
+from schurpole import BenchConfig, PolePair, Problem, generalized_eig_oracle, generate_random_instance, run_pipeline
 
 # Numerical tests can be slow on loaded CI boxes; wall-clock deadlines only
 # produce flaky failures there.
@@ -22,6 +23,29 @@ def make_instance(n, rank_e, m, r, trial=0, seed=0):
     """Deterministic random problem with the benchmark generator."""
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=max(trial + 1, 1), seed=seed)
     return generate_random_instance(cfg, r=r, trial=trial)
+
+
+def solve_recording(prob, name):
+    """Solve ``prob`` with ``schurpole.assign.<name>`` wrapped in a recorder.
+
+    Returns the Solution and the ``(args, result)`` pair of every call of
+    that function, in call order.  A step's null-space basis
+    (``_step_null_basis``) or its complex-pair choice data
+    (``_complex_pair_core``) is scratch the solver does not keep, so tests
+    that inspect it record it here.
+    """
+    calls = []
+    original = getattr(assign_module, name)
+
+    def recording(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assign_module, name, recording)
+        sol = run_pipeline(prob)
+    return sol, calls
 
 
 def unsolvable_instance():

@@ -39,7 +39,7 @@ from schurpole.cli import main as cli_main
 from schurpole.metrics import generalized_eig_oracle, verify_solution
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import unsolvable_instance
+from conftest import solve_recording, unsolvable_instance
 
 SMALL = [(6, rank_e, m) for rank_e in (2, 3, 5) for m in (2, 3, 4)]
 LARGE = [(30, rank_e, m) for rank_e in (2, 15, 29) for m in (2, 15, 28)]
@@ -60,15 +60,15 @@ class InstanceRecord:
     rank_ec: int
     inf_block_exact: bool
     real_steps: list = field(default_factory=list)  # (z1, chosen_norm)
-    complex_steps: list = field(default_factory=list)  # diag summaries
-    step_dims: list = field(default_factory=list)  # (width, expected, z1_ok)
+    complex_steps: list = field(default_factory=list)  # (nu2, rho1, rho2, branch)
+    step_dims: list = field(default_factory=list)  # (width, null_dim, expected, z1_ok)
 
 
 def _build_record(n, rank_e, m, r, trial, keep_directions):
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=max(trial + 1, 1), seed=0)
     prob = generate_random_instance(cfg, r=r, trial=trial)
     t0 = time.perf_counter()
-    sol = run_pipeline(prob)
+    sol, bases = solve_recording(prob, "_step_null_basis")
     t_run = time.perf_counter() - t0
     a_c = prob.A + prob.B @ sol.F
     e_c = prob.E + prob.B @ sol.G
@@ -98,29 +98,22 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
         rank_ec=rank_ec,
         inf_block_exact=inf_exact,
     )
-    for step in sol.steps:
+    # Every step after the infinite block made one recorded null-basis call.
+    finite_steps = sol.steps[1:]
+    assert len(bases) == len(finite_steps)
+    for step, (_, (p_perp, y1, _, _)) in zip(finite_steps, bases):
+        j = step.j_before
         if step.kind == "real":
-            z1 = step.data["z1"]
-            chosen = float(np.linalg.norm(z1 @ step.data["u"]))
-            rec.step_dims.append(
-                (z1.shape[1], m + step.j_before, step.data["top_eigenvalue"] > 1e-12)
-            )
+            rec.step_dims.append((y1.shape[1], step.null_dim, m + j, step.p_share > 1e-12))
             if keep_directions:
-                rec.real_steps.append((z1, chosen))
-        elif step.kind == "complex":
-            z1 = step.data["z1"]
-            nus = step.data["nu"]
-            rec.step_dims.append((z1.shape[1], m + step.j_before, nus[0] > 1e-13))
-            if "rho2" in step.data:
-                rec.complex_steps.append(
-                    (
-                        step.data["nu1"],
-                        step.data["nu2"],
-                        step.data["rho1"],
-                        step.data["rho2"],
-                        step.data["branch"],
-                    )
-                )
+                # The step's unit null vector, scaled to a unit P-column, is
+                # [p; v_s; v_t]: its P-share is read off the S and T columns.
+                added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
+                rec.real_steps.append((p_perp @ y1, 1.0 / math.sqrt(1.0 + added)))
+        else:
+            rec.step_dims.append((y1.shape[1], step.null_dim, m + j, math.sqrt(step.p_share) > 1e-13))
+            if step.rho2 is not None:
+                rec.complex_steps.append((step.nu2, step.rho1, step.rho2, step.branch))
     return rec
 
 
@@ -276,18 +269,15 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
     for rank_e, r, trial in ((3, 4, 0), (3, 4, 1), (2, 3, 1)):
         cfg = BenchConfig(n=6, rank_e=rank_e, m=1, trials=trial + 1, seed=0)
         prob = generate_random_instance(cfg, r=r, trial=trial)
-        sol = run_pipeline(prob)
-        for step in sol.steps:
-            if step.kind != "complex" or step.data.get("branch") != "rank1":
-                continue
-            data = step.data
-            if data["H"] is None:
+        _, calls = solve_recording(prob, "_complex_pair_core")
+        for _, (_, _, data) in calls:
+            if data["branch"] != "rank1" or data["H"] is None:
                 continue
             hmat, hvec, y = data["H"], data["h"], data["y"]
             c, s = data["c"], data["s"]
             vs1, vs2 = data["vs"]
             w, big_w = data["w"], data["W"]
-            nu1 = float(data["nu"][0])
+            nu1 = data["nu1"]
             k = y.size // 2
 
             def objective(yv):
@@ -332,10 +322,10 @@ def test_criterion_5_step_feasibility(small_suite, large_suite):
     total, bad = 0, []
     for records, _ in (small_suite, large_suite):
         for rec in records:
-            for width, expected, z1_ok in rec.step_dims:
+            for width, null_dim, expected, z1_ok in rec.step_dims:
                 total += 1
-                if width != expected or not z1_ok:
-                    bad.append((rec.key, width, expected, z1_ok))
+                if width != expected or null_dim != width or not z1_ok:
+                    bad.append((rec.key, width, null_dim, expected, z1_ok))
     ok = total > 0 and not bad
     detail = f"{total} steps with full-row-rank M and nonzero Z1"
     if bad:
@@ -352,7 +342,7 @@ def test_criterion_6_complex_strategy_bounds(small_suite, large_suite):
     recs30, _ = large_suite
     checked, bad = 0, []
     for rec in recs6 + recs30:
-        for nu1, nu2, rho1, rho2, branch in rec.complex_steps:
+        for nu2, rho1, rho2, branch in rec.complex_steps:
             checked += 1
             c2 = (1.0 - nu2**2) / nu2**2
             chosen = rho2 if branch == "hamiltonian" else rho1

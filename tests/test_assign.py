@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,7 @@ from schurpole.assign import (
     d_delta_block,
 )
 
-from conftest import make_instance, rng_matrix
+from conftest import make_instance, rng_matrix, solve_recording
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -85,22 +87,6 @@ def test_infinite_block_zero_count_is_empty():
 # step null space in the complement of P
 
 
-def _recorded_step_calls(monkeypatch, prob):
-    """Arguments and results of every _step_null_basis call of one solve."""
-    calls = []
-    original = assign_module._step_null_basis
-
-    def recording(row_top, p_mat, n, m, j, tol, what):
-        out = original(row_top, p_mat, n, m, j, tol, what)
-        calls.append(((row_top, p_mat, n, m, j, tol, what), out))
-        return out
-
-    monkeypatch.setattr(assign_module, "_step_null_basis", recording)
-    run_pipeline(prob)
-    monkeypatch.undo()
-    return calls
-
-
 def _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out, extra=0):
     p_perp, y1, z3, z4 = out
     z1 = p_perp @ y1
@@ -114,7 +100,7 @@ def _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out, extra=0):
     assert np.linalg.norm(p_mat.T @ z1) <= 1e-12
 
 
-def test_step_null_basis_spans_the_stacked_null_space(monkeypatch):
+def test_step_null_basis_spans_the_stacked_null_space():
     kinds = set()
     # the second has no infinite poles, so its first step has no prior columns
     cases = (
@@ -123,28 +109,28 @@ def test_step_null_basis_spans_the_stacked_null_space(monkeypatch):
         make_instance(30, 15, 2, 17),
     )
     for prob in cases:
-        for (row_top, p_mat, n, m, j, _, what), out in _recorded_step_calls(monkeypatch, prob):
+        for (row_top, p_mat, n, m, j, what), out in solve_recording(prob, "_step_null_basis")[1]:
             kinds.add((what, np.iscomplexobj(row_top), j > 0))
             _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out)
     assert {(w, c) for w, c, _ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
     assert {first for *_, first in kinds} == {False, True}
 
 
-def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little(monkeypatch):
+def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
     prob = make_instance(30, 15, 2, 17)
-    last_of_kind = {args[-1]: args for args, _ in _recorded_step_calls(monkeypatch, prob)}
+    last_of_kind = {args[-1]: args for args, _ in solve_recording(prob, "_step_null_basis")[1]}
     assert set(last_of_kind) == {"real-pole step", "complex-pair step"}
-    for row_top, p_mat, n, m, j, tol, what in last_of_kind.values():
+    for row_top, p_mat, n, m, j, what in last_of_kind.values():
         # a repeated row leaves the top block rank deficient: one more
         # null direction, which the step must keep
         deficient = np.vstack([row_top[:-1], row_top[:1]])
-        out = assign_module._step_null_basis(deficient, p_mat, n, m, j, tol, what)
+        out = assign_module._step_null_basis(deficient, p_mat, n, m, j, what)
         _assert_spans_stacked_null_space(deficient, p_mat, n, m, j, out, extra=1)
         # one independent row too many leaves fewer than m + j directions
         rng = np.random.default_rng(j)
         extra_row = rng.standard_normal((1, row_top.shape[1])).astype(row_top.dtype)
         with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension"):
-            assign_module._step_null_basis(np.vstack([row_top, extra_row]), p_mat, n, m, j, tol, what)
+            assign_module._step_null_basis(np.vstack([row_top, extra_row]), p_mat, n, m, j, what)
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +293,16 @@ def test_complex_core_zero_z1_is_degenerate():
 
 def test_rank1_coefficients_solve_the_quadratic():
     # On a single-input instance the complex step has one usable direction;
-    # the recorded quadratic data must satisfy the stationarity equation
-    # 2 H y + h = 0 at the recorded coefficients.
+    # the quadratic data recorded from the step must satisfy the
+    # stationarity equation 2 H y + h = 0 at the chosen coefficients.
     prob = make_instance(6, 3, 1, 4, trial=0)
-    sol = run_pipeline(prob)
-    rank1 = [
-        s for s in sol.steps if s.kind == "complex" and s.data.get("branch") == "rank1"
-    ]
+    sol, calls = solve_recording(prob, "_complex_pair_core")
+    diags = [diag for _, (_, _, diag) in calls]
+    assert [d["branch"] for d in diags] == [s.branch for s in sol.steps if s.kind == "complex"]
+    rank1 = [d for d in diags if d["branch"] == "rank1"]
     assert rank1, "expected at least one rank-1 complex step"
-    for step in rank1:
-        hmat, hvec, y = step.data["H"], step.data["h"], step.data["y"]
+    for diag in rank1:
+        hmat, hvec, y = diag["H"], diag["h"], diag["y"]
         if hmat is None:
             continue
         grad = 2.0 * hmat @ y + hvec
@@ -330,17 +316,43 @@ def test_rank1_coefficients_solve_the_quadratic():
 def test_step_records_cover_all_columns():
     prob = make_instance(6, 3, 2, 4, trial=3)
     sol = run_pipeline(prob)
-    sizes = []
+    width = {"infinite-block": prob.n - prob.r, "real": 1, "complex": 2}
+    assert sol.steps[0].kind == "infinite-block"
+    j = 0
     for step in sol.steps:
-        if step.kind == "infinite-block":
-            sizes.append(step.data["count"])
-        elif step.kind == "real":
-            sizes.append(1)
-        else:
-            sizes.append(2)
-    assert sum(sizes) == prob.n
-    # Null-space dimensions follow the growth law m + j for every step
-    # after the infinite block.
-    for step in sol.steps:
-        if step.kind in ("real", "complex"):
-            assert step.null_dim == prob.m + step.j_before
+        assert step.j_before == j
+        j += width[step.kind]
+    assert j == prob.n
+    # The measured null-space dimensions follow the growth law m + j for
+    # every step after the infinite block.
+    for step in sol.steps[1:]:
+        assert step.null_dim == prob.m + step.j_before
+
+
+def test_step_records_hold_scalars_measured_from_the_step():
+    # A Solution keeps F, G, P, S, T, X and scalar step records, never a
+    # step's null-space basis; null_dim is the width of the basis the step
+    # used and p_share its P-component share of the chosen direction.
+    for prob in (make_instance(30, 15, 3, 18), make_instance(100, 50, 10, 60)):
+        sol, calls = solve_recording(prob, "_step_null_basis")
+        arrays = {f.name for f in dataclasses.fields(sol) if isinstance(getattr(sol, f.name), np.ndarray)}
+        assert arrays == {"F", "G", "P", "S", "T", "X"}
+        for step in sol.steps:
+            for f in dataclasses.fields(step):
+                assert type(getattr(step, f.name)) in (int, float, str, type(None)), (step.kind, f.name)
+        finite_steps = sol.steps[1:]
+        assert {s.kind for s in finite_steps} == {"real", "complex"}
+        assert len(calls) == len(finite_steps)
+        for step, (_, (p_perp, y1, z3, z4)) in zip(finite_steps, calls):
+            assert step.null_dim == y1.shape[1] == z3.shape[1] == z4.shape[1]
+            j = step.j_before
+            if step.kind == "real":
+                # the unit column [p; v_s; v_t] * scale has P-component scale
+                added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
+                assert step.p_share == pytest.approx(1.0 / (1.0 + added), rel=1e-10)
+                assert step.branch is None and step.rho2 is None
+            else:
+                nus = np.linalg.svd(p_perp @ y1, compute_uv=False)
+                assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
+                assert step.nu2 == pytest.approx(nus[1], rel=1e-8, abs=1e-14)
+                assert step.branch in ("rank1", "hamiltonian", "jacobi")

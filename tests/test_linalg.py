@@ -84,13 +84,9 @@ def test_numerical_rank_of_products(seed, n, k):
     dec = numerical_rank(a)
     assert dec.rank == k
     assert dec.singular_values.shape == (n,)
-
-
-def test_numerical_rank_tolerance_override():
-    a = np.diag([1.0, 1e-6, 1e-17])
-    assert numerical_rank(a).rank == 2  # default cutoff is max(shape)*eps*sigma1
-    assert numerical_rank(a, tol=1e-3).rank == 1
-    assert numerical_rank(a, tol=1e-18).rank == 3
+    # the cutoff max(shape)*eps*sigma1 keeps 1e-6 and drops 1e-17 at any scale
+    scale = 10.0 ** (seed % 25 - 12)
+    assert numerical_rank(scale * np.diag([1.0, 1e-6, 1e-17])).rank == 2
 
 
 @given(seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
@@ -130,19 +126,12 @@ def test_null_basis_wide_matches_independent_svd(seed, rows, extra_cols, rank, i
     ref = scipy.linalg.null_space(a)
     assert ref.shape[1] == cols - rank
     assert np.linalg.norm(nb @ nb.conj().T - ref @ ref.conj().T) <= 1e-10
-
-
-def test_null_basis_wide_explicit_tol_is_absolute():
-    a = np.hstack([np.diag([1.0, 1e-6]), np.zeros((2, 2))])
-    assert orthonormal_null_basis(a).shape == (4, 2)
-    wide_null = orthonormal_null_basis(a, tol=1e-3)
-    assert wide_null.shape == (4, 3)
-    # the dropped direction is the one of singular value 1e-6
-    assert np.linalg.norm(wide_null.T @ np.eye(4)[:, 1]) == pytest.approx(1.0, abs=1e-12)
-    assert orthonormal_null_basis(a, tol=1e-7).shape == (4, 2)
-    # an absolute cutoff does not scale with the matrix
-    assert orthonormal_null_basis(1e6 * a, tol=1e-3).shape == (4, 2)
-    assert orthonormal_null_basis(1e-6 * a, tol=1e-3).shape == (4, 4)
+    # the default cutoff is relative: a singular value 1e-6 below sigma1
+    # stays in the range at any scale, so only the zero columns are null
+    scale = 10.0 ** (seed % 25 - 12)
+    wide_null = orthonormal_null_basis(scale * np.hstack([np.diag([1.0, 1e-6]), np.zeros((2, 2))]))
+    assert wide_null.shape == (4, 2)
+    assert np.linalg.norm(wide_null[:2]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
