@@ -9,8 +9,6 @@ assigned poles are insensitive to perturbations.
 
 from .assign import (
     AssignState,
-    BlockDescriptor,
-    BlockKind,
     Parametrization,
     Solution,
     StepRecord,
@@ -36,7 +34,7 @@ from .metrics import (
     verify_feedback,
     verify_solution,
 )
-from .poles import NormalizedPole, PoleCase, PoleKind, PolePair, normalize_pole
+from .poles import PoleKind, PolePair
 from .problem import (
     Problem,
     ValidationReport,
@@ -52,14 +50,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignState",
     "BenchConfig",
-    "BlockDescriptor",
-    "BlockKind",
     "DegenerateStepError",
     "IndexReport",
-    "NormalizedPole",
     "Parametrization",
     "ParseError",
-    "PoleCase",
     "PoleKind",
     "PolePair",
     "Problem",
@@ -82,7 +76,6 @@ __all__ = [
     "generalized_eig_oracle",
     "generate_random_instance",
     "index_and_regularity_check",
-    "normalize_pole",
     "parse_problem",
     "parse_solution",
     "precs_metric",

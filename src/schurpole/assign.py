@@ -22,18 +22,22 @@ leaves only a ``StepRecord`` of scalars (null dimension, P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
-complex pairs in input order.  Diagonal blocks of (S, T) encode the poles:
+complex pairs in input order.  The steps write each pole exactly into a
+diagonal block of (S, T), and S and T are the only record of that layout:
 
 * infinite pole:            1x1 pair (1, 0);
-* real pair (a, b):         1x1 pair (a, b)/sqrt(a^2 + b^2);
-* complex conjugate pair:   2x2 pair (I2, D) or (D, I2) with
-  D = [[sigma, delta*tau], [-tau/delta, sigma]], depending on which of
-  alpha, beta dominates.
+* real pole lambda:         1x1 pair (lambda, 1)/hypot(lambda, 1);
+* complex conjugate pair:   2x2 pair (I2, D) when |lambda| >= 1, else
+  (D, I2), with D = [[sigma, delta*tau], [-tau/delta, sigma]].
+
+Nothing below the subdiagonal is nonzero, and a 2x2 block starts at k
+exactly when S[k+1, k] or T[k+1, k] is nonzero: that entry is D's
+-tau/delta, and tau != 0 for a complex pair.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,17 +51,10 @@ from .linalg import (
     qr_decompose,
     sym_eig,
 )
-from .poles import (
-    PoleCase,
-    PoleKind,
-    PolePair,
-    normalize_pole,
-)
+from .poles import PoleKind, PolePair
 
 __all__ = [
     "Parametrization",
-    "BlockKind",
-    "BlockDescriptor",
     "StepRecord",
     "AssignState",
     "Solution",
@@ -70,27 +67,6 @@ __all__ = [
     "run_pipeline",
     "d_delta_block",
 ]
-
-
-class BlockKind(enum.Enum):
-    INFINITE = "infinite"
-    REAL = "real"
-    COMPLEX_ALPHA = "complex-alpha"
-    COMPLEX_BETA = "complex-beta"
-
-
-@dataclass(frozen=True)
-class BlockDescriptor:
-    """One diagonal block of the quasi-triangular pair (S, T)."""
-
-    start: int
-    size: int
-    kind: BlockKind
-    eps1: float | None = None
-    eps2: float | None = None
-    delta: float | None = None
-    sigma: float | None = None
-    tau: float | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +122,6 @@ class AssignState:
     Xi: np.ndarray
     S: np.ndarray
     T: np.ndarray
-    blocks: tuple[BlockDescriptor, ...]
     steps: tuple[StepRecord, ...]
 
     @property
@@ -164,7 +139,6 @@ class Solution:
     S: np.ndarray
     T: np.ndarray
     X: np.ndarray
-    blocks: tuple[BlockDescriptor, ...]
     steps: tuple[StepRecord, ...]
 
 
@@ -232,12 +206,8 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
         )
     p = z[:, :count].copy()
     xi = par.q2.T @ (a @ p)
-    blocks = tuple(
-        BlockDescriptor(start=k, size=1, kind=BlockKind.INFINITE, eps1=1.0, eps2=0.0)
-        for k in range(count)
-    )
     steps = (StepRecord("infinite-block", 0, z.shape[1]),)
-    return AssignState(n, m, p, xi, np.eye(count), np.zeros((count, count)), blocks, steps)
+    return AssignState(n, m, p, xi, np.eye(count), np.zeros((count, count)), steps)
 
 
 def _step_null_basis(row_top, p_mat, n, m, j, what):
@@ -273,13 +243,16 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
 
     Among all unit feasible directions, the new column maximizes the share
     of the null vector living in the P-component, which minimizes the norm
-    of the off-diagonal entries added to S and T.
+    of the off-diagonal entries added to S and T.  The pole lambda enters
+    as the unit pair (eps1, eps2) = (lambda, 1)/hypot(lambda, 1), which does
+    not overflow for a huge ratio.
     """
     if pole.kind is not PoleKind.FINITE_REAL:
         raise ValueError("assign_real_pole needs a finite real pole")
-    npole = normalize_pole(pole)
-    eps1 = float(npole.eps1.real)
-    eps2 = float(npole.eps2.real)
+    lam = pole.alpha.real
+    h = math.hypot(lam, 1.0)
+    eps1 = lam / h
+    eps2 = 1.0 / h
     n, m, j = state.n, state.m, state.j
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -295,8 +268,8 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     z1 = p_perp @ y1
 
     w_eig, v_eig = sym_eig(z1.T @ z1)
-    lam = float(w_eig[0])
-    if lam <= 1e-12:
+    share = float(w_eig[0])
+    if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     uvec = v_eig[:, 0]
     pt = z1 @ uvec
@@ -309,8 +282,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     else:
         xi_new = (q2t @ (e @ p_new) - xi @ v_t) / eps2
 
-    block = BlockDescriptor(start=j, size=1, kind=BlockKind.REAL, eps1=eps1, eps2=eps2)
-    rec = StepRecord("real", j, y1.shape[1], p_share=lam)
+    rec = StepRecord("real", j, y1.shape[1], p_share=share)
     return AssignState(
         n,
         m,
@@ -318,7 +290,6 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
         np.hstack([xi, xi_new[:, None]]),
         _grown(state.S, v_s[:, None], np.array([[eps1]])),
         _grown(state.T, v_t[:, None], np.array([[eps2]])),
-        state.blocks + (block,),
         state.steps + (rec,),
     )
 
@@ -494,13 +465,21 @@ def _complex_pair_core(z1, z3, z4, tau_pen):
 
 
 def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
-    """Append the two columns carrying a complex conjugate pole pair."""
+    """Append the two columns carrying a complex conjugate pole pair.
+
+    The dominant one of (lambda, 1) is scaled to 1: when |lambda| >= 1 the
+    pair is alpha-dominant, S gets I2 and T gets D with
+    sigma + i*tau = conj(lambda)/|lambda|^2 (formed in two stages so every
+    intermediate stays at most 1); otherwise S gets D with
+    sigma + i*tau = lambda and T gets I2.
+    """
     if pole.kind is not PoleKind.FINITE_COMPLEX:
         raise ValueError("assign_complex_pair needs a complex pole pair")
-    npole = normalize_pole(pole)
-    alpha_dom = npole.case is PoleCase.COMPLEX_ALPHA_DOMINANT
-    sigma, tau = npole.sigma, npole.tau
-    gamma = complex(sigma, tau)
+    lam = pole.alpha
+    mag = abs(lam)
+    alpha_dom = mag >= 1.0
+    gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
+    sigma, tau = gamma.real, gamma.imag
     n, m, j = state.n, state.m, state.j
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -529,15 +508,12 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
         xi2 = q2t @ (a @ p2) - xi @ v_s[:, 1]
         block_s = np.eye(2)
         block_t = d_delta_block(sigma, tau, delta)
-        kind = BlockKind.COMPLEX_ALPHA
     else:
         xi1 = q2t @ (e @ p1) - xi @ v_t[:, 0]
         xi2 = q2t @ (e @ p2) - xi @ v_t[:, 1]
         block_s = d_delta_block(sigma, tau, delta)
         block_t = np.eye(2)
-        kind = BlockKind.COMPLEX_BETA
 
-    block = BlockDescriptor(start=j, size=2, kind=kind, delta=delta, sigma=sigma, tau=tau)
     rec = StepRecord(
         "complex",
         j,
@@ -555,7 +531,6 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
         np.hstack([xi, xi1[:, None], xi2[:, None]]),
         _grown(state.S, v_s, block_s),
         _grown(state.T, v_t, block_t),
-        state.blocks + (block,),
         state.steps + (rec,),
     )
 
@@ -625,6 +600,5 @@ def run_pipeline(problem) -> Solution:
         S=state.S,
         T=state.T,
         X=x,
-        blocks=state.blocks,
         steps=state.steps,
     )

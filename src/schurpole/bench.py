@@ -154,7 +154,7 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
     )
 
 
-def run_trial(cfg: BenchConfig, r: int, trial: int, tol: float = 1e-8) -> TrialResult:
+def run_trial(cfg: BenchConfig, r: int, trial: int) -> TrialResult:
     """Generate, validate, assign and verify one instance."""
     try:
         problem = generate_random_instance(cfg, r, trial)
@@ -172,7 +172,7 @@ def run_trial(cfg: BenchConfig, r: int, trial: int, tol: float = 1e-8) -> TrialR
         sol = run_pipeline(problem)
     except DegenerateStepError as exc:
         return TrialResult(r, trial, ok=False, error=str(exc))
-    rep = verify_solution(problem, sol, tol=tol)
+    rep = verify_solution(problem, sol)
     return TrialResult(
         r,
         trial,
@@ -192,16 +192,11 @@ def _mean(values) -> float:
     return float(np.mean(vals)) if vals else math.nan
 
 
-def run_sweep(cfg: BenchConfig, tol: float = 1e-8, progress=None) -> list[dict]:
+def run_sweep(cfg: BenchConfig) -> list[dict]:
     """All (r, trial) cells of the sweep, averaged per r over passing trials."""
     rows = []
     for r in cfg.r_values:
-        results = []
-        for trial in range(cfg.trials):
-            res = run_trial(cfg, r, trial, tol=tol)
-            results.append(res)
-            if progress is not None:
-                progress(res)
+        results = [run_trial(cfg, r, trial) for trial in range(cfg.trials)]
         good = [t for t in results if t.ok]
         rows.append(
             {

@@ -9,7 +9,8 @@ closed-loop matrices, independently of how the feedback was constructed:
 * a regularity / nilpotency-index check, which carries that spectrum and
   its eigenvectors so a verification runs QZ once;
 * the matched relative pole error on a log10 scale;
-* the departure of a quasi-triangular pair from its block-diagonal target;
+* the departure of the solver's quasi-triangular pair (S, T) from
+  normality, read off S and T alone;
 * Frobenius condition numbers and feedback norms; kappaX is that of the
   unit QZ eigenvectors of the finite poles beside an orthonormal null(E_c)
   basis at the index check's cutoff, unavailable when two finite poles
@@ -28,7 +29,6 @@ import numpy as np
 from scipy.linalg import eig
 from scipy.optimize import linear_sum_assignment
 
-from .assign import BlockDescriptor, BlockKind, d_delta_block
 from .errors import SingularPencilError
 from .poles import PolePair, count_infinite, expand_to_values
 
@@ -38,7 +38,6 @@ __all__ = [
     "index_and_regularity_check",
     "precs_metric",
     "departure_measure",
-    "assemble_prescribed_blocks",
     "frobenius_condition",
     "eigenvector_condition",
     "Report",
@@ -228,48 +227,23 @@ def precs_metric(requested, computed) -> float:
     return max(math.log10(worst), _PRECS_FLOOR)
 
 
-def assemble_prescribed_blocks(blocks: tuple[BlockDescriptor, ...], size: int):
-    """Block-diagonal target pair (Phi, Psi) encoded by the descriptors."""
-    phi = np.zeros((size, size))
-    psi = np.zeros((size, size))
-    cursor = 0
-    for blk in sorted(blocks, key=lambda b: b.start):
-        if blk.start != cursor:
-            raise ValueError(f"blocks do not tile contiguously at index {cursor}")
-        k = blk.start
-        if blk.size == 1:
-            phi[k, k] = blk.eps1
-            psi[k, k] = blk.eps2
-        elif blk.size == 2:
-            dd = d_delta_block(blk.sigma, blk.tau, blk.delta)
-            if blk.kind is BlockKind.COMPLEX_ALPHA:
-                phi[k : k + 2, k : k + 2] = np.eye(2)
-                psi[k : k + 2, k : k + 2] = dd
-            else:
-                phi[k : k + 2, k : k + 2] = dd
-                psi[k : k + 2, k : k + 2] = np.eye(2)
-        else:
-            raise ValueError(f"unsupported block size {blk.size}")
-        cursor += blk.size
-    if cursor != size:
-        raise ValueError(f"blocks tile {cursor} rows, factors have {size}")
-    return phi, psi
+def departure_measure(s, t) -> float:
+    """Squared departure of a quasi-triangular pair (S, T) from normality.
 
-
-def departure_measure(s, t, blocks: tuple[BlockDescriptor, ...]) -> float:
-    """Squared departure of (S, T) from a perfectly normal block pair.
-
-    Sums the squared Frobenius mass outside the prescribed diagonal blocks
-    and, for every 2x2 block, the non-normality penalty
-    tau^2 * (delta - 1/delta)^2 of its scaled rotation.
+    Sums, over S and T, ||triu(M, 1) + diag(subdiag(M), 1)||_F^2: the mass
+    strictly above the diagonal, with each 2x2 block's subdiagonal entry
+    added onto its superdiagonal one.  Outside the blocks this is the
+    off-diagonal mass.  Inside a block D = [[sigma, delta*tau],
+    [-tau/delta, sigma]] it is (D01 + D10)^2 = tau^2 * (delta - 1/delta)^2,
+    the non-normality of the scaled rotation, and zero on an identity
+    block.  Entries below the subdiagonal, zero in a quasi-triangular
+    pair, are not read.
     """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    phi, psi = assemble_prescribed_blocks(blocks, s.shape[0])
-    total = float(np.linalg.norm(s - phi) ** 2 + np.linalg.norm(t - psi) ** 2)
-    for blk in blocks:
-        if blk.size == 2:
-            total += blk.tau**2 * (blk.delta - 1.0 / blk.delta) ** 2
+    total = 0.0
+    for mat in (s, t):
+        mat = np.asarray(mat, dtype=np.float64)
+        folded = np.triu(mat, 1) + np.diag(np.diagonal(mat, -1), 1)
+        total += float(np.linalg.norm(folded) ** 2)
     return total
 
 
@@ -415,7 +389,7 @@ def verify_solution(problem, sol, tol: float = 1e-8) -> Report:
         sol.G,
         tol,
         kappa_x_gf=frobenius_condition(sol.X),
-        delta_f2=departure_measure(sol.S, sol.T, sol.blocks),
+        delta_f2=departure_measure(sol.S, sol.T),
         residual_a=residual_a,
         residual_e=residual_e,
         orth_p=orth_p,

@@ -1,4 +1,4 @@
-"""Pole values as homogeneous pairs (alpha, beta) and their normalization.
+"""Pole values as homogeneous pairs (alpha, beta).
 
 A pole of a matrix pencil is the ratio lambda = alpha/beta of an ordered
 pair; beta = 0 encodes an infinite pole.  Two pairs describe the same pole
@@ -9,20 +9,20 @@ form so that equality of ``PolePair`` objects is plain field equality:
 * finite real poles as (lambda, 1) with real lambda;
 * finite complex poles as (lambda, 1) with Im(lambda) > 0, one stored pair
   standing for the conjugate couple.
+
+The assignment steps in :mod:`schurpole.assign` turn a pair into the
+diagonal block it occupies in (S, T); nothing here knows that layout.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "PoleKind",
-    "PoleCase",
     "PolePair",
-    "NormalizedPole",
-    "normalize_pole",
     "expand_to_values",
     "count_infinite",
 ]
@@ -32,14 +32,6 @@ class PoleKind(enum.Enum):
     INFINITE = "infinite"
     FINITE_REAL = "real"
     FINITE_COMPLEX = "complex"
-
-
-class PoleCase(enum.Enum):
-    """Which normalization applies to a pole during assignment."""
-
-    REAL = "real"
-    COMPLEX_ALPHA_DOMINANT = "complex-alpha"
-    COMPLEX_BETA_DOMINANT = "complex-beta"
 
 
 @dataclass(frozen=True)
@@ -52,8 +44,9 @@ class PolePair:
     def make(cls, alpha, beta) -> "PolePair":
         """Canonicalize an arbitrary (alpha, beta) pair.
 
-        Only an exactly real, finite ratio is real; one that overflows
-        stays complex.
+        A ratio alpha/beta with imaginary part exactly zero is real.  A
+        finite pole whose ratio is not finite (nan, inf, or alpha/beta
+        overflowing) raises ValueError.
         """
         a = complex(alpha)
         b = complex(beta)
@@ -62,7 +55,9 @@ class PolePair:
         if b == 0:
             return cls(complex(1.0), complex(0.0), PoleKind.INFINITE)
         lam = a / b
-        if lam.imag == 0 and math.isfinite(lam.real):
+        if not cmath.isfinite(lam):
+            raise ValueError(f"pole ratio alpha/beta = {lam} is not finite")
+        if lam.imag == 0:
             return cls(complex(lam.real), complex(1.0), PoleKind.FINITE_REAL)
         if lam.imag < 0:
             lam = lam.conjugate()
@@ -86,59 +81,6 @@ class PolePair:
         if self.is_infinite:
             raise ValueError("infinite pole has no finite value")
         return self.alpha / self.beta
-
-
-@dataclass(frozen=True)
-class NormalizedPole:
-    """Assignment-ready form of a pole.
-
-    For a real pair (a, b) the unit diagonal entries are
-    eps1 = a/sqrt(a^2+b^2), eps2 = b/sqrt(a^2+b^2).  For a complex pair the
-    dominant component is normalized to 1 and the other becomes
-    sigma + i*tau:  alpha-dominant (|a| >= |b|) uses
-    sigma + i*tau = conj(a)*b / |a|^2, beta-dominant uses
-    sigma + i*tau = conj(b)*a / |b|^2.
-    """
-
-    case: PoleCase
-    eps1: complex
-    eps2: complex
-    sigma: float = 0.0
-    tau: float = 0.0
-
-
-def normalize_pole(pole: PolePair) -> NormalizedPole:
-    """Compute the diagonal-block data used when assigning ``pole``.
-
-    Infinite poles map onto the real case with (eps1, eps2) = (1, 0), the
-    continuous extension of the real-case formulas to beta = 0.
-    """
-    if pole.is_infinite:
-        return NormalizedPole(PoleCase.REAL, complex(1.0), complex(0.0))
-    a, b = pole.alpha, pole.beta
-    if pole.kind is PoleKind.FINITE_REAL:
-        h = math.hypot(a.real, b.real)  # overflow-safe even for huge ratios
-        return NormalizedPole(PoleCase.REAL, complex(a.real / h), complex(b.real / h))
-    if abs(a) >= abs(b):
-        # Two-stage scaling keeps every intermediate below |b/a| <= 1.
-        mag = abs(a)
-        ratio = (a.conjugate() / mag) * (b / mag)
-        return NormalizedPole(
-            PoleCase.COMPLEX_ALPHA_DOMINANT,
-            complex(1.0),
-            ratio,
-            sigma=ratio.real,
-            tau=ratio.imag,
-        )
-    mag = abs(b)
-    ratio = (b.conjugate() / mag) * (a / mag)
-    return NormalizedPole(
-        PoleCase.COMPLEX_BETA_DOMINANT,
-        ratio,
-        complex(1.0),
-        sigma=ratio.real,
-        tau=ratio.imag,
-    )
 
 
 def expand_to_values(poles) -> list[complex]:

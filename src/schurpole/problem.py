@@ -10,7 +10,8 @@ skipped, and all values are whitespace separated::
     r finite pole lines: alpha_re alpha_im beta_re beta_im
 
 The n - r infinite poles are implicit.  Complex poles must appear in
-adjacent conjugate lines.
+adjacent conjugate lines.  A pole line with beta = 0 or whose ratio
+alpha/beta is not finite is rejected.
 """
 
 from __future__ import annotations

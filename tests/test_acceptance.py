@@ -246,9 +246,10 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
     inf_bad = [r.key for r in recs6 + recs30 if not r.inf_block_exact]
 
     # (b) the chosen real-step direction beats 10^4 random feasible unit
-    # directions in ||Z1 u||.
+    # directions in ||Z1 u||, and its P-share is the optimum max ||Z1 u||,
+    # the largest singular value of Z1, to 1e-9 relative.
     pools: dict[int, np.ndarray] = {}
-    real_checked, real_margin = 0, 0.0
+    real_checked, real_margin, share_gap = 0, 0.0, 0.0
     real_bad = []
     for rec in recs6 + recs30:
         for z1, chosen in rec.real_steps:
@@ -256,9 +257,11 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
             if dim not in pools:
                 pools[dim] = _direction_pool(dim)
             best_random = float(np.linalg.norm(z1 @ pools[dim], axis=0).max())
+            sigma_max = float(np.linalg.svd(z1, compute_uv=False)[0])
             real_checked += 1
             real_margin = max(real_margin, best_random - chosen)
-            if best_random > chosen + 1e-9:
+            share_gap = max(share_gap, abs(chosen - sigma_max) / sigma_max)
+            if best_random > chosen + 1e-9 or abs(chosen - sigma_max) > 1e-9 * sigma_max:
                 real_bad.append(rec.key)
 
     # (c) rank-1 complex steps: analytic gradient of the coefficient
@@ -308,7 +311,8 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
         ok,
         f"infinite blocks exact on {len(recs6) + len(recs30)} instances "
         f"({len(inf_bad)} bad); {real_checked} real steps vs 10^4 random "
-        f"directions (worst margin {real_margin:.2e} <= 1e-9, {len(real_bad)} bad); "
+        f"directions (worst margin {real_margin:.2e} <= 1e-9) and sigma_max(Z1) "
+        f"(worst relative gap {share_gap:.2e} <= 1e-9), {len(real_bad)} bad; "
         f"{grad_checked} rank-1 gradients <= 1e-10*|h| with FD agreement "
         f"({len(grad_bad)} bad)",
     )

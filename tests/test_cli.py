@@ -73,6 +73,15 @@ def test_assign_malformed_file(capsys, tmp_path):
     assert "header" in err
 
 
+@pytest.mark.parametrize("pole_line", ["nan 0 1 0", "inf 0 1 0", "384111 0 2.1366838400300434e-303 0"])
+def test_assign_rejects_non_finite_pole_ratio(capsys, tmp_path, pole_line):
+    path = tmp_path / "bad_pole.txt"
+    path.write_text("2 1 2\n1 0\n0 1\n1 0\n0 2\n1\n1\n" + f"{pole_line}\n" * 2)
+    rc, _, err = run_cli(capsys, "assign", str(path))
+    assert rc == 1
+    assert "line 8" in err and "Traceback" not in err
+
+
 def test_assign_infeasible_bound(capsys, tmp_path):
     # r = 0 with invertible E requires q - m = 1 <= r: bound violation.
     prob_text = "2 1 0\n1 0\n0 1\n1 0\n0 1\n1\n0\n"

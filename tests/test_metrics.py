@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurpole import PolePair, Problem, SingularPencilError, run_pipeline
-from schurpole.assign import BlockDescriptor, BlockKind
+from schurpole.assign import d_delta_block
 from schurpole.metrics import (
-    assemble_prescribed_blocks,
     departure_measure,
     eigenvector_condition,
     frobenius_condition,
@@ -181,84 +180,63 @@ def test_precs_permutation_invariant(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# departure measure and block encodings
-
-
-def _real_block(start, eps1, eps2):
-    return BlockDescriptor(
-        start=start, size=1, kind=BlockKind.REAL, eps1=eps1, eps2=eps2,
-        delta=1.0, sigma=0.0, tau=0.0,
-    )
-
-
-def _complex_block(start, kind, sigma, tau, delta):
-    return BlockDescriptor(
-        start=start, size=2, kind=kind, eps1=0.0, eps2=0.0,
-        delta=delta, sigma=sigma, tau=tau,
-    )
+# departure measure and the block layout of (S, T)
 
 
 def test_departure_zero_for_exact_normal_pair():
-    blocks = (_real_block(0, 0.6, 0.8), _real_block(1, 1.0, 0.0))
     s = np.diag([0.6, 1.0])
     t = np.diag([0.8, 0.0])
-    assert departure_measure(s, t, blocks) == 0.0
+    assert departure_measure(s, t) == 0.0
 
 
 def test_departure_counts_off_block_mass_and_penalty():
-    # One real column plus one alpha-dominant 2x2 block with delta != 1.
+    # One real column plus one 2x2 block with delta != 1, whose D sits in T
+    # (alpha-dominant) or in S (beta-dominant).
     sigma, tau, delta = 0.3, 0.5, 2.0
-    blocks = (
-        _real_block(0, 1.0, 0.0),
-        _complex_block(1, BlockKind.COMPLEX_ALPHA, sigma, tau, delta),
-    )
-    phi, psi = assemble_prescribed_blocks(blocks, 3)
-    s = phi.copy()
-    t = psi.copy()
-    s[0, 1] = 2.0  # strictly-upper spillover in S
-    t[0, 2] = -1.0  # and in T
-    got = departure_measure(s, t, blocks)
-    want = 2.0**2 + 1.0**2 + tau**2 * (delta - 1.0 / delta) ** 2
-    assert np.isclose(got, want, atol=1e-14)
+    dd = d_delta_block(sigma, tau, delta)
+    for d_in_s in (False, True):
+        s = np.eye(3)
+        t = np.zeros((3, 3))
+        (s if d_in_s else t)[1:, 1:] = dd
+        (t if d_in_s else s)[1:, 1:] = np.eye(2)
+        s[0, 1] = 2.0  # strictly-upper spillover in S
+        t[0, 2] = -1.0  # and in T
+        got = departure_measure(s, t)
+        want = 2.0**2 + 1.0**2 + tau**2 * (delta - 1.0 / delta) ** 2
+        assert np.isclose(got, want, atol=1e-14)
     assert np.isclose(tau**2 * (delta - 1.0 / delta) ** 2, 0.5625)
 
 
-def test_assemble_blocks_layouts():
-    sigma, tau, delta = 0.25, -0.75, 1.5
-    blocks = (
-        _complex_block(0, BlockKind.COMPLEX_BETA, sigma, tau, delta),
-        _real_block(2, 0.0, 1.0),
-    )
-    phi, psi = assemble_prescribed_blocks(blocks, 3)
-    dd = np.array([[sigma, delta * tau], [-tau / delta, sigma]])
-    assert np.allclose(phi[:2, :2], dd)
-    assert np.allclose(psi[:2, :2], np.eye(2))
-    assert phi[2, 2] == 0.0 and psi[2, 2] == 1.0
+def _poles_from_schur(s, t):
+    """Pole pairs encoded on the diagonal of a quasi-triangular pair.
 
-
-def test_assemble_blocks_must_tile():
-    with pytest.raises(ValueError, match="tile"):
-        assemble_prescribed_blocks((_real_block(1, 1.0, 0.0),), 2)
-
-
-def _poles_from_schur(s, t, blocks):
-    """Pole pairs encoded on the diagonal of a quasi-triangular pair."""
-    out = []
-    for blk in sorted(blocks, key=lambda b: b.start):
-        k = blk.start
-        if blk.size == 1:
-            out.append(PolePair.make(s[k, k], t[k, k]))
-        else:
-            gam = complex(blk.sigma, blk.tau)
-            lam = 1.0 / gam if blk.kind is BlockKind.COMPLEX_ALPHA else gam
+    A 2x2 block starts at k exactly when S[k+1, k] or T[k+1, k] is nonzero;
+    its pole is the upper eigenvalue of the 2x2 pencil (S_kk, T_kk).
+    """
+    out, k, n = [], 0, s.shape[0]
+    while k < n:
+        if k + 1 < n and (s[k + 1, k] != 0.0 or t[k + 1, k] != 0.0):
+            blk = np.s_[k : k + 2, k : k + 2]
+            lam = max(np.linalg.eigvals(np.linalg.solve(t[blk], s[blk])), key=lambda z: z.imag)
             out.append(PolePair.make(lam, 1.0))
+            k += 2
+        else:
+            out.append(PolePair.make(s[k, k], t[k, k]))
+            k += 1
     return out
 
 
 def test_extract_poles_from_schur_round_trip():
-    prob = make_instance(6, 3, 2, 4, trial=1)
+    # one infinite pole, one real pole, and one conjugate pair on each side
+    # of |lambda| = 1
+    prob = make_instance(6, 3, 3, 5, trial=4)
     sol = run_pipeline(prob)
-    got = _poles_from_schur(sol.S, sol.T, sol.blocks)
+    assert np.array_equal(np.tril(sol.S, -2), np.zeros((6, 6)))
+    assert np.array_equal(np.tril(sol.T, -2), np.zeros((6, 6)))
+    starts = [k for k in range(5) if sol.S[k + 1, k] != 0.0 or sol.T[k + 1, k] != 0.0]
+    identity_in_s = sorted(np.array_equal(sol.S[k : k + 2, k : k + 2], np.eye(2)) for k in starts)
+    assert identity_in_s == [False, True]
+    got = _poles_from_schur(sol.S, sol.T)
     want_inf = count_infinite(prob.poles)
     assert count_infinite(got) == want_inf
     got_vals = _sorted(expand_to_values(got))

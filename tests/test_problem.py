@@ -176,6 +176,16 @@ def test_parse_beta_zero_pole_line():
         parse_problem(text)
 
 
+@pytest.mark.parametrize("pole_line", ["nan 0 1 0", "inf 0 1 0", "384111 0 2.1366838400300434e-303 0"])
+def test_parse_non_finite_pole_ratio(pole_line):
+    # E = I, A = diag(1, 2), B = [1; 1]; both pole lines carry a ratio
+    # alpha/beta that is nan, inf, or overflows.
+    text = "2 1 2\n1 0\n0 1\n1 0\n0 2\n1\n1\n" + f"{pole_line}\n" * 2
+    with pytest.raises(ParseError, match="not finite") as ei:
+        parse_problem(text)
+    assert ei.value.line == 8
+
+
 def test_parse_unpaired_complex_pole():
     # Complex pole in the final slot leaves no room for its conjugate.
     text = "2 1 2\n1 0\n0 1\n1 0\n0 1\n1\n1\n-1 0 1 0\n1 1 1 0\n"
