@@ -19,7 +19,7 @@ import numpy as np
 from .assign import run_pipeline
 from .errors import DegenerateStepError, SingularPencilError
 from .linalg import numerical_rank, qr_decompose
-from .metrics import generalized_eig_oracle, verify_solution
+from .metrics import Report, generalized_eig_oracle, verify_solution
 from .poles import PolePair, expand_to_values
 from .problem import Problem, validate_problem
 
@@ -83,16 +83,16 @@ class BenchConfig:
 
 @dataclass(eq=False)
 class TrialResult:
+    """One (r, trial) cell: its verification report, or why it has none."""
+
     r: int
     trial: int
-    ok: bool
-    precs: float = math.nan
-    delta_f2: float = math.nan
-    norm_f: float = math.nan
-    norm_g: float = math.nan
-    kappa_x_gf: float = math.nan
-    kappa_eigvec: float | None = None
+    report: Report | None = None
     error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.report is not None and self.report.passed
 
 
 def _rng(cfg: BenchConfig, r: int, trial: int, attempt: int) -> np.random.Generator:
@@ -159,32 +159,16 @@ def run_trial(cfg: BenchConfig, r: int, trial: int) -> TrialResult:
     try:
         problem = generate_random_instance(cfg, r, trial)
     except DegenerateStepError as exc:
-        return TrialResult(r, trial, ok=False, error=str(exc))
+        return TrialResult(r, trial, error=str(exc))
     val = validate_problem(problem)
     if not val.passed:
-        return TrialResult(
-            r,
-            trial,
-            ok=False,
-            error="; ".join(f"{c.name}: {c.detail}" for c in val.failures()),
-        )
+        return TrialResult(r, trial, error="; ".join(f"{c.name}: {c.detail}" for c in val.failures()))
     try:
         sol = run_pipeline(problem)
     except DegenerateStepError as exc:
-        return TrialResult(r, trial, ok=False, error=str(exc))
+        return TrialResult(r, trial, error=str(exc))
     rep = verify_solution(problem, sol)
-    return TrialResult(
-        r,
-        trial,
-        ok=rep.passed,
-        precs=rep.precs,
-        delta_f2=rep.delta_f2,
-        norm_f=rep.norm_f,
-        norm_g=rep.norm_g,
-        kappa_x_gf=rep.kappa_x_gf,
-        kappa_eigvec=rep.kappa_eigvec,
-        error=None if rep.passed else "verification failed",
-    )
+    return TrialResult(r, trial, rep, None if rep.passed else "verification failed")
 
 
 def _mean(values) -> float:
@@ -197,7 +181,7 @@ def run_sweep(cfg: BenchConfig) -> list[dict]:
     rows = []
     for r in cfg.r_values:
         results = [run_trial(cfg, r, trial) for trial in range(cfg.trials)]
-        good = [t for t in results if t.ok]
+        good = [t.report for t in results if t.ok]
         rows.append(
             {
                 "n": cfg.n,
@@ -205,12 +189,12 @@ def run_sweep(cfg: BenchConfig) -> list[dict]:
                 "m": cfg.m,
                 "r": r,
                 "trials": cfg.trials,
-                "mean_precs": _mean(t.precs for t in good),
-                "mean_deltaF2": _mean(t.delta_f2 for t in good),
-                "mean_normF": _mean(t.norm_f for t in good),
-                "mean_normG": _mean(t.norm_g for t in good),
-                "mean_kappaXGF": _mean(t.kappa_x_gf for t in good),
-                "mean_kappaX": _mean(t.kappa_eigvec for t in good),
+                "mean_precs": _mean(rep.precs for rep in good),
+                "mean_deltaF2": _mean(rep.delta_f2 for rep in good),
+                "mean_normF": _mean(rep.norm_f for rep in good),
+                "mean_normG": _mean(rep.norm_g for rep in good),
+                "mean_kappaXGF": _mean(rep.kappa_x_gf for rep in good),
+                "mean_kappaX": _mean(rep.kappa_eigvec for rep in good),
                 "failures": cfg.trials - len(good),
             }
         )

@@ -27,20 +27,6 @@ from .problem import parse_problem, parse_solution, validate_problem
 
 __all__ = ["main"]
 
-_REPORT_KEYS = (
-    "precs",
-    "deltaF2",
-    "normF",
-    "normG",
-    "kappaXGF",
-    "kappaX",
-    "residualA",
-    "residualE",
-    "infinite_count",
-    "index_ok",
-)
-
-
 def _fmt_value(value) -> str:
     if value is None:
         return "unavailable"
@@ -58,13 +44,12 @@ def _matrix_lines(mat: np.ndarray) -> list[str]:
 def _emit_report(report: Report, f, g, fmt: str, out) -> None:
     mapping = report.to_mapping()
     if fmt == "json":
-        payload = dict(mapping)
-        payload["F"] = [[float(v) for v in row] for row in np.atleast_2d(f)]
-        payload["G"] = [[float(v) for v in row] for row in np.atleast_2d(g)]
-        print(json.dumps(payload, sort_keys=True), file=out)
+        mapping["F"] = [[float(v) for v in row] for row in np.atleast_2d(f)]
+        mapping["G"] = [[float(v) for v in row] for row in np.atleast_2d(g)]
+        print(json.dumps(mapping, sort_keys=True), file=out)
         return
-    for key in _REPORT_KEYS:
-        print(f"{key}={_fmt_value(mapping[key])}", file=out)
+    for key, value in mapping.items():
+        print(f"{key}={_fmt_value(value)}", file=out)
     print("F:", file=out)
     for line in _matrix_lines(f):
         print(line, file=out)
@@ -109,7 +94,7 @@ def _cmd_assign(args) -> int:
     except DegenerateStepError as exc:
         print(f"error: assignment failed: {exc}", file=sys.stderr)
         return 2
-    report = verify_solution(problem, sol, tol=args.tol)
+    report = verify_solution(problem, sol)
     _emit_report(report, sol.F, sol.G, args.report, sys.stdout)
     return 0 if report.passed else 3
 
@@ -161,7 +146,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 1
-    report = verify_feedback(problem, f, g, tol=args.tol)
+    report = verify_feedback(problem, f, g)
     _emit_report(report, f, g, "text", sys.stdout)
     return 0 if report.passed else 3
 
@@ -178,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("assign", help="solve one problem file and report the feedback")
     pa.add_argument("problem", help="path to a problem file")
-    pa.add_argument("--tol", type=float, default=1e-8, help="verification tolerance (default 1e-8)")
     pa.add_argument(
         "--report",
         choices=("text", "json"),
@@ -199,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="verify a stored feedback pair against a problem")
     pv.add_argument("problem", help="path to a problem file")
     pv.add_argument("solution", help="path to a solution file")
-    pv.add_argument("--tol", type=float, default=1e-8, help="verification tolerance (default 1e-8)")
     pv.set_defaults(func=_cmd_verify)
     return parser
 

@@ -23,7 +23,7 @@ oracle is an independent cross-check of the Schur-based construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eig
@@ -53,6 +53,14 @@ _INF_CUTOFF = 1e-8
 
 #: |alpha| and |beta| both <= _SINGULAR_CUTOFF * n * eps mark a singular pencil
 _SINGULAR_CUTOFF = 100.0
+
+# Bound on the solver's three factor residuals in verify_solution: the
+# relative backward errors of (A+BF)P = XS and (E+BG)P = XT, and
+# ||P^T P - I||_F.  A backward-stable construction leaves them near n*eps
+# (at most 4e-13 on the benchmark's random families up to n = 100); 1e-8
+# leaves room for growth with n and conditioning, yet fails a factor that
+# is wrong in its eighth digit.
+_FACTOR_TOL = 1e-8
 
 
 def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
@@ -126,7 +134,6 @@ class IndexReport:
     regular: bool
     index_le_1: bool
     rank_e: int
-    matches_expected: bool
     #: the spectrum from :func:`generalized_eig_oracle` (empty when singular)
     poles: tuple[PolePair, ...] = ()
     #: unit right eigenvectors, one per value of ``expand_to_values(poles)``
@@ -159,7 +166,7 @@ def _unit_frobenius(mat: np.ndarray) -> np.ndarray:
     return mat / norm if norm > 0 else mat
 
 
-def index_and_regularity_check(a_c, e_c, expected_finite: int | None = None) -> IndexReport:
+def index_and_regularity_check(a_c, e_c) -> IndexReport:
     """Check that (A_c, E_c) is regular with nilpotency index at most one.
 
     Index <= 1 holds exactly when the number of finite poles equals
@@ -185,7 +192,7 @@ def index_and_regularity_check(a_c, e_c, expected_finite: int | None = None) -> 
     try:
         poles, eigvecs = generalized_eig_oracle(a_c, e_c, vectors=True)
     except SingularPencilError:
-        return IndexReport(False, False, rank_e, False)
+        return IndexReport(False, False, rank_e)
     finite_count = eigvecs.shape[1]
     if null_e.shape[1]:
         stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ null_e)])
@@ -193,8 +200,7 @@ def index_and_regularity_check(a_c, e_c, expected_finite: int | None = None) -> 
     else:
         no_chains = True
     index_ok = (finite_count == rank_e) and no_chains
-    matches = True if expected_finite is None else finite_count == expected_finite
-    return IndexReport(True, index_ok, rank_e, matches, tuple(poles), eigvecs, null_e)
+    return IndexReport(True, index_ok, rank_e, tuple(poles), eigvecs, null_e)
 
 
 def precs_metric(requested, computed) -> float:
@@ -247,13 +253,18 @@ def departure_measure(s, t) -> float:
     return total
 
 
+def _kappa_f(svals: np.ndarray) -> float:
+    """kappa_F = ||s||_2 * ||1/s||_2 of a matrix with singular values ``svals``."""
+    return float(np.sqrt(np.sum(svals**2)) * np.sqrt(np.sum(svals**-2.0)))
+
+
 def frobenius_condition(x) -> float:
     """kappa_F(X) = ||X||_F * ||X^{-1}||_F (inf when singular)."""
     x = np.asarray(x, dtype=np.float64)
     svals = np.linalg.svd(x, compute_uv=False)
     if svals.size == 0 or svals[-1] <= 0.0:
         return math.inf
-    return float(np.sqrt(np.sum(svals**2)) * np.sqrt(np.sum(svals**-2.0)))
+    return _kappa_f(svals)
 
 
 def eigenvector_condition(values, eigvecs, null_e) -> float | None:
@@ -278,7 +289,7 @@ def eigenvector_condition(values, eigvecs, null_e) -> float | None:
     svals = np.linalg.svd(np.hstack([eigvecs, null_e]), compute_uv=False)
     if svals[-1] <= 1e-14 * svals[0]:
         return None
-    return float(np.sqrt(np.sum(svals**2)) * np.sqrt(np.sum(svals**-2.0)))
+    return _kappa_f(svals)
 
 
 @dataclass(eq=False)
@@ -316,88 +327,16 @@ class Report:
         }
 
 
-def _closed_loop_report(
-    problem,
-    a_c,
-    e_c,
-    f,
-    g,
-    tol: float,
-    *,
-    kappa_x_gf: float | None,
-    delta_f2: float | None,
-    residual_a: float | None,
-    residual_e: float | None,
-    orth_p: float | None,
-) -> Report:
-    n, r = problem.n, problem.r
-    idx = index_and_regularity_check(a_c, e_c, expected_finite=r)
-    regular, index_ok = idx.regular, idx.index_le_1
-    if regular:
-        computed = expand_to_values(idx.poles)
-        precs = precs_metric(expand_to_values(problem.poles), computed)
-        inf_count = count_infinite(idx.poles)
-        mismatch = math.isinf(precs) or inf_count != (n - r)
-        kappa_eig = eigenvector_condition(computed, idx.eigvecs, idx.null_e)
-    else:
-        precs = math.inf
-        inf_count = None
-        mismatch = True
-        kappa_eig = None
-    precs_ok = (precs <= -6.0) or (r == 0 and not mismatch)
-    residual_ok = True
-    for res in (residual_a, residual_e):
-        if res is not None and not res <= tol:
-            residual_ok = False
-    if orth_p is not None and not orth_p <= tol:
-        residual_ok = False
-    passed = bool(regular and index_ok and not mismatch and precs_ok and residual_ok)
-    return Report(
-        precs=precs,
-        delta_f2=delta_f2,
-        norm_f=float(np.linalg.norm(f)),
-        norm_g=float(np.linalg.norm(g)),
-        kappa_x_gf=kappa_x_gf,
-        kappa_eigvec=kappa_eig,
-        residual_a=residual_a,
-        residual_e=residual_e,
-        orth_p=orth_p,
-        infinite_count=inf_count,
-        index_ok=index_ok,
-        regular=regular,
-        pole_mismatch=mismatch,
-        passed=passed,
-    )
+def verify_feedback(problem, f, g) -> Report:
+    """Verify a feedback pair through its closed loop alone.
 
-
-def verify_solution(problem, sol, tol: float = 1e-8) -> Report:
-    """Verify a full pipeline solution, factor residuals included."""
-    a_c = problem.A + problem.B @ sol.F
-    e_c = problem.E + problem.B @ sol.G
-    scale = float(
-        np.linalg.norm(problem.A) + np.linalg.norm(problem.E) + np.linalg.norm(sol.X)
-    )
-    scale = max(scale, 1.0)
-    residual_a = float(np.linalg.norm(a_c @ sol.P - sol.X @ sol.S)) / scale
-    residual_e = float(np.linalg.norm(e_c @ sol.P - sol.X @ sol.T)) / scale
-    orth_p = float(np.linalg.norm(sol.P.T @ sol.P - np.eye(problem.n)))
-    return _closed_loop_report(
-        problem,
-        a_c,
-        e_c,
-        sol.F,
-        sol.G,
-        tol,
-        kappa_x_gf=frobenius_condition(sol.X),
-        delta_f2=departure_measure(sol.S, sol.T),
-        residual_a=residual_a,
-        residual_e=residual_e,
-        orth_p=orth_p,
-    )
-
-
-def verify_feedback(problem, f, g, tol: float = 1e-8) -> Report:
-    """Verify bare feedback matrices (no factors available)."""
+    The verdict: a regular closed loop of index at most one whose finite
+    and infinite pole counts match the problem, with precs <= -6 (or no
+    finite poles at all).  The fields that need the solver's factors read
+    None.  A closed loop with a non-finite entry or Frobenius norm fails
+    as not regular: the oracle scales by that norm, so it has no spectrum
+    to judge.
+    """
     f = np.asarray(f, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if f.shape != (problem.m, problem.n) or g.shape != (problem.m, problem.n):
@@ -405,18 +344,59 @@ def verify_feedback(problem, f, g, tol: float = 1e-8) -> Report:
             f"feedback must be m x n = {(problem.m, problem.n)}, "
             f"got F {f.shape} and G {g.shape}"
         )
+    n, r = problem.n, problem.r
     a_c = problem.A + problem.B @ f
     e_c = problem.E + problem.B @ g
-    return _closed_loop_report(
-        problem,
-        a_c,
-        e_c,
-        f,
-        g,
-        tol,
-        kappa_x_gf=None,
+    in_range = math.isfinite(np.linalg.norm(a_c)) and math.isfinite(np.linalg.norm(e_c))
+    idx = index_and_regularity_check(a_c, e_c) if in_range else None
+    regular = idx is not None and idx.regular
+    if regular:
+        computed = expand_to_values(idx.poles)
+        precs = precs_metric(expand_to_values(problem.poles), computed)
+        inf_count = count_infinite(idx.poles)
+        kappa_eig = eigenvector_condition(computed, idx.eigvecs, idx.null_e)
+    else:
+        precs, inf_count, kappa_eig = math.inf, None, None
+    index_ok = regular and idx.index_le_1
+    mismatch = math.isinf(precs) or inf_count != n - r
+    precs_ok = (precs <= -6.0) or (r == 0 and not mismatch)
+    return Report(
+        precs=precs,
         delta_f2=None,
+        norm_f=float(np.linalg.norm(f)),
+        norm_g=float(np.linalg.norm(g)),
+        kappa_x_gf=None,
+        kappa_eigvec=kappa_eig,
         residual_a=None,
         residual_e=None,
         orth_p=None,
+        infinite_count=inf_count,
+        index_ok=index_ok,
+        regular=regular,
+        pole_mismatch=mismatch,
+        passed=bool(regular and index_ok and not mismatch and precs_ok),
+    )
+
+
+def verify_solution(problem, sol) -> Report:
+    """Verify a pipeline solution: :func:`verify_feedback` on (F, G), plus
+    the residuals of the factors (A+BF)P = XS, (E+BG)P = XT and P^T P = I,
+    each of which must be at most ``_FACTOR_TOL`` (a NaN fails)."""
+    rep = verify_feedback(problem, sol.F, sol.G)
+    scale = max(
+        float(np.linalg.norm(problem.A) + np.linalg.norm(problem.E) + np.linalg.norm(sol.X)), 1.0
+    )
+    a_c = problem.A + problem.B @ sol.F
+    e_c = problem.E + problem.B @ sol.G
+    residual_a = float(np.linalg.norm(a_c @ sol.P - sol.X @ sol.S)) / scale
+    residual_e = float(np.linalg.norm(e_c @ sol.P - sol.X @ sol.T)) / scale
+    orth_p = float(np.linalg.norm(sol.P.T @ sol.P - np.eye(problem.n)))
+    return replace(
+        rep,
+        residual_a=residual_a,
+        residual_e=residual_e,
+        orth_p=orth_p,
+        delta_f2=departure_measure(sol.S, sol.T),
+        kappa_x_gf=frobenius_condition(sol.X),
+        passed=rep.passed and all(res <= _FACTOR_TOL for res in (residual_a, residual_e, orth_p)),
     )

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ParseError, SingularPencilError
 from .linalg import numerical_rank, orthonormal_null_basis
+from .metrics import generalized_eig_oracle
 from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 __all__ = [
@@ -295,8 +296,6 @@ def validate_problem(p: Problem) -> ValidationReport:
     8 fixed pseudo-random complex values.  Requested poles of multiplicity
     above m are recorded as warnings.
     """
-    from .metrics import generalized_eig_oracle  # local import avoids a cycle
-
     n, m, r = p.n, p.m, p.r
     checks: list[CheckResult] = []
     warnings: list[str] = []

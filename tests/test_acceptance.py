@@ -515,6 +515,9 @@ def test_criterion_9_cli_contract(tmp_path, capsys):
     for name, argv in (
         # the option that chose between pole-processing orders is gone
         ("usage-removed-option", ["assign", str(prob_path), "--order", "inf-first"]),
+        # the verification tolerance is fixed, not an option
+        ("usage-removed-tol-assign", ["assign", str(prob_path), "--tol", "1e-6"]),
+        ("usage-removed-tol-verify", ["verify", str(prob_path), str(sol_path), "--tol", "1e-6"]),
         ("usage-bad-choice", ["assign", str(prob_path), "--report", "xml"]),
         ("usage-missing-option", ["bench", "--n", "5"]),
     ):

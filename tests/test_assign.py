@@ -157,8 +157,20 @@ def test_state_space_assignment_matches_inverse_reduction():
 
 def test_pipeline_residual_identities():
     # The second instance has a single input (m = 1), which
-    # test_pipeline_invariants_random does not sample.
-    for prob in (make_instance(6, 3, 3, 5, trial=2), make_instance(6, 3, 1, 3, trial=1)):
+    # test_pipeline_invariants_random does not sample; the last two have a
+    # square B (m = n = 3), where complete_X has no complement to add.
+    a, b = rng_matrix(0, 3, 3), rng_matrix(100, 3, 3)
+    square_b = (
+        Problem(E=np.eye(3), A=a, B=b, poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0 + 1.0j)), r=3),
+        Problem(
+            E=np.diag([1.0, 1.0, 0.0]),
+            A=a,
+            B=b,
+            poles=(PolePair.infinite(), PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
+            r=2,
+        ),
+    )
+    for prob in (make_instance(6, 3, 3, 5, trial=2), make_instance(6, 3, 1, 3, trial=1)) + square_b:
         sol = run_pipeline(prob)
         a_c = prob.A + prob.B @ sol.F
         e_c = prob.E + prob.B @ sol.G

@@ -66,10 +66,11 @@ def test_run_trial_reports_metrics():
     for cfg, r in cases:
         res = run_trial(cfg, r=r, trial=0)
         assert res.ok, res.error
-        assert res.precs <= -6.0
-        assert np.isfinite(res.delta_f2) and res.delta_f2 >= 0.0
-        assert np.isfinite(res.norm_f) and np.isfinite(res.norm_g)
-        assert res.kappa_x_gf >= 1.0
+        rep = res.report
+        assert rep.precs <= -6.0
+        assert np.isfinite(rep.delta_f2) and rep.delta_f2 >= 0.0
+        assert np.isfinite(rep.norm_f) and np.isfinite(rep.norm_g)
+        assert rep.kappa_x_gf >= 1.0
 
 
 def test_run_sweep_rows():

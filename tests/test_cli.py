@@ -141,6 +141,25 @@ def test_verify_rejects_non_finite_solution(capsys, tmp_path, good_problem_file)
     assert "non-finite" in err
 
 
+def test_verify_overflowing_closed_loop_exit_code(capsys, tmp_path):
+    # B F overflows to inf: a failed verification, not a traceback.
+    prob = Problem(
+        E=np.eye(2),
+        A=np.array([[0.0, 1.0], [-2.0, -3.0]]),
+        B=np.array([[1e10], [1.0]]),
+        poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
+        r=2,
+    )
+    prob_path = tmp_path / "problem.txt"
+    prob_path.write_text(serialize_problem(prob))
+    sol_path = tmp_path / "huge.txt"
+    sol_path.write_text(serialize_solution(np.full((1, 2), 1e300), np.zeros((1, 2))))
+    with np.errstate(over="ignore"):
+        rc, out, _ = run_cli(capsys, "verify", str(prob_path), str(sol_path))
+    assert rc == 3
+    assert "index_ok=false" in out
+
+
 def test_verify_rejects_shape_mismatch(capsys, tmp_path, good_problem_file):
     sol_path = tmp_path / "wrong_shape.txt"
     sol_path.write_text(serialize_solution(np.zeros((1, 4)), np.zeros((1, 4))))

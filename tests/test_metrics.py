@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -142,9 +143,9 @@ def test_index_singular_pencil_reported():
 
 
 def test_index_expected_count_mismatch():
-    rep = index_and_regularity_check(np.diag([1.0, 2.0]), np.eye(2), expected_finite=1)
+    rep = index_and_regularity_check(np.diag([1.0, 2.0]), np.eye(2))
     assert rep.regular and rep.index_le_1
-    assert not rep.matches_expected
+    assert rep.finite_count == 2
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +389,49 @@ def test_verify_feedback_rejects_bad_shapes():
     prob = make_instance(4, 2, 2, 3, trial=0)
     with pytest.raises(ValueError, match="feedback must be"):
         verify_feedback(prob, np.zeros((1, 4)), np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("case", ["singular", "norm-overflow"])
+def test_verify_feedback_fails_a_closed_loop_without_a_spectrum(case):
+    if case == "singular":
+        # E = A = diag(1, 0), B = e1 and zero feedback: det(sE - A) is 0.
+        prob = Problem(
+            E=np.diag([1.0, 0.0]),
+            A=np.diag([1.0, 0.0]),
+            B=np.array([[1.0], [0.0]]),
+            poles=(PolePair.infinite(), PolePair.from_value(-1.0)),
+            r=1,
+        )
+        f = np.zeros((1, 2))
+    else:
+        # Every entry of A + BF is finite but its Frobenius norm is not, so
+        # the oracle's norm-scaled pencil has no spectrum to judge.
+        prob = Problem(
+            E=np.eye(2),
+            A=np.array([[0.0, 1.0], [-2.0, -3.0]]),
+            B=np.array([[1e10], [1.0]]),
+            poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
+            r=2,
+        )
+        f = np.full((1, 2), 1e200)
+    with np.errstate(over="ignore"):
+        rep = verify_feedback(prob, f, np.zeros((1, 2)))
+    assert not rep.regular and not rep.index_ok
+    assert rep.precs == math.inf
+    assert rep.infinite_count is None and rep.kappa_eigvec is None
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("damage", ["S+1e-6*I", "nan-in-P"])
+def test_verify_solution_fails_on_damaged_factors(damage):
+    # (F, G) stay the solver's, so only the factor residuals can fail.
+    prob = make_instance(6, 3, 2, 4, trial=0)
+    sol = run_pipeline(prob)
+    if damage == "S+1e-6*I":
+        bad = dataclasses.replace(sol, S=sol.S + 1e-6 * np.eye(prob.n))
+    else:
+        p_mat = sol.P.copy()
+        p_mat[0, 0] = np.nan
+        bad = dataclasses.replace(sol, P=p_mat)
+    assert verify_feedback(prob, bad.F, bad.G).passed
+    assert not verify_solution(prob, bad).passed
