@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Time ``run_pipeline`` and ``verify_solution`` as n grows; write JSON.
+"""Time the four stages of one assignment as n grows; write JSON.
 
 For every n in ``--sizes`` one instance family is drawn with
 ``generate_random_instance``: rank E = n/2, m = n/10, r = rank E + m (the
 largest admissible pole count), trials 0 .. draws-1 of ``--seed``.  Each
-draw is solved once and its solution verified once.  The median wall time
-of ``run_pipeline`` is recorded, together with the median time spent in
-the solver's null-space kernel (``orthonormal_null_basis`` as the solver
-calls it), so the file shows where that cost dominates, and so is the
-median wall time of ``verify_solution`` on the same solutions.  One more,
-untimed ``run_pipeline`` call per draw runs under ``tracemalloc``, and the
-median of its peak traced allocation is recorded: the memory a solve
-holds at once, its returned ``Solution`` included.  A least-squares line
-through (log n, log median) gives the growth exponent of each time.  The
-numpy/scipy versions, their BLAS build, the BLAS thread variables and the
-CPU count are recorded with the timings.
+draw goes once through the four stages of ``schurpole bench``:
+``generate_random_instance``, ``validate_problem``, ``run_pipeline`` and
+``verify_solution``, and the median wall time of each stage is recorded.
+So is the median time ``run_pipeline`` spends in the solver's null-space
+kernel (``orthonormal_null_basis`` as the solver calls it), so the file
+shows where that cost dominates.  One more, untimed ``run_pipeline`` call
+per draw runs under ``tracemalloc``, and the median of its peak traced
+allocation is recorded: the memory a solve holds at once, its returned
+``Solution`` included.  A least-squares line through (log n, log median)
+gives the growth exponent of each stage.  The numpy/scipy versions, their
+BLAS build, the BLAS thread variables and the CPU count are recorded with
+the timings.
 
-Example:
-    PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
+Example (the committed file was written with one BLAS thread):
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ import numpy as np
 import scipy
 
 import schurpole.assign as assign
-from schurpole import BenchConfig, generate_random_instance, verify_solution
+from schurpole import BenchConfig, generate_random_instance, validate_problem, verify_solution
+
+STAGES = ("generate_random_instance", "validate_problem", "run_pipeline", "verify_solution")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[30, 60, 100, 150], help="state dimensions n")
+    ap.add_argument("--sizes", type=int, nargs="+", default=[30, 60, 100, 150, 200, 300], help="state dimensions n")
     ap.add_argument("--draws", type=int, default=3, help="instances per n (default: 3)")
     ap.add_argument("--seed", type=int, default=0, help="base seed of the draws (default: 0)")
     ap.add_argument(
@@ -82,42 +85,45 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
     rank_e, m = n // 2, max(n // 10, 1)
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=draws, seed=seed)
     r = cfg.r_values[-1]
-    totals, kernel, verify, peaks = [], [], [], []
+    times: dict[str, list[float]] = {stage: [] for stage in STAGES}
+    kernel, peaks = [], []
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times[stage].append(time.perf_counter() - t0)
+        return out
+
     for trial in range(draws):
-        prob = generate_random_instance(cfg, r=r, trial=trial)
+        prob = timed("generate_random_instance", generate_random_instance, cfg, r, trial)
+        timed("validate_problem", validate_problem, prob)
         clock.seconds = 0.0
-        t0 = time.perf_counter()
-        sol = assign.run_pipeline(prob)
-        totals.append(time.perf_counter() - t0)
+        sol = timed("run_pipeline", assign.run_pipeline, prob)
         kernel.append(clock.seconds)
-        t0 = time.perf_counter()
-        verify_solution(prob, sol)
-        verify.append(time.perf_counter() - t0)
+        timed("verify_solution", verify_solution, prob, sol)
         peaks.append(alloc_peak_mb(prob))
-    med = statistics.median(totals)
+    solve = statistics.median(times["run_pipeline"])
     med_kernel = statistics.median(kernel)
     return {
         "n": n,
         "rank_e": rank_e,
         "m": m,
         "r": r,
-        "run_pipeline_s": totals,
-        "median_s": med,
+        "stages": {stage: {"s": ts, "median_s": statistics.median(ts)} for stage, ts in times.items()},
         "null_basis_median_s": med_kernel,
-        "null_basis_share": med_kernel / med,
-        "verify_solution_s": verify,
-        "verify_median_s": statistics.median(verify),
+        "null_basis_share": med_kernel / solve,
         "alloc_peak_mb": peaks,
         "alloc_peak_median_mb": statistics.median(peaks),
     }
 
 
-def growth_exponent(rows: list[dict], key: str) -> float | None:
-    """Slope of the least-squares line through (log n, log row[key])."""
+def growth_exponent(rows: list[dict], stage: str) -> float | None:
+    """Slope of the least-squares line through (log n, log median) of a stage."""
     if len(rows) < 2:
         return None
     logn = np.log([row["n"] for row in rows])
-    return float(np.polyfit(logn, np.log([row[key] for row in rows]), 1)[0])
+    medians = [row["stages"][stage]["median_s"] for row in rows]
+    return float(np.polyfit(logn, np.log(medians), 1)[0])
 
 
 def environment() -> dict:
@@ -145,23 +151,21 @@ def main(argv=None) -> int:
     for n in args.sizes:
         row = time_size(n, args.draws, args.seed, clock)
         rows.append(row)
+        medians = "  ".join(f"{stage} {row['stages'][stage]['median_s']:.3f} s" for stage in STAGES)
         print(
-            f"n={n:4d}  median {row['median_s']:.3f} s  "
-            f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)  "
-            f"verify {row['verify_median_s']:.3f} s  "
+            f"n={n:4d}  {medians}  "
+            f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} % of the solve)  "
             f"alloc peak {row['alloc_peak_median_mb']:.1f} MB"
         )
-    exponent = growth_exponent(rows, "median_s")
-    verify_exponent = growth_exponent(rows, "verify_median_s")
-    if exponent is not None:
-        print(f"growth exponent: run_pipeline {exponent:.2f}, verify_solution {verify_exponent:.2f}")
+    exponents = {stage: growth_exponent(rows, stage) for stage in STAGES}
+    if len(rows) > 1:
+        print("growth exponents: " + ", ".join(f"{stage} {x:.2f}" for stage, x in exponents.items()))
     result = {
         "family": "generate_random_instance, rank E = n/2, m = n/10, r = rank E + m",
         "seed": args.seed,
         "draws": args.draws,
         "sizes": rows,
-        "growth_exponent": exponent,
-        "verify_growth_exponent": verify_exponent,
+        "growth_exponents": exponents,
         "environment": environment(),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")

@@ -12,13 +12,18 @@ exactly when  Q2^T (A P - X S) = 0  and  Q2^T (E P - X T) = 0, in which case
 
 Columns of P and of Xi = Q2^T X are grown one pole (or one conjugate pair)
 at a time.  Each step solves a structured null-space problem in the
-orthogonal complement of the columns accepted so far; the free
-coefficients are chosen to keep the off-diagonal mass of (S, T) small, so
-the closed-loop pencil stays close to a normal pair and the assigned
-spectrum is insensitive to perturbations.  Once all n columns exist, X is
-completed from Xi by an orthogonal complement and (F, G) are read off.
-A step's null-space basis is scratch: it is used once, and each step
-leaves only a ``StepRecord`` of scalars (null dimension, P-share, branch).
+orthogonal complement of the columns accepted so far: the new column p
+and the coefficient columns (v_s, v_t) it adds to (S, T) satisfy
+Q2^T K p + Xi (c_s v_s + c_t v_t) = 0 for the pencil K shifted to the
+pole.  Only an (n-m) x n matrix is factorized per step; the j solutions
+with p = 0 that the coefficients add are written down in closed form.
+The free coefficients are chosen to keep the off-diagonal mass of (S, T)
+small, so the closed-loop pencil stays close to a normal pair and the
+assigned spectrum is insensitive to perturbations.  Once all n columns
+exist, X is completed from Xi by an orthogonal complement and (F, G) are
+read off.  A step's null-space basis is scratch: it is used once, and
+each step leaves only a ``StepRecord`` of scalars (null dimension,
+P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -41,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateStepError
 from .linalg import (
@@ -74,11 +78,12 @@ class StepRecord:
     """What one assignment step decided, as scalars.
 
     ``kind`` is "infinite-block", "real" or "complex"; ``j_before`` counts
-    the columns of P before the step.  ``null_dim`` is the width of the
-    null-space basis the step chose from (m + j generically; on the
-    infinite block, the dimension of null(Q2^T E)).  ``p_share`` is the
-    P-component share of the chosen direction: the top eigenvalue of
-    Z1^T Z1 on a real step, nu1^2 on a complex step.  A complex step also
+    the columns of P before the step.  ``null_dim`` is the dimension of
+    the null space the step chose from, d mapped directions plus j free
+    ones (m + j generically; on the infinite block, the dimension of
+    null(Q2^T E)).  ``p_share`` is the P-component share of the chosen
+    direction: the top eigenvalue of Z1^T Z1 on a real step, nu1^2 on a
+    complex step.  A complex step also
     records its ``branch`` ("rank1", "hamiltonian" or "jacobi"), Z1's second
     singular value ``nu2``, and the objectives ``rho1``, ``rho2`` of the
     single- and two-direction choices (None on the rank-1 branch).  The
@@ -114,11 +119,16 @@ class Parametrization:
 
 @dataclass(eq=False)
 class AssignState:
-    """Partially grown factors after j assigned columns."""
+    """Partially grown factors after j assigned columns.
+
+    ``P_perp`` is an orthonormal basis of the complement of range(P), kept
+    up to date by one Householder reflection per new column.
+    """
 
     n: int
     m: int
     P: np.ndarray
+    P_perp: np.ndarray
     Xi: np.ndarray
     S: np.ndarray
     T: np.ndarray
@@ -184,6 +194,20 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
+def _complement_after(p_perp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the complement of range(P) once the unit column
+    p, taken from range(``p_perp``), has joined P.
+
+    The Householder reflection H that maps p's coordinates y = p_perp^T p
+    onto the first axis makes p_perp H = [+-p, rest]; ``rest`` spans what
+    is left.  That costs O(n (n - j)), against a complete QR of P per step.
+    """
+    y = p_perp.T @ p
+    v = y.copy()
+    v[0] += math.copysign(float(np.linalg.norm(y)), y[0])
+    return p_perp[:, 1:] - np.outer(p_perp @ v, (2.0 / float(v @ v)) * v[1:])
+
+
 def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState:
     """Open the factors with ``count`` infinite poles.
 
@@ -205,37 +229,58 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
             "too many infinite poles requested for this system"
         )
     p = z[:, :count].copy()
+    p_perp = np.linalg.qr(p, mode="complete")[0][:, count:]
     xi = par.q2.T @ (a @ p)
     steps = (StepRecord("infinite-block", 0, z.shape[1]),)
-    return AssignState(n, m, p, xi, np.eye(count), np.zeros((count, count)), steps)
+    return AssignState(n, m, p, p_perp, xi, np.eye(count), np.zeros((count, count)), steps)
 
 
-def _step_null_basis(row_top, p_mat, n, m, j, what):
-    """Orthonormal basis of the step's solutions (p, v_s, v_t).
+def _step_null_basis(kq, xi, c_s, c_t, p_perp, m, what):
+    """Orthonormal basis of the part of a step's solutions that depends on
+    the data.
 
-    A solution satisfies row_top [p; v_s; v_t] = 0 with p orthogonal to
-    the accepted columns P.  Writing p = P_perp y, for P_perp an
-    orthonormal basis of the complement of range(P) (from one complete QR
-    of P), turns that into the null space of the smaller block
-    [row_top[:, :n] P_perp, row_top[:, n:]] (the complement bookkeeping of
-    Kautsky, Nichols & Van Dooren, Int. J. Control 41, 1985).  Returns
-    (P_perp, Y1, Z3, Z4) with Z1 = P_perp Y1: P_perp is an isometry, so
-    (Z1; Z3; Z4) is orthonormal and spans the null space of the stacked
-    [row_top; P^T 0 0].
+    A step's solutions are the (p, v_s, v_t) with
+    kq p + Xi (c_s v_s + c_t v_t) = 0 and p orthogonal to the accepted
+    columns P; ``kq`` is Q2^T K for the step's shifted pencil K.  Writing
+    p = P_perp y, for ``p_perp`` an orthonormal basis of the complement of
+    range(P) (the complement bookkeeping of Kautsky, Nichols & Van Dooren,
+    Int. J. Control 41, 1985), and rotating (v_s, v_t) by the unitary
+    (1/c) [[c_s, c_t], [-conj(c_t), conj(c_s)]], c = sqrt(|c_s|^2 + |c_t|^2),
+    splits them into an orthogonal sum:
+
+    * (y, conj(c_s) u / c, conj(c_t) u / c) for (y, u) in the null space of
+      the (n-m) x n matrix [kq P_perp, c Xi], which has d >= m dimensions;
+    * (0, c_t w / c, -c_s w / c) for every w in C^j, the j directions of
+      :func:`_free_directions`, which need no factorization.
+
+    Returns (Y, V): Y holds the y-rows and V the stacked (v_s; v_t) rows of
+    the first part's d orthonormal columns.  P_perp is an isometry, so
+    (P_perp Y; V) is orthonormal, and with the free directions it spans the
+    null space of the stacked [kq, c_s Xi, c_t Xi; P^T, 0, 0].
     """
-    # The null space has dimension m + j generically; it is larger when the
-    # top block is rank deficient, which only adds freedom.  A smaller
-    # dimension means the instance violates the full-row-rank condition
-    # required for assignment.
-    p_perp = np.linalg.qr(p_mat, mode="complete")[0][:, j:]
-    z = orthonormal_null_basis(np.hstack([row_top[:, :n] @ p_perp, row_top[:, n:]]))
-    if z.shape[1] < m + j:
+    # The null space has dimension m + j generically; it is larger when
+    # [kq P_perp, c Xi] is rank deficient, which only adds freedom.  A
+    # smaller dimension means the instance violates the full-row-rank
+    # condition required for assignment.
+    n, k = p_perp.shape
+    j = n - k
+    c = math.hypot(abs(c_s), abs(c_t))
+    z = orthonormal_null_basis(np.hstack([kq @ p_perp, c * xi]))
+    if z.shape[1] < m:
         raise DegenerateStepError(
             f"{what}: constraint matrix null space has dimension "
-            f"{z.shape[1]} < {m + j}; the instance is not assignable here"
+            f"{z.shape[1] + j} < {m + j}; the instance is not assignable here"
         )
-    k = n - j
-    return p_perp, z[:k], z[k : k + j], z[k + j :]
+    u = z[k:]
+    return z[:k], np.vstack([(np.conj(c_s) / c) * u, (np.conj(c_t) / c) * u])
+
+
+def _free_directions(c_s, c_t, j) -> np.ndarray:
+    """The j stacked (v_s; v_t) columns (c_t e_i; -c_s e_i) / c of a step's
+    solutions that have p = 0 (see :func:`_step_null_basis`)."""
+    c = math.hypot(abs(c_s), abs(c_t))
+    eye = np.eye(j)
+    return np.vstack([(c_t / c) * eye, (-c_s / c) * eye])
 
 
 def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
@@ -260,33 +305,36 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     xi = state.Xi
     if abs(eps1) >= abs(eps2):
         ratio = eps2 / eps1
-        row_top = np.hstack([q2t @ (e - ratio * a), ratio * xi, -xi])
+        kq, c_s, c_t = q2t @ (e - ratio * a), ratio, -1.0
     else:
         ratio = eps1 / eps2
-        row_top = np.hstack([q2t @ (a - ratio * e), -xi, ratio * xi])
-    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, "real-pole step")
-    z1 = p_perp @ y1
+        kq, c_s, c_t = q2t @ (a - ratio * e), -1.0, ratio
+    p_perp = state.P_perp
+    y, v = _step_null_basis(kq, xi, c_s, c_t, p_perp, m, "real-pole step")
 
-    w_eig, v_eig = sym_eig(z1.T @ z1)
+    # The free directions have no P-component, so the P-share's maximum is
+    # reached on the d mapped columns alone.
+    w_eig, v_eig = sym_eig(y.T @ y)
     share = float(w_eig[0])
     if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     uvec = v_eig[:, 0]
-    pt = z1 @ uvec
+    pt = p_perp @ (y @ uvec)
     scale = float(np.linalg.norm(pt))
     p_new = _orthonormal_against(state.P, pt / scale)
-    v_s = (z3 @ uvec) / scale
-    v_t = (z4 @ uvec) / scale
+    vc = (v @ uvec) / scale
+    v_s, v_t = vc[:j], vc[j:]
     if abs(eps1) >= abs(eps2):
         xi_new = (q2t @ (a @ p_new) - xi @ v_s) / eps1
     else:
         xi_new = (q2t @ (e @ p_new) - xi @ v_t) / eps2
 
-    rec = StepRecord("real", j, y1.shape[1], p_share=share)
+    rec = StepRecord("real", j, y.shape[1] + j, p_share=share)
     return AssignState(
         n,
         m,
         np.hstack([state.P, p_new[:, None]]),
+        _complement_after(p_perp, p_new),
         np.hstack([xi, xi_new[:, None]]),
         _grown(state.S, v_s[:, None], np.array([[eps1]])),
         _grown(state.T, v_t[:, None], np.array([[eps2]])),
@@ -347,26 +395,30 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     return best_u / np.linalg.norm(best_u)
 
 
-def _complex_pair_core(z1, z3, z4, tau_pen):
+def _complex_pair_core(z1, zv, free, tau_pen):
     """Pick the complex combination of null-basis columns for one pair.
 
-    Returns the unnormalized complex column p (real and imaginary parts
-    become the two new P columns), the matching stacked v-column, and a
-    dict of the data behind the choice.  ``z1`` may be given in any real
-    orthonormal coordinates of the p-space, and p comes back in the same
-    coordinates: z1 enters only through inner products of real and
-    imaginary parts, which a real isometry keeps.
+    The candidate columns are orthonormal: d columns with P-part ``z1`` and
+    stacked (v_s; v_t) part ``zv``, followed by the columns of ``free``,
+    whose P-part is zero.  So Z1 = [z1, 0] has the SVD of z1 with
+    V = blockdiag(V_d, I), and only z1 is factorized.  Returns the
+    unnormalized complex column p (real and imaginary parts become the two
+    new P columns), the matching stacked v-column, and a dict of the data
+    behind the choice.  ``z1`` may be given in any real orthonormal
+    coordinates of the p-space, and p comes back in the same coordinates:
+    z1 enters only through inner products of real and imaginary parts,
+    which a real isometry keeps.
     """
-    # Every coefficient direction is used, so V must be square; U is read
-    # only in its first two columns and stays thin whenever it can.
+    # Every coefficient direction of z1 is used, so V_d must be square; U is
+    # read only in its first two columns and stays thin whenever it can.
     u, nus, vh = np.linalg.svd(z1, full_matrices=z1.shape[1] > z1.shape[0])
     v = vh.conj().T
     if nus.size == 0 or nus[0] <= 1e-13:
         raise DegenerateStepError("complex step: direction matrix Z1 vanishes")
     nu1 = float(nus[0])
     nu2 = float(nus[1]) if nus.size > 1 else 0.0
-    zv = np.vstack([z3, z4]) @ v
     diag: dict = {"nu1": nu1, "nu2": nu2}
+    vfree = 0.0
 
     if nu2 <= 1e-8 * nu1:
         # single usable direction: orthogonalize its real/imaginary parts
@@ -383,11 +435,12 @@ def _complex_pair_core(z1, z3, z4, tau_pen):
         vs2 = float(np.linalg.norm(p2))
         if min(vs1, vs2) <= 1e-13:
             raise DegenerateStepError("complex step: degenerate rotated direction")
-        w = zv[:, 0]
-        big_w = zv[:, 1:]
-        k = z1.shape[1] - 1
+        zv_all = np.hstack([zv @ v, free])
+        w = zv_all[:, 0]
+        big_w = zv_all[:, 1:]
+        k = big_w.shape[1]
         if k > 0:
-            if z3.shape[0] == 0:
+            if zv.shape[0] == 0:
                 raise DegenerateStepError(
                     "complex step: rank-1 direction with free coefficients "
                     "but no prior columns to absorb them"
@@ -412,13 +465,16 @@ def _complex_pair_core(z1, z3, z4, tau_pen):
         else:
             g = np.zeros(0, dtype=complex)
             diag.update({"H": None, "h": None, "y": np.zeros(0), "w": w, "W": big_w})
-        bvec = (c + 1j * s) * (v @ np.concatenate([[1.0 / nu1], g]))
+        coef = (c + 1j * s) * np.concatenate([[1.0 / nu1], g])
+        bvec = v @ coef[: v.shape[1]]
+        vfree = free @ coef[v.shape[1] :]
         diag.update({"branch": "rank1", "c": c, "s": s, "vs": (vs1, vs2)})
     else:
         psi1 = u[:, 0]
         psi2 = u[:, 1]
-        w1 = zv[:, 0] / nu1
-        w2 = zv[:, 1] / nu2
+        zv2 = zv @ v[:, :2]
+        w1 = zv2[:, 0] / nu1
+        w2 = zv2[:, 1] / nu2
         c1 = (1.0 - nu1**2) / nu1**2
         c2 = (1.0 - nu2**2) / nu2**2
         rho1 = np.inf
@@ -460,7 +516,7 @@ def _complex_pair_core(z1, z3, z4, tau_pen):
             diag["branch"] = "jacobi"
 
     pc = z1 @ bvec
-    vc = np.vstack([z3, z4]) @ bvec
+    vc = zv @ bvec + vfree
     return pc, vc, diag
 
 
@@ -486,12 +542,13 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     q2t = par.q2.T
     xi = state.Xi
     if alpha_dom:
-        row_top = np.hstack([q2t @ (e - gamma * a), gamma * xi, -xi.astype(complex)])
+        kq, c_s, c_t = q2t @ (e - gamma * a), gamma, -1.0
     else:
-        row_top = np.hstack([q2t @ (a - gamma * e), -xi.astype(complex), gamma * xi])
-    p_perp, y1, z3, z4 = _step_null_basis(row_top, state.P, n, m, j, "complex-pair step")
+        kq, c_s, c_t = q2t @ (a - gamma * e), -1.0, gamma
+    p_perp = state.P_perp
+    y, v = _step_null_basis(kq, xi, c_s, c_t, p_perp, m, "complex-pair step")
 
-    pc, vc, diag = _complex_pair_core(y1, z3, z4, tau)
+    pc, vc, diag = _complex_pair_core(y, v, _free_directions(c_s, c_t, j), tau)
     pc = p_perp @ pc
     pt1, pt2 = pc.real.copy(), pc.imag.copy()
     vs1 = float(np.linalg.norm(pt1))
@@ -517,7 +574,7 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     rec = StepRecord(
         "complex",
         j,
-        y1.shape[1],
+        y.shape[1] + j,
         p_share=diag["nu1"] ** 2,
         branch=diag["branch"],
         nu2=diag["nu2"],
@@ -528,6 +585,7 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
         n,
         m,
         np.hstack([state.P, p1[:, None], p2[:, None]]),
+        _complement_after(_complement_after(p_perp, p1), p2),
         np.hstack([xi, xi1[:, None], xi2[:, None]]),
         _grown(state.S, v_s, block_s),
         _grown(state.T, v_t, block_t),
@@ -556,11 +614,16 @@ def complete_X(par: Parametrization, xi) -> np.ndarray:
 
 
 def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the triangular systems for F and G."""
+    """Solve R F = Q1^T (X S P^T - A) and R G = Q1^T (X T P^T - E).
+
+    R is triangular, but a general LU solve is used: OpenBLAS's
+    triangular solve wakes its worker threads and can stall for
+    milliseconds on these small systems.
+    """
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    f = solve_triangular(par.r, par.q1.T @ (x @ s @ p.T - a))
-    g = solve_triangular(par.r, par.q1.T @ (x @ t @ p.T - e))
+    f = np.linalg.solve(par.r, par.q1.T @ (x @ s @ p.T - a))
+    g = np.linalg.solve(par.r, par.q1.T @ (x @ t @ p.T - e))
     return f, g
 
 

@@ -1,6 +1,6 @@
 """Dense real/complex linear-algebra kernels with fixed output conventions.
 
-Thin deterministic wrappers around LAPACK (through numpy) plus a few
+Thin deterministic wrappers around LAPACK (through numpy and scipy) plus a few
 closed-form helpers.  Conventions that the underlying library leaves open
 are pinned here so downstream computations are reproducible run to run:
 
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "RankDecision",
@@ -154,8 +155,9 @@ def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
     scale = float(np.linalg.norm(a))
     if scale > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
+    # LAPACK's divide-and-conquer driver: numpy's eigh wakes the OpenBLAS
+    # worker threads and can stall for milliseconds on small matrices.
+    w, v = scipy.linalg.eigh(0.5 * (a + a.T), driver="evd")
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     for k in range(cols):

@@ -259,8 +259,11 @@ def _kappa_f(svals: np.ndarray) -> float:
 
 
 def frobenius_condition(x) -> float:
-    """kappa_F(X) = ||X||_F * ||X^{-1}||_F (inf when singular)."""
+    """kappa_F(X) = ||X||_F * ||X^{-1}||_F (inf when singular, nan when X
+    has a non-finite entry)."""
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        return math.nan
     svals = np.linalg.svd(x, compute_uv=False)
     if svals.size == 0 or svals[-1] <= 0.0:
         return math.inf
@@ -327,6 +330,8 @@ class Report:
         }
 
 
+# An overflowing closed loop is a verdict (not regular), not a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def verify_feedback(problem, f, g) -> Report:
     """Verify a feedback pair through its closed loop alone.
 
@@ -378,6 +383,7 @@ def verify_feedback(problem, f, g) -> Report:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_solution(problem, sol) -> Report:
     """Verify a pipeline solution: :func:`verify_feedback` on (F, G), plus
     the residuals of the factors (A+BF)P = XS, (E+BG)P = XT and P^T P = I,

@@ -51,21 +51,23 @@ def solve_recording(prob, name):
 def unsolvable_instance():
     """A validated instance on which ``run_pipeline`` raises DegenerateStepError.
 
-    n = 70, m = 2, r = 44, with E = U V a product of Gaussian factors
-    (70 x 42 times 42 x 70) and the 44 finite poles drawn as the spectrum of
-    a random 44 x 44 pencil.  ``validate_problem`` passes it, but the solver
-    loses accuracy on product-factor E at n >= 60, and ``complete_X`` finds
-    that Xi lost full row rank.  It is the exit-code-2 case of the CLI
-    contract: if a solver change makes it solvable, that check needs a new
-    instance, not its removal.
+    n = 100, m = 2, r = 62, with E = U V a product of Gaussian factors
+    (100 x 60 times 60 x 100) and the 62 finite poles drawn as the spectrum
+    of a random 62 x 62 pencil.  ``validate_problem`` passes it, but the
+    solver loses accuracy on product-factor E at n >= 60: the P-share of
+    the complex steps falls about tenfold per pair, and the complex step
+    for pole 33 of 36 finds its direction matrix Z1 vanished (largest
+    singular value 6e-14), with three poles still to go.  It is the
+    exit-code-2 case of the CLI contract: if a solver change makes it
+    solvable, that check needs a new instance, not its removal.
     """
-    rng = np.random.default_rng([0, 42, 2, 44])
-    e = rng.standard_normal((70, 42)) @ rng.standard_normal((42, 70))
-    a = rng.standard_normal((70, 70))
-    b = rng.standard_normal((70, 2))
-    spectrum = generalized_eig_oracle(rng.standard_normal((44, 44)), rng.standard_normal((44, 44)))
+    rng = np.random.default_rng([0, 60, 2, 62])
+    e = rng.standard_normal((100, 60)) @ rng.standard_normal((60, 100))
+    a = rng.standard_normal((100, 100))
+    b = rng.standard_normal((100, 2))
+    spectrum = generalized_eig_oracle(rng.standard_normal((62, 62)), rng.standard_normal((62, 62)))
     finite = tuple(p for p in spectrum if not p.is_infinite)
-    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * 26 + finite, r=44)
+    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * 38 + finite, r=62)
 
 
 def rng_matrix(seed, rows, cols, scale=1.0):

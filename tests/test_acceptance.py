@@ -101,17 +101,21 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
     # Every step after the infinite block made one recorded null-basis call.
     finite_steps = sol.steps[1:]
     assert len(bases) == len(finite_steps)
-    for step, (_, (p_perp, y1, _, _)) in zip(finite_steps, bases):
+    # Its basis is the d mapped columns (P-part P_perp Y) and the j free
+    # directions, whose P-part is zero.
+    for step, (args, (y, _)) in zip(finite_steps, bases):
+        p_perp = args[4]
         j = step.j_before
+        width = y.shape[1] + j
         if step.kind == "real":
-            rec.step_dims.append((y1.shape[1], step.null_dim, m + j, step.p_share > 1e-12))
+            rec.step_dims.append((width, step.null_dim, m + j, step.p_share > 1e-12))
             if keep_directions:
                 # The step's unit null vector, scaled to a unit P-column, is
                 # [p; v_s; v_t]: its P-share is read off the S and T columns.
                 added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
-                rec.real_steps.append((p_perp @ y1, 1.0 / math.sqrt(1.0 + added)))
+                rec.real_steps.append((p_perp @ y, 1.0 / math.sqrt(1.0 + added)))
         else:
-            rec.step_dims.append((y1.shape[1], step.null_dim, m + j, math.sqrt(step.p_share) > 1e-13))
+            rec.step_dims.append((width, step.null_dim, m + j, math.sqrt(step.p_share) > 1e-13))
             if step.rho2 is not None:
                 rec.complex_steps.append((step.nu2, step.rho1, step.rho2, step.branch))
     return rec
@@ -247,7 +251,9 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
 
     # (b) the chosen real-step direction beats 10^4 random feasible unit
     # directions in ||Z1 u||, and its P-share is the optimum max ||Z1 u||,
-    # the largest singular value of Z1, to 1e-9 relative.
+    # the largest singular value of Z1, to 1e-9 relative.  Z1 = [P_perp Y, 0]:
+    # the directions are drawn over the d mapped columns only, since a
+    # share on the free ones would only lower ||Z1 u||.
     pools: dict[int, np.ndarray] = {}
     real_checked, real_margin, share_gap = 0, 0.0, 0.0
     real_bad = []
@@ -363,7 +369,7 @@ def test_criterion_6_complex_strategy_bounds(small_suite, large_suite):
     rest = np.zeros((4, 2), dtype=complex)
     rest[0, 0] = np.sqrt(1.0 - nu1**2)
     rest[1, 1] = np.sqrt(1.0 - nu2**2)
-    _, _, diag = _complex_pair_core(z1, rest[:2], rest[2:], tau_pen=0.4)
+    _, _, diag = _complex_pair_core(z1, rest, np.zeros((4, 0)), tau_pen=0.4)
     want = 2.0 * (1.0 - nu1**2) / nu1**2
     special = min(diag["rho1"], diag["rho2"])
     special_ok = abs(special - want) <= 1e-12 * want

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurpole.assign as assign_module
-from schurpole import DegenerateStepError, PolePair, Problem, run_pipeline
+from schurpole import DegenerateStepError, PolePair, Problem, run_pipeline, verify_solution
 from schurpole.assign import (
     _complex_pair_core,
     assign_infinite_block,
@@ -87,17 +87,31 @@ def test_infinite_block_zero_count_is_empty():
 # step null space in the complement of P
 
 
-def _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out, extra=0):
-    p_perp, y1, z3, z4 = out
-    z1 = p_perp @ y1
-    z = np.vstack([z1, z3, z4])
-    # the constraint matrix that carries p orthogonal to P as j extra rows
+def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, p_perp, m, p_mat, out, extra=0):
+    y, v = out
+    n, j = p_mat.shape
+    # the state's complement basis is orthonormal and orthogonal to P
+    assert p_perp.shape == (n, n - j)
+    assert np.allclose(p_perp.T @ p_perp, np.eye(n - j), atol=1e-12)
+    assert np.linalg.norm(p_mat.T @ p_perp) <= 1e-12
+    # the step's basis: the d mapped columns, then the j free directions,
+    # which have no P-component
+    z1 = p_perp @ y
+    z = np.block([[z1, np.zeros((n, j))], [v, assign_module._free_directions(c_s, c_t, j)]])
+    # the constraint matrix of the old single block, [Q2^T K, c_s Xi, c_t Xi],
+    # with p orthogonal to P as j extra rows
+    row_top = np.hstack([kq, c_s * xi, c_t * xi])
     stacked = np.vstack([row_top, np.hstack([p_mat.T, np.zeros((j, 2 * j))])])
     ref = scipy.linalg.null_space(stacked)
     assert z.shape[1] == ref.shape[1] == m + j + extra
     assert np.allclose(z.conj().T @ z, np.eye(z.shape[1]), atol=1e-12)
     assert np.linalg.norm(z @ z.conj().T - ref @ ref.conj().T) <= 1e-10
-    assert np.linalg.norm(p_mat.T @ z1) <= 1e-12
+
+
+def _recorded_steps(prob):
+    """(args, P before the step, result) of every ``_step_null_basis`` call."""
+    sol, calls = solve_recording(prob, "_step_null_basis")
+    return [(args, sol.P[:, : prob.n - args[4].shape[1]], out) for args, out in calls]
 
 
 def test_step_null_basis_spans_the_stacked_null_space():
@@ -109,28 +123,33 @@ def test_step_null_basis_spans_the_stacked_null_space():
         make_instance(30, 15, 2, 17),
     )
     for prob in cases:
-        for (row_top, p_mat, n, m, j, what), out in solve_recording(prob, "_step_null_basis")[1]:
-            kinds.add((what, np.iscomplexobj(row_top), j > 0))
-            _assert_spans_stacked_null_space(row_top, p_mat, n, m, j, out)
+        for args, p_mat, out in _recorded_steps(prob):
+            kq, what = args[0], args[-1]
+            kinds.add((what, np.iscomplexobj(kq), p_mat.shape[1] > 0))
+            _assert_spans_stacked_null_space(*args[:-1], p_mat, out)
     assert {(w, c) for w, c, _ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
     assert {first for *_, first in kinds} == {False, True}
 
 
 def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
     prob = make_instance(30, 15, 2, 17)
-    last_of_kind = {args[-1]: args for args, _ in solve_recording(prob, "_step_null_basis")[1]}
+    last_of_kind = {args[-1]: (args, p_mat) for args, p_mat, _ in _recorded_steps(prob)}
     assert set(last_of_kind) == {"real-pole step", "complex-pair step"}
-    for row_top, p_mat, n, m, j, what in last_of_kind.values():
-        # a repeated row leaves the top block rank deficient: one more
+    for (kq, xi, c_s, c_t, p_perp, m, what), p_mat in last_of_kind.values():
+        n, j = p_mat.shape
+        # a repeated row leaves the constraint rank deficient: one more
         # null direction, which the step must keep
-        deficient = np.vstack([row_top[:-1], row_top[:1]])
-        out = assign_module._step_null_basis(deficient, p_mat, n, m, j, what)
-        _assert_spans_stacked_null_space(deficient, p_mat, n, m, j, out, extra=1)
+        deficient = (np.vstack([kq[:-1], kq[:1]]), np.vstack([xi[:-1], xi[:1]]))
+        out = assign_module._step_null_basis(*deficient, c_s, c_t, p_perp, m, what)
+        _assert_spans_stacked_null_space(*deficient, c_s, c_t, p_perp, m, p_mat, out, extra=1)
         # one independent row too many leaves fewer than m + j directions
         rng = np.random.default_rng(j)
-        extra_row = rng.standard_normal((1, row_top.shape[1])).astype(row_top.dtype)
+        more = (
+            np.vstack([kq, rng.standard_normal((1, n)).astype(kq.dtype)]),
+            np.vstack([xi, rng.standard_normal((1, j))]),
+        )
         with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension"):
-            assign_module._step_null_basis(np.vstack([row_top, extra_row]), p_mat, n, m, j, what)
+            assign_module._step_null_basis(*more, c_s, c_t, p_perp, m, what)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +223,27 @@ def test_pipeline_invariants_random(seed, shape):
     assert np.all(np.isfinite(sol.F)) and np.all(np.isfinite(sol.G))
 
 
+@pytest.mark.parametrize(
+    "finite",
+    [
+        pytest.param((-1.0, -1.0, -2.0, -3.0, -0.5 + 1.0j), id="double-real"),
+        pytest.param((-1.0 + 2.0j, -1.0 + 2.0j, -1.0, -2.0), id="double-complex-pair"),
+    ],
+)
+def test_pipeline_assigns_a_repeated_pole(finite):
+    # A pole repeated at most m times: the step for its second copy shifts
+    # the pencil to a pole already in (S, T).  The answer must still pass
+    # the independent verification (n = 8, m = 3, rank E = 6, two infinite
+    # poles).
+    base = make_instance(8, 6, 3, 6)
+    poles = (PolePair.infinite(),) * 2 + tuple(PolePair.from_value(v) for v in finite)
+    prob = Problem(E=base.E, A=base.A, B=base.B, poles=poles, r=6)
+    sol = run_pipeline(prob)
+    rep = verify_solution(prob, sol)
+    assert rep.passed, (rep.precs, rep.infinite_count, rep.index_ok)
+    assert rep.infinite_count == 2
+
+
 def test_pipeline_is_deterministic():
     prob = make_instance(6, 3, 2, 4, trial=5)
     s1 = run_pipeline(prob)
@@ -230,17 +270,18 @@ def _synthetic_stacked_basis(nu1, nu2, phase=0.0):
     rest2 = np.zeros(4, dtype=complex)
     rest1[0] = np.sqrt(1.0 - nu1**2)
     rest2[1] = np.sqrt(1.0 - nu2**2)
-    rest = np.column_stack([rest1, rest2])
-    z3, z4 = rest[:2], rest[2:]
-    return z1, z3, z4
+    zv = np.column_stack([rest1, rest2])
+    # two free directions: no P-part, and orthogonal to zv's columns
+    free = np.eye(4)[:, 2:]
+    return z1, zv, free
 
 
 def test_complex_core_special_geometry_objective():
     # Top direction with orthogonal half-norm real/imag parts: the
     # single-direction objective collapses to 2*(1 - nu1^2)/nu1^2 exactly.
     nu1, nu2 = 0.8, 0.5
-    z1, z3, z4 = _synthetic_stacked_basis(nu1, nu2)
-    _, _, diag = _complex_pair_core(z1, z3, z4, tau_pen=0.3)
+    z1, zv, free = _synthetic_stacked_basis(nu1, nu2)
+    _, _, diag = _complex_pair_core(z1, zv, free, tau_pen=0.3)
     expected = 2.0 * (1.0 - nu1**2) / nu1**2  # = 1.125 for nu1 = 0.8
     assert abs(diag["rho1"] - expected) <= 1e-12 * expected
     chosen = diag["rho2"] if diag["branch"] == "hamiltonian" else diag["rho1"]
@@ -251,8 +292,8 @@ def test_complex_core_special_geometry_objective():
 def test_complex_core_objective_is_phase_invariant():
     base = None
     for phase in (0.0, 0.3, 1.2):
-        z1, z3, z4 = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
-        _, _, diag = _complex_pair_core(z1, z3, z4, tau_pen=0.3)
+        z1, zv, free = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
+        _, _, diag = _complex_pair_core(z1, zv, free, tau_pen=0.3)
         val = min(diag["rho1"], diag["rho2"])
         if base is None:
             base = val
@@ -267,11 +308,11 @@ def test_complex_core_two_direction_bound():
         q, _ = np.linalg.qr(raw)  # orthonormal stacked columns
         scale = np.diag([0.9, 0.6])
         cols = q @ scale  # singular values 0.9 and 0.6 overall
-        z1, z3, z4 = cols[:5], cols[5:7], cols[7:]
+        z1, zv = cols[:5], cols[5:]
         nus = np.linalg.svd(z1, compute_uv=False)
         if nus.size < 2 or nus[1] <= 1e-8 * nus[0] or nus[0] >= 1.0 - 1e-9:
             continue
-        _, _, diag = _complex_pair_core(z1, z3, z4, tau_pen=0.5)
+        _, _, diag = _complex_pair_core(z1, zv, np.zeros((4, 0)), tau_pen=0.5)
         if diag["branch"] not in ("hamiltonian", "jacobi"):
             continue
         exercised += 1
@@ -289,31 +330,33 @@ def test_complex_core_rank1_requires_prior_columns():
     # into: must refuse rather than fabricate a column.
     psi1 = np.array([1.0, 1.0j, 0.5]) / np.linalg.norm([1.0, 1.0j, 0.5])
     z1 = np.column_stack([0.9 * psi1, 0.9 * psi1 * (1.0 + 1e-12)])
-    z3 = np.zeros((0, 2), dtype=complex)
-    z4 = np.zeros((0, 2), dtype=complex)
+    zv = np.zeros((0, 2), dtype=complex)
     with pytest.raises(DegenerateStepError):
-        _complex_pair_core(z1, z3, z4, tau_pen=0.3)
+        _complex_pair_core(z1, zv, np.zeros((0, 0)), tau_pen=0.3)
 
 
 def test_complex_core_zero_z1_is_degenerate():
     z1 = np.zeros((4, 2), dtype=complex)
-    z3 = np.zeros((1, 2), dtype=complex)
-    z4 = np.zeros((3, 2), dtype=complex)
+    zv = np.zeros((4, 2), dtype=complex)
     with pytest.raises(DegenerateStepError, match="Z1 vanishes"):
-        _complex_pair_core(z1, z3, z4, tau_pen=0.0)
+        _complex_pair_core(z1, zv, np.eye(4)[:, 2:], tau_pen=0.0)
 
 
 def test_rank1_coefficients_solve_the_quadratic():
     # On a single-input instance the complex step has one usable direction;
     # the quadratic data recorded from the step must satisfy the
-    # stationarity equation 2 H y + h = 0 at the chosen coefficients.
+    # stationarity equation 2 H y + h = 0 at the chosen coefficients.  Its
+    # coefficients range over the whole null space but the top direction:
+    # the d - 1 other mapped columns and the j free directions.
     prob = make_instance(6, 3, 1, 4, trial=0)
     sol, calls = solve_recording(prob, "_complex_pair_core")
+    complex_steps = [s for s in sol.steps if s.kind == "complex"]
     diags = [diag for _, (_, _, diag) in calls]
-    assert [d["branch"] for d in diags] == [s.branch for s in sol.steps if s.kind == "complex"]
-    rank1 = [d for d in diags if d["branch"] == "rank1"]
+    assert [d["branch"] for d in diags] == [s.branch for s in complex_steps]
+    rank1 = [(s, d) for s, d in zip(complex_steps, diags) if d["branch"] == "rank1"]
     assert rank1, "expected at least one rank-1 complex step"
-    for diag in rank1:
+    for step, diag in rank1:
+        assert diag["W"].shape[1] == step.null_dim - 1
         hmat, hvec, y = diag["H"], diag["h"], diag["y"]
         if hmat is None:
             continue
@@ -355,16 +398,24 @@ def test_step_records_hold_scalars_measured_from_the_step():
         finite_steps = sol.steps[1:]
         assert {s.kind for s in finite_steps} == {"real", "complex"}
         assert len(calls) == len(finite_steps)
-        for step, (_, (p_perp, y1, z3, z4)) in zip(finite_steps, calls):
-            assert step.null_dim == y1.shape[1] == z3.shape[1] == z4.shape[1]
+        for step, (args, (y, v)) in zip(finite_steps, calls):
+            p_perp = args[4]
             j = step.j_before
+            # the Householder-updated complement stays orthonormal and
+            # orthogonal to P over every step of an n = 100 solve
+            assert np.linalg.norm(p_perp.T @ p_perp - np.eye(prob.n - j)) <= 1e-13
+            assert np.linalg.norm(sol.P[:, :j].T @ p_perp) <= 1e-13
+            # d mapped columns plus the j free directions
+            assert step.null_dim == y.shape[1] + j
+            assert v.shape == (2 * j, y.shape[1])
             if step.kind == "real":
                 # the unit column [p; v_s; v_t] * scale has P-component scale
                 added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
                 assert step.p_share == pytest.approx(1.0 / (1.0 + added), rel=1e-10)
                 assert step.branch is None and step.rho2 is None
             else:
-                nus = np.linalg.svd(p_perp @ y1, compute_uv=False)
+                # Z1 = [P_perp Y, 0] has the singular values of P_perp Y
+                nus = np.linalg.svd(p_perp @ y, compute_uv=False)
                 assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
                 assert step.nu2 == pytest.approx(nus[1], rel=1e-8, abs=1e-14)
                 assert step.branch in ("rank1", "hamiltonian", "jacobi")

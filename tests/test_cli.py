@@ -160,6 +160,30 @@ def test_verify_overflowing_closed_loop_exit_code(capsys, tmp_path):
     assert "index_ok=false" in out
 
 
+def test_verify_overflowing_closed_loop_prints_no_warning(tmp_path):
+    # The same overflowing loop in a fresh process: the failed verdict goes
+    # to stdout, and stderr stays free of numpy RuntimeWarnings.
+    prob = Problem(
+        E=np.eye(2),
+        A=np.array([[0.0, 1.0], [-2.0, -3.0]]),
+        B=np.array([[1e10], [1.0]]),
+        poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
+        r=2,
+    )
+    prob_path = tmp_path / "problem.txt"
+    prob_path.write_text(serialize_problem(prob))
+    sol_path = tmp_path / "huge.txt"
+    sol_path.write_text(serialize_solution(np.full((1, 2), 1e300), np.zeros((1, 2))))
+    run = subprocess.run(
+        [sys.executable, "-m", "schurpole.cli", "verify", str(prob_path), str(sol_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 3
+    assert "index_ok=false" in run.stdout
+    assert run.stderr == ""
+
+
 def test_verify_rejects_shape_mismatch(capsys, tmp_path, good_problem_file):
     sol_path = tmp_path / "wrong_shape.txt"
     sol_path.write_text(serialize_solution(np.zeros((1, 4)), np.zeros((1, 4))))

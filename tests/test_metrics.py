@@ -422,16 +422,21 @@ def test_verify_feedback_fails_a_closed_loop_without_a_spectrum(case):
     assert not rep.passed
 
 
-@pytest.mark.parametrize("damage", ["S+1e-6*I", "nan-in-P"])
+@pytest.mark.parametrize("damage", ["S+1e-6*I", "nan-in-P", "nan-in-X"])
 def test_verify_solution_fails_on_damaged_factors(damage):
-    # (F, G) stay the solver's, so only the factor residuals can fail.
+    # (F, G) stay the solver's, so only the factor residuals can fail.  A
+    # NaN in X is a failed report too, not a LinAlgError from kappa_F(X).
     prob = make_instance(6, 3, 2, 4, trial=0)
     sol = run_pipeline(prob)
     if damage == "S+1e-6*I":
         bad = dataclasses.replace(sol, S=sol.S + 1e-6 * np.eye(prob.n))
     else:
-        p_mat = sol.P.copy()
-        p_mat[0, 0] = np.nan
-        bad = dataclasses.replace(sol, P=p_mat)
+        name = damage[-1]
+        mat = getattr(sol, name).copy()
+        mat[0, 0] = np.nan
+        bad = dataclasses.replace(sol, **{name: mat})
     assert verify_feedback(prob, bad.F, bad.G).passed
-    assert not verify_solution(prob, bad).passed
+    rep = verify_solution(prob, bad)
+    assert not rep.passed
+    if damage == "nan-in-X":
+        assert math.isnan(rep.kappa_x_gf)
