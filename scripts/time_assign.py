@@ -14,11 +14,13 @@ per draw runs under ``tracemalloc``, and the median of its peak traced
 allocation is recorded: the memory a solve holds at once, its returned
 ``Solution`` included.  A least-squares line through (log n, log median)
 gives the growth exponent of each stage.  The numpy/scipy versions, their
-BLAS build, the BLAS thread variables and the CPU count are recorded with
-the timings.
+BLAS build, the BLAS thread variables, the thread count of each OpenBLAS
+that numpy and scipy bundle, and the CPU count are recorded with the
+timings.  ``validate_problem``, ``run_pipeline`` and ``verify_solution``
+run on one BLAS thread whatever those counts are; generation uses them.
 
-Example (the committed file was written with one BLAS thread):
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
+Example (the committed file was written with the default BLAS threads):
+    PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import scipy
 
 import schurpole.assign as assign
 from schurpole import BenchConfig, generate_random_instance, validate_problem, verify_solution
+from schurpole.linalg import openblas_threads
 
 STAGES = ("generate_random_instance", "validate_problem", "run_pipeline", "verify_solution")
 
@@ -136,6 +139,7 @@ def environment() -> dict:
         "blas_thread_env": {
             k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         },
+        "openblas_threads": openblas_threads(),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
     }

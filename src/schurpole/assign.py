@@ -15,8 +15,10 @@ at a time.  Each step solves a structured null-space problem in the
 orthogonal complement of the columns accepted so far: the new column p
 and the coefficient columns (v_s, v_t) it adds to (S, T) satisfy
 Q2^T K p + Xi (c_s v_s + c_t v_t) = 0 for the pencil K shifted to the
-pole.  Only an (n-m) x n matrix is factorized per step; the j solutions
-with p = 0 that the coefficients add are written down in closed form.
+pole.  Only an (n-m) x n matrix is factorized per step, formed in
+O(n (n-j)) from Q2^T E P_perp and Q2^T A P_perp, which the state keeps;
+the j solutions with p = 0 that the coefficients add are written down in
+closed form.
 The free coefficients are chosen to keep the off-diagonal mass of (S, T)
 small, so the closed-loop pencil stays close to a normal pair and the
 assigned spectrum is insensitive to perturbations.  Once all n columns
@@ -53,6 +55,7 @@ from .linalg import (
     numerical_rank,
     orthonormal_null_basis,
     qr_decompose,
+    serial_blas,
     sym_eig,
 )
 from .poles import PoleKind, PolePair
@@ -121,14 +124,15 @@ class Parametrization:
 class AssignState:
     """Partially grown factors after j assigned columns.
 
-    ``P_perp`` is an orthonormal basis of the complement of range(P), kept
-    up to date by one Householder reflection per new column.
+    ``perp`` stacks an orthonormal basis P_perp of the complement of
+    range(P) over Q2^T E P_perp and Q2^T A P_perp, an (n + 2(n-m)) x (n-j)
+    array kept up to date by one Householder reflection per new column.
     """
 
     n: int
     m: int
     P: np.ndarray
-    P_perp: np.ndarray
+    perp: np.ndarray
     Xi: np.ndarray
     S: np.ndarray
     T: np.ndarray
@@ -137,6 +141,20 @@ class AssignState:
     @property
     def j(self) -> int:
         return self.P.shape[1]
+
+    @property
+    def P_perp(self) -> np.ndarray:
+        return self.perp[: self.n]
+
+    @property
+    def EP_perp(self) -> np.ndarray:
+        """Q2^T E P_perp."""
+        return self.perp[self.n : 2 * self.n - self.m]
+
+    @property
+    def AP_perp(self) -> np.ndarray:
+        """Q2^T A P_perp."""
+        return self.perp[2 * self.n - self.m :]
 
 
 @dataclass(eq=False)
@@ -161,7 +179,7 @@ def compute_parametrization(b) -> Parametrization:
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or b.shape[1] < 1 or b.shape[0] < b.shape[1]:
         raise ValueError(f"B must be n x m with 1 <= m <= n, got {b.shape}")
-    if numerical_rank(b).rank != b.shape[1]:
+    if numerical_rank(b) != b.shape[1]:
         raise ValueError("B must have full column rank")
     q, r = qr_decompose(b)
     m = b.shape[1]
@@ -194,18 +212,20 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _complement_after(p_perp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of range(P) once the unit column
-    p, taken from range(``p_perp``), has joined P.
+def _complement_after(perp: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
+    """``AssignState.perp`` once the unit column p, taken from the range of
+    P_perp = perp[:n], has joined P.
 
-    The Householder reflection H that maps p's coordinates y = p_perp^T p
-    onto the first axis makes p_perp H = [+-p, rest]; ``rest`` spans what
-    is left.  That costs O(n (n - j)), against a complete QR of P per step.
+    The Householder reflection H that maps p's coordinates y = P_perp^T p
+    onto the first axis makes P_perp H = [+-p, rest]; ``rest`` spans what
+    is left, and the same columns of perp H carry Q2^T E rest and
+    Q2^T A rest.  That costs O(n (n - j)), against a complete QR of P and
+    two products with P_perp per step.
     """
-    y = p_perp.T @ p
+    y = perp[:n].T @ p
     v = y.copy()
     v[0] += math.copysign(float(np.linalg.norm(y)), y[0])
-    return p_perp[:, 1:] - np.outer(p_perp @ v, (2.0 / float(v @ v)) * v[1:])
+    return perp[:, 1:] - np.outer(perp @ v, (2.0 / float(v @ v)) * v[1:])
 
 
 def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState:
@@ -220,56 +240,63 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
     n, m = par.n, par.m
     if not 0 <= count <= n:
         raise ValueError(f"infinite pole count {count} outside [0, {n}]")
-    a = np.asarray(a, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    z = orthonormal_null_basis(par.q2.T @ e)
+    q2t_e = par.q2.T @ np.asarray(e, dtype=np.float64)
+    q2t_a = par.q2.T @ np.asarray(a, dtype=np.float64)
+    z = orthonormal_null_basis(q2t_e)
     if z.shape[1] < count:
         raise DegenerateStepError(
             f"null space of Q2^T E has dimension {z.shape[1]} < {count}; "
-            "too many infinite poles requested for this system"
+            "too many infinite poles requested for this system",
+            step="infinite-block",
+            null_dim=z.shape[1],
+            needed=count,
         )
     p = z[:, :count].copy()
     p_perp = np.linalg.qr(p, mode="complete")[0][:, count:]
-    xi = par.q2.T @ (a @ p)
+    perp = np.vstack([p_perp, q2t_e @ p_perp, q2t_a @ p_perp])
     steps = (StepRecord("infinite-block", 0, z.shape[1]),)
-    return AssignState(n, m, p, p_perp, xi, np.eye(count), np.zeros((count, count)), steps)
+    return AssignState(n, m, p, perp, q2t_a @ p, np.eye(count), np.zeros((count, count)), steps)
 
 
-def _step_null_basis(kq, xi, c_s, c_t, p_perp, m, what):
+def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
     """Orthonormal basis of the part of a step's solutions that depends on
     the data.
 
     A step's solutions are the (p, v_s, v_t) with
-    kq p + Xi (c_s v_s + c_t v_t) = 0 and p orthogonal to the accepted
-    columns P; ``kq`` is Q2^T K for the step's shifted pencil K.  Writing
-    p = P_perp y, for ``p_perp`` an orthonormal basis of the complement of
-    range(P) (the complement bookkeeping of Kautsky, Nichols & Van Dooren,
-    Int. J. Control 41, 1985), and rotating (v_s, v_t) by the unitary
-    (1/c) [[c_s, c_t], [-conj(c_t), conj(c_s)]], c = sqrt(|c_s|^2 + |c_t|^2),
-    splits them into an orthogonal sum:
+    Q2^T K p + Xi (c_s v_s + c_t v_t) = 0 and p orthogonal to the accepted
+    columns P, for the step's shifted pencil K = -(c_s A + c_t E).  Writing
+    p = P_perp y, for P_perp the state's orthonormal basis of the
+    complement of range(P) (the complement bookkeeping of Kautsky, Nichols
+    & Van Dooren, Int. J. Control 41, 1985), the constraint reads
+    kp y + Xi (c_s v_s + c_t v_t) = 0 with ``kp`` = Q2^T K P_perp.  Rotating
+    (v_s, v_t) by the unitary (1/c) [[c_s, c_t], [-conj(c_t), conj(c_s)]],
+    c = sqrt(|c_s|^2 + |c_t|^2), splits the solutions into an orthogonal
+    sum:
 
     * (y, conj(c_s) u / c, conj(c_t) u / c) for (y, u) in the null space of
-      the (n-m) x n matrix [kq P_perp, c Xi], which has d >= m dimensions;
+      the (n-m) x n matrix [kp, c Xi], which has d >= m dimensions;
     * (0, c_t w / c, -c_s w / c) for every w in C^j, the j directions of
       :func:`_free_directions`, which need no factorization.
 
     Returns (Y, V): Y holds the y-rows and V the stacked (v_s; v_t) rows of
     the first part's d orthonormal columns.  P_perp is an isometry, so
     (P_perp Y; V) is orthonormal, and with the free directions it spans the
-    null space of the stacked [kq, c_s Xi, c_t Xi; P^T, 0, 0].
+    null space of the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
     """
     # The null space has dimension m + j generically; it is larger when
-    # [kq P_perp, c Xi] is rank deficient, which only adds freedom.  A
-    # smaller dimension means the instance violates the full-row-rank
-    # condition required for assignment.
-    n, k = p_perp.shape
-    j = n - k
+    # [kp, c Xi] is rank deficient, which only adds freedom.  A smaller
+    # dimension means the instance violates the full-row-rank condition
+    # required for assignment.
+    k = kp.shape[1]
+    j, m = state.j, state.m
     c = math.hypot(abs(c_s), abs(c_t))
-    z = orthonormal_null_basis(np.hstack([kq @ p_perp, c * xi]))
+    z = orthonormal_null_basis(np.hstack([kp, c * state.Xi]))
     if z.shape[1] < m:
         raise DegenerateStepError(
             f"{what}: constraint matrix null space has dimension "
-            f"{z.shape[1] + j} < {m + j}; the instance is not assignable here"
+            f"{z.shape[1] + j} < {m + j}; the instance is not assignable here",
+            null_dim=z.shape[1] + j,
+            needed=m + j,
         )
     u = z[k:]
     return z[:k], np.vstack([(np.conj(c_s) / c) * u, (np.conj(c_t) / c) * u])
@@ -305,12 +332,12 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     xi = state.Xi
     if abs(eps1) >= abs(eps2):
         ratio = eps2 / eps1
-        kq, c_s, c_t = q2t @ (e - ratio * a), ratio, -1.0
+        kp, c_s, c_t = state.EP_perp - ratio * state.AP_perp, ratio, -1.0
     else:
         ratio = eps1 / eps2
-        kq, c_s, c_t = q2t @ (a - ratio * e), -1.0, ratio
+        kp, c_s, c_t = state.AP_perp - ratio * state.EP_perp, -1.0, ratio
     p_perp = state.P_perp
-    y, v = _step_null_basis(kq, xi, c_s, c_t, p_perp, m, "real-pole step")
+    y, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
     # reached on the d mapped columns alone.
@@ -334,7 +361,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
         n,
         m,
         np.hstack([state.P, p_new[:, None]]),
-        _complement_after(p_perp, p_new),
+        _complement_after(state.perp, n, p_new),
         np.hstack([xi, xi_new[:, None]]),
         _grown(state.S, v_s[:, None], np.array([[eps1]])),
         _grown(state.T, v_t[:, None], np.array([[eps2]])),
@@ -542,11 +569,11 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     q2t = par.q2.T
     xi = state.Xi
     if alpha_dom:
-        kq, c_s, c_t = q2t @ (e - gamma * a), gamma, -1.0
+        kp, c_s, c_t = state.EP_perp - gamma * state.AP_perp, gamma, -1.0
     else:
-        kq, c_s, c_t = q2t @ (a - gamma * e), -1.0, gamma
+        kp, c_s, c_t = state.AP_perp - gamma * state.EP_perp, -1.0, gamma
     p_perp = state.P_perp
-    y, v = _step_null_basis(kq, xi, c_s, c_t, p_perp, m, "complex-pair step")
+    y, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
 
     pc, vc, diag = _complex_pair_core(y, v, _free_directions(c_s, c_t, j), tau)
     pc = p_perp @ pc
@@ -585,7 +612,7 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
         n,
         m,
         np.hstack([state.P, p1[:, None], p2[:, None]]),
-        _complement_after(_complement_after(p_perp, p1), p2),
+        _complement_after(_complement_after(state.perp, n, p1), n, p2),
         np.hstack([xi, xi1[:, None], xi2[:, None]]),
         _grown(state.S, v_s, block_s),
         _grown(state.T, v_t, block_t),
@@ -604,7 +631,7 @@ def complete_X(par: Parametrization, xi) -> np.ndarray:
     if xi.shape != (n - m, n):
         raise ValueError(f"Xi must be (n-m) x n = {(n - m, n)}, got {xi.shape}")
     if n > m:
-        if numerical_rank(xi).rank != n - m:
+        if numerical_rank(xi) != n - m:
             raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
         qx, _ = qr_decompose(xi.T)
         y = qx[:, n - m :].T
@@ -627,12 +654,17 @@ def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray
     return f, g
 
 
+@serial_blas()
 def run_pipeline(problem) -> Solution:
     """Assign the requested spectrum of ``problem`` and return (F, G) with
     all factors.
 
     The infinite block comes first, then the finite real poles in ascending
-    order, then the complex pairs in input order.
+    order, then the complex pairs in input order.  A step that fails raises
+    DegenerateStepError with its ``step`` kind and ``pole_index`` (1-based,
+    in that order) set.  The solve runs on one BLAS thread
+    (:func:`~schurpole.linalg.serial_blas`), so its answer does not depend
+    on the caller's thread counts.
     """
     par = compute_parametrization(problem.B)
     a, e = problem.A, problem.E
@@ -644,14 +676,18 @@ def run_pipeline(problem) -> Solution:
     cplx = [p for p in problem.finite_poles if p.kind is PoleKind.FINITE_COMPLEX]
     state = assign_infinite_block(a, e, par, n - r)
     queue = reals + cplx
-    for idx, pole in enumerate(queue):
+    for idx, pole in enumerate(queue, start=1):
+        is_pair = pole.kind is PoleKind.FINITE_COMPLEX
         try:
-            if pole.kind is PoleKind.FINITE_COMPLEX:
-                state = assign_complex_pair(state, pole, a, e, par)
-            else:
-                state = assign_real_pole(state, pole, a, e, par)
+            state = (assign_complex_pair if is_pair else assign_real_pole)(state, pole, a, e, par)
         except DegenerateStepError as exc:
-            raise DegenerateStepError(f"{exc} (while assigning pole {idx + 1} of {len(queue)})") from None
+            raise DegenerateStepError(
+                f"{exc} (while assigning pole {idx} of {len(queue)})",
+                step="complex" if is_pair else "real",
+                pole_index=idx,
+                null_dim=exc.null_dim,
+                needed=exc.needed,
+            ) from None
     if state.j != n:
         raise DegenerateStepError(f"assignment finished with {state.j} columns, expected {n}")
     x = complete_X(par, state.Xi)

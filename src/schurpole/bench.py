@@ -127,11 +127,11 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
         k = n - cfg.rank_e
         re_[:k, :k] = 0.0
         e = qe @ re_ @ qe.T
-        if numerical_rank(e).rank != cfg.rank_e:
+        if numerical_rank(e) != cfg.rank_e:
             continue
-        if numerical_rank(b).rank != m:
+        if numerical_rank(b) != m:
             continue
-        if numerical_rank(np.hstack([e, b])).rank != cfg.q:
+        if numerical_rank(np.hstack([e, b])) != cfg.q:
             continue
         if r > 0:
             try:

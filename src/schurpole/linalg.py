@@ -9,30 +9,56 @@ are pinned here so downstream computations are reproducible run to run:
   eigenvector positive.
 * ``orthonormal_null_basis``: on square and tall input, the trailing right
   singular vectors in order; on wide input, the null directions of the
-  square triangular factor of a complete QR of the conjugate transpose,
-  followed by that QR's trailing columns.
+  square triangular factor of a QR of the conjugate transpose, followed by
+  that QR's trailing orthogonal columns.  The orthogonal factor is applied
+  in its Householder form (LAPACK ``?ormqr``/``?unmqr``) and never formed.
+
+``serial_blas`` runs a computation on one OpenBLAS thread, in numpy's and
+scipy's OpenBLAS alike.  The package's entry points (``run_pipeline``,
+``validate_problem``, ``verify_solution``) run inside it, so their results
+do not depend on the caller's thread counts, and scipy's LAPACK calls do
+not contend with numpy's BLAS threads for the cores.
 
 All routines reject matrices containing NaN or infinity.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 
 __all__ = [
-    "RankDecision",
     "qr_decompose",
     "orthonormal_null_basis",
     "numerical_rank",
+    "openblas_threads",
+    "serial_blas",
     "sym_eig",
     "jacobi_orthogonalize",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Margin of the full-rank certificate in orthonormal_null_basis.  A
+# triangular inverse X computed by LAPACK's ?trtri satisfies
+# X R = I + F with ||F||_F <= c_k eps ||X||_F ||R||_F, c_k of the order
+# of k, the order of R (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., Sect. 14.2).  Hence
+# ||R^{-1}||_F <= ||X||_F / (1 - c_k eps ||X||_F ||R||_F).  When
+# 1/||X||_F > margin * max(shape) * eps * ||R||_F, with k <= max(shape),
+# the denominator exceeds 1 - c_k/(k margin), so sigma_min(R) >=
+# 1/||R^{-1}||_F exceeds the rank cutoff max(shape) * eps * sigma_max(R)
+# by about the margin: the SVD would find full rank too, with room for its
+# own rounding.  1e3 keeps that room at three decades while leaving the
+# SVD to every R within three decades of the cutoff.
+_FULL_RANK_MARGIN = 1e3
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -44,25 +70,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-@dataclass(eq=False)
-class RankDecision:
-    """Outcome of a numerical rank determination.
-
-    Attributes
-    ----------
-    rank : int
-        Number of singular values above ``tolerance``.
-    tolerance : float
-        Absolute singular-value cutoff that was applied.
-    singular_values : np.ndarray
-        All singular values, descending.
-    """
-
-    rank: int
-    tolerance: float
-    singular_values: np.ndarray
 
 
 def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -88,21 +95,31 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _rank_from_singular_values(s: np.ndarray, shape) -> tuple[int, float]:
+def _rank_from_singular_values(s: np.ndarray, shape) -> int:
+    """Count of singular values above max(shape) * eps * sigma_max."""
     if s.size == 0:
-        return 0, 0.0
-    tol = max(shape) * _EPS * float(s[0])
-    return int(np.count_nonzero(s > tol)), tol
+        return 0
+    return int(np.count_nonzero(s > max(shape) * _EPS * float(s[0])))
 
 
-def numerical_rank(m) -> RankDecision:
+def numerical_rank(m) -> int:
     """Numerical rank of ``m`` at the cutoff max(rows, cols) * eps * sigma_max."""
     a = _as_matrix(m)
     if a.size == 0:
-        return RankDecision(0, 0.0, np.zeros(0))
-    s = np.linalg.svd(a, compute_uv=False)
-    rank, used = _rank_from_singular_values(s, a.shape)
-    return RankDecision(rank, used, s)
+        return 0
+    return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
+
+
+def _certified_full_rank(r: np.ndarray, shape) -> bool:
+    """True when the square triangular ``r`` provably has all its singular
+    values above the rank cutoff of a matrix of ``shape`` (the bound behind
+    ``_FULL_RANK_MARGIN``); False leaves the decision to the SVD."""
+    (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (r,))
+    inv, info = trtri(r)
+    if info != 0:
+        return False
+    cutoff = max(shape) * _EPS * float(np.linalg.norm(r))
+    return 1.0 / float(np.linalg.norm(inv)) > _FULL_RANK_MARGIN * cutoff
 
 
 def orthonormal_null_basis(m) -> np.ndarray:
@@ -112,10 +129,15 @@ def orthonormal_null_basis(m) -> np.ndarray:
     singular values of ``m`` above max(rows, cols) * eps * sigma_max.
     Square and tall inputs take a full SVD and return the trailing right
     singular vectors, in order.  A wide input M (rows < cols) takes one
-    complete QR, M^H = Q [R; 0] with Q = [Q1 Q2], and the singular values
-    of the square R, which are M's.  Q2 spans the generic cols - rows null
-    directions; when M has less than full row rank, the extra ones,
-    Q1 U_R[:, rank:] for R = U_R S V_R^H, come first.  The result is
+    Householder QR, M^H = Q [R; 0] with Q = [Q1 Q2], and R has M's
+    singular values.  Q2 spans the generic cols - rows null directions;
+    when M has less than full row rank, the extra ones, Q1 U_R[:, rank:]
+    for R = U_R S V_R^H, come first.  Those columns are Q applied to
+    [0; I], or to [U_R[:, rank:], 0; 0, I], through the stored reflectors:
+    O(rows cols (cols - rank)) work; Q itself is never formed.  Full row rank
+    is certified from the triangular inverse of R when
+    1/||R^{-1}||_F > 1e3 * max(rows, cols) * eps * ||R||_F (see
+    ``_FULL_RANK_MARGIN``); otherwise R's SVD decides.  The result is
     reproducible for identical inputs, but which orthonormal basis of the
     null space it is remains a convention.
     """
@@ -127,15 +149,71 @@ def orthonormal_null_basis(m) -> np.ndarray:
         return np.eye(cols, dtype=a.dtype)
     if rows >= cols:
         _, s, vh = np.linalg.svd(a, full_matrices=True)
-        rank, _ = _rank_from_singular_values(s, a.shape)
-        return vh[rank:].conj().T.copy()
-    q, r = np.linalg.qr(a.conj().T, mode="complete")
-    r = r[:rows]
-    rank, _ = _rank_from_singular_values(np.linalg.svd(r, compute_uv=False), a.shape)
-    if rank == rows:
-        return q[:, rows:].copy()
-    u_r = np.linalg.svd(r)[0]
-    return np.hstack([q[:, :rows] @ u_r[:, rank:], q[:, rows:]])
+        return vh[_rank_from_singular_values(s, a.shape) :].conj().T.copy()
+    (qr, tau), r = scipy.linalg.qr(a.conj().T, mode="raw", check_finite=False)
+    rank = rows
+    if not _certified_full_rank(r, a.shape):
+        u_r, s, _ = np.linalg.svd(r)
+        rank = _rank_from_singular_values(s, a.shape)
+    c = np.zeros((cols, cols - rank), dtype=qr.dtype, order="F")
+    c[rows:, rows - rank :] = np.eye(cols - rows)
+    if rank < rows:
+        c[:rows, : rows - rank] = u_r[:, rank:]
+    (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (qr,))
+    lwork = int(ormqr("L", "N", qr, tau, c, -1)[1][0].real)
+    out, _, info = ormqr("L", "N", qr, tau, c, max(lwork, 1), overwrite_c=1)
+    if info != 0:
+        raise ValueError(f"LAPACK ?ormqr failed (info={info})")
+    return out
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[str, object, object], ...]:
+    """(library name, get, set) of the thread count of each OpenBLAS that
+    numpy's and scipy's wheels bundle, found by their exported
+    ``scipy_openblas_{get,set}_num_threads[64_]``; empty for other builds."""
+    controls = []
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((f"{pkg.__name__}.libs/{path.name}", get, set_))
+                break
+    return tuple(controls)
+
+
+def openblas_threads() -> dict[str, int]:
+    """Current thread count of each OpenBLAS that numpy and scipy bundle,
+    keyed by library file; empty when neither bundles one."""
+    return {name: get() for name, get, _ in _openblas_thread_controls()}
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the enclosed code with every bundled OpenBLAS on one thread.
+
+    The previous counts are restored on exit, so nested use is safe, and
+    the context manager also works as a decorator.  Without a bundled
+    OpenBLAS it does nothing.  The counts are process-wide: code running
+    in other threads meanwhile runs serial too.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for _, get, _ in controls]
+    for _, _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, _, set_), count in zip(controls, saved):
+            set_(count)
 
 
 def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:

@@ -30,6 +30,7 @@ from scipy.linalg import eig
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SingularPencilError
+from .linalg import serial_blas
 from .poles import PolePair, count_infinite, expand_to_values
 
 __all__ = [
@@ -63,12 +64,25 @@ _SINGULAR_CUTOFF = 100.0
 _FACTOR_TOL = 1e-8
 
 
+def _frobenius_norm(mat: np.ndarray) -> float:
+    """||mat||_F; where the plain sum of squares overflows, the norm of
+    mat / max|mat_ij| times that maximum."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(mat))
+    if math.isinf(norm):
+        big = float(np.max(np.abs(mat)))
+        norm = big * float(np.linalg.norm(mat / big))
+    return norm
+
+
 def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
 
     One QZ call (``scipy.linalg.eig``, LAPACK ``*ggev``) on the scaled
     pencil (A_c/||A_c||_F, E_c/||E_c||_F) returns homogeneous pairs
-    (alpha, beta) with lambda = alpha/beta * ||A_c||_F/||E_c||_F.  Infinite
+    (alpha, beta) with lambda = alpha/beta * ||A_c||_F/||E_c||_F.  A norm
+    whose plain sum of squares overflows is taken with a scaled sum, so
+    the scaled pencil keeps unit norm there too.  Infinite
     poles come first, then the finite ones sorted by (real, imag); a
     complex conjugate couple is returned once, with positive imaginary
     part.
@@ -103,8 +117,8 @@ def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     if a_c.ndim != 2 or a_c.shape[0] != a_c.shape[1] or a_c.shape != e_c.shape:
         raise ValueError("oracle needs two square matrices of equal shape")
     n = a_c.shape[0]
-    norm_a = float(np.linalg.norm(a_c)) or 1.0
-    norm_e = float(np.linalg.norm(e_c)) or 1.0
+    norm_a = _frobenius_norm(a_c) or 1.0
+    norm_e = _frobenius_norm(e_c) or 1.0
     out = eig(a_c / norm_a, e_c / norm_e, right=vectors, homogeneous_eigvals=True)
     (alpha, beta), vr = out if vectors else (out, None)
     negligible = _SINGULAR_CUTOFF * n * np.finfo(np.float64).eps
@@ -383,11 +397,13 @@ def verify_feedback(problem, f, g) -> Report:
     )
 
 
+@serial_blas()
 @np.errstate(over="ignore", invalid="ignore")
 def verify_solution(problem, sol) -> Report:
     """Verify a pipeline solution: :func:`verify_feedback` on (F, G), plus
     the residuals of the factors (A+BF)P = XS, (E+BG)P = XT and P^T P = I,
-    each of which must be at most ``_FACTOR_TOL`` (a NaN fails)."""
+    each of which must be at most ``_FACTOR_TOL`` (a NaN fails).  Runs on
+    one BLAS thread (:func:`~schurpole.linalg.serial_blas`)."""
     rep = verify_feedback(problem, sol.F, sol.G)
     scale = max(
         float(np.linalg.norm(problem.A) + np.linalg.norm(problem.E) + np.linalg.norm(sol.X)), 1.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SingularPencilError
-from .linalg import numerical_rank, orthonormal_null_basis
+from .linalg import numerical_rank, orthonormal_null_basis, serial_blas
 from .metrics import generalized_eig_oracle
 from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
@@ -285,6 +285,7 @@ def serialize_solution(f, g) -> str:
     return "\n".join(out) + "\n"
 
 
+@serial_blas()
 def validate_problem(p: Problem) -> ValidationReport:
     """Feasibility checks for an assignment instance.
 
@@ -294,18 +295,19 @@ def validate_problem(p: Problem) -> ValidationReport:
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
     every open-loop eigenvalue that (d) does not count as infinite and at
     8 fixed pseudo-random complex values.  Requested poles of multiplicity
-    above m are recorded as warnings.
+    above m are recorded as warnings.  Runs on one BLAS thread
+    (:func:`~schurpole.linalg.serial_blas`).
     """
     n, m, r = p.n, p.m, p.r
     checks: list[CheckResult] = []
     warnings: list[str] = []
 
-    b_rank = numerical_rank(p.B).rank
+    b_rank = numerical_rank(p.B)
     checks.append(
         CheckResult("b-full-column-rank", b_rank == m, f"rank(B)={b_rank}, m={m}")
     )
 
-    q = numerical_rank(np.hstack([p.E, p.B])).rank
+    q = numerical_rank(np.hstack([p.E, p.B]))
     checks.append(
         CheckResult(
             "finite-pole-count-bound",
@@ -317,7 +319,7 @@ def validate_problem(p: Problem) -> ValidationReport:
 
     n_inf = orthonormal_null_basis(p.E)
     stacked = np.hstack([p.E, p.A @ n_inf, p.B])
-    d_rank = numerical_rank(stacked).rank
+    d_rank = numerical_rank(stacked)
     checks.append(
         CheckResult(
             "infinite-pole-controllability",
@@ -353,7 +355,7 @@ def validate_problem(p: Problem) -> ValidationReport:
         # eigenvalues, where lam*E - A would drown B under the tolerance.
         scale = np.hypot(abs(a), abs(b))
         mat = np.hstack([(a / scale) * p.E - (b / scale) * p.A, p.B.astype(complex)])
-        rk = numerical_rank(mat).rank
+        rk = numerical_rank(mat)
         if rk != n:
             ok = False
             lam = f"{a / b:g}" if b else "inf"

@@ -104,7 +104,7 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
     # Its basis is the d mapped columns (P-part P_perp Y) and the j free
     # directions, whose P-part is zero.
     for step, (args, (y, _)) in zip(finite_steps, bases):
-        p_perp = args[4]
+        p_perp = args[0].P_perp
         j = step.j_before
         width = y.shape[1] + j
         if step.kind == "real":

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurpole.assign as assign_module
-from schurpole import DegenerateStepError, PolePair, Problem, run_pipeline, verify_solution
+from schurpole import DegenerateStepError, PoleKind, PolePair, Problem, run_pipeline, verify_solution
 from schurpole.assign import (
     _complex_pair_core,
     assign_infinite_block,
@@ -20,7 +20,7 @@ from schurpole.assign import (
     d_delta_block,
 )
 
-from conftest import make_instance, rng_matrix, solve_recording
+from conftest import make_instance, rng_matrix, solve_recording, unsolvable_instance
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -87,8 +87,17 @@ def test_infinite_block_zero_count_is_empty():
 # step null space in the complement of P
 
 
-def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, p_perp, m, p_mat, out, extra=0):
+def _reference_kq(prob, c_s, c_t):
+    """Q2^T K for a step's shifted pencil K = -(c_s A + c_t E), built from
+    the problem data alone (the solver keeps Q2^T E P_perp and Q2^T A P_perp
+    instead and forms each step's Q2^T K P_perp from those)."""
+    q2 = compute_parametrization(prob.B).q2
+    return -(q2.T @ (c_s * prob.A + c_t * prob.E))
+
+
+def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, state, out, extra=0):
     y, v = out
+    p_mat, p_perp, m = state.P, state.P_perp, state.m
     n, j = p_mat.shape
     # the state's complement basis is orthonormal and orthogonal to P
     assert p_perp.shape == (n, n - j)
@@ -109,9 +118,23 @@ def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, p_perp, m, p_mat, out, ex
 
 
 def _recorded_steps(prob):
-    """(args, P before the step, result) of every ``_step_null_basis`` call."""
+    """(args, result, reference Q2^T K) of every ``_step_null_basis`` call,
+    after checking that the step's coefficients carry the pole its block
+    of (S, T) holds: lambda = -c_t / c_s."""
     sol, calls = solve_recording(prob, "_step_null_basis")
-    return [(args, sol.P[:, : prob.n - args[4].shape[1]], out) for args, out in calls]
+    steps = []
+    for args, out in calls:
+        state, kp, c_s, c_t, _ = args
+        j = state.j
+        width = 2 if np.iscomplexobj(kp) else 1
+        blk = slice(j, j + width)
+        lams = scipy.linalg.eigvals(sol.S[blk, blk], sol.T[blk, blk])
+        assert np.min(np.abs(lams - (-c_t / c_s))) <= 1e-12 * max(1.0, abs(c_t / c_s))
+        kq = _reference_kq(prob, c_s, c_t)
+        # the hoisted Q2^T K P_perp agrees with the product formed afresh
+        assert np.linalg.norm(kp - kq @ state.P_perp) <= 1e-12 * max(1.0, np.linalg.norm(kq))
+        steps.append((args, out, kq))
+    return steps
 
 
 def test_step_null_basis_spans_the_stacked_null_space():
@@ -123,33 +146,33 @@ def test_step_null_basis_spans_the_stacked_null_space():
         make_instance(30, 15, 2, 17),
     )
     for prob in cases:
-        for args, p_mat, out in _recorded_steps(prob):
-            kq, what = args[0], args[-1]
-            kinds.add((what, np.iscomplexobj(kq), p_mat.shape[1] > 0))
-            _assert_spans_stacked_null_space(*args[:-1], p_mat, out)
+        for (state, kp, c_s, c_t, what), out, kq in _recorded_steps(prob):
+            kinds.add((what, np.iscomplexobj(kp), state.j > 0))
+            _assert_spans_stacked_null_space(kq, state.Xi, c_s, c_t, state, out)
     assert {(w, c) for w, c, _ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
     assert {first for *_, first in kinds} == {False, True}
 
 
 def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
     prob = make_instance(30, 15, 2, 17)
-    last_of_kind = {args[-1]: (args, p_mat) for args, p_mat, _ in _recorded_steps(prob)}
+    last_of_kind = {args[-1]: (args, kq) for args, _, kq in _recorded_steps(prob)}
     assert set(last_of_kind) == {"real-pole step", "complex-pair step"}
-    for (kq, xi, c_s, c_t, p_perp, m, what), p_mat in last_of_kind.values():
-        n, j = p_mat.shape
+    for (state, _, c_s, c_t, what), kq in last_of_kind.values():
+        n, j, m = state.n, state.j, state.m
+        xi = state.Xi
         # a repeated row leaves the constraint rank deficient: one more
         # null direction, which the step must keep
-        deficient = (np.vstack([kq[:-1], kq[:1]]), np.vstack([xi[:-1], xi[:1]]))
-        out = assign_module._step_null_basis(*deficient, c_s, c_t, p_perp, m, what)
-        _assert_spans_stacked_null_space(*deficient, c_s, c_t, p_perp, m, p_mat, out, extra=1)
+        kq_def, xi_def = np.vstack([kq[:-1], kq[:1]]), np.vstack([xi[:-1], xi[:1]])
+        deficient = dataclasses.replace(state, Xi=xi_def)
+        out = assign_module._step_null_basis(deficient, kq_def @ state.P_perp, c_s, c_t, what)
+        _assert_spans_stacked_null_space(kq_def, xi_def, c_s, c_t, state, out, extra=1)
         # one independent row too many leaves fewer than m + j directions
         rng = np.random.default_rng(j)
-        more = (
-            np.vstack([kq, rng.standard_normal((1, n)).astype(kq.dtype)]),
-            np.vstack([xi, rng.standard_normal((1, j))]),
-        )
-        with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension"):
-            assign_module._step_null_basis(*more, c_s, c_t, p_perp, m, what)
+        kq_more = np.vstack([kq, rng.standard_normal((1, n)).astype(kq.dtype)])
+        more = dataclasses.replace(state, Xi=np.vstack([xi, rng.standard_normal((1, j))]))
+        with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension") as err:
+            assign_module._step_null_basis(more, kq_more @ state.P_perp, c_s, c_t, what)
+        assert (err.value.null_dim, err.value.needed) == (m + j - 1, m + j)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +244,29 @@ def test_pipeline_invariants_random(seed, shape):
     assert np.linalg.norm(sol.P.T @ sol.P - np.eye(n)) <= 1e-12 * n
     assert sol.F.shape == (m, n) and sol.G.shape == (m, n)
     assert np.all(np.isfinite(sol.F)) and np.all(np.isfinite(sol.G))
+
+
+def test_degenerate_step_error_names_the_failing_step():
+    prob = unsolvable_instance()
+    with pytest.raises(DegenerateStepError) as err:
+        run_pipeline(prob)
+    exc = err.value
+    # poles are processed reals first (ascending), then complex pairs
+    queue = sorted((p for p in prob.finite_poles if p.kind is PoleKind.FINITE_REAL), key=lambda p: p.value.real)
+    queue += [p for p in prob.finite_poles if p.kind is PoleKind.FINITE_COMPLEX]
+    assert f"(while assigning pole {exc.pole_index} of {len(queue)})" in str(exc)
+    kind = "complex" if queue[exc.pole_index - 1].kind is PoleKind.FINITE_COMPLEX else "real"
+    assert exc.step == kind == "complex"
+    # its null space had the m + j directions a step needs; the direction
+    # matrix Z1 vanished, so no dimension is reported as short
+    assert "Z1 vanishes" in str(exc)
+    assert exc.null_dim is None and exc.needed is None
+    # the infinite block reports the dimension it found and the one asked
+    small = make_instance(6, 2, 2, 2)
+    par = compute_parametrization(small.B)
+    with pytest.raises(DegenerateStepError, match="too many infinite poles") as err:
+        assign_infinite_block(small.A, small.E, par, 6)
+    assert (err.value.step, err.value.null_dim, err.value.needed) == ("infinite-block", 4, 6)
 
 
 @pytest.mark.parametrize(
@@ -399,7 +445,7 @@ def test_step_records_hold_scalars_measured_from_the_step():
         assert {s.kind for s in finite_steps} == {"real", "complex"}
         assert len(calls) == len(finite_steps)
         for step, (args, (y, v)) in zip(finite_steps, calls):
-            p_perp = args[4]
+            p_perp = args[0].P_perp
             j = step.j_before
             # the Householder-updated complement stays orthonormal and
             # orthogonal to P over every step of an n = 100 solve

@@ -28,8 +28,8 @@ def test_generated_instance_structure():
     cfg = BenchConfig(n=6, rank_e=3, m=2, trials=5, seed=0)
     prob = generate_random_instance(cfg, r=4, trial=2)
     assert prob.n == 6 and prob.m == 2 and prob.r == 4
-    assert numerical_rank(prob.E).rank == 3
-    assert numerical_rank(np.hstack([prob.E, prob.B])).rank == cfg.q
+    assert numerical_rank(prob.E) == 3
+    assert numerical_rank(np.hstack([prob.E, prob.B])) == cfg.q
     assert count_infinite(prob.poles) == 2
     # E is exactly symmetric-rank-deficient by construction, not near-rank.
     svals = np.linalg.svd(prob.E, compute_uv=False)

@@ -8,15 +8,19 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+import schurpole.linalg as linalg_module
+from schurpole import run_pipeline, validate_problem, verify_solution
 from schurpole.linalg import (
     jacobi_orthogonalize,
     numerical_rank,
+    openblas_threads,
     orthonormal_null_basis,
     qr_decompose,
+    serial_blas,
     sym_eig,
 )
 
-from conftest import rng_matrix
+from conftest import make_instance, rng_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
@@ -81,12 +85,10 @@ def test_numerical_rank_of_products(seed, n, k):
     left = rng_matrix(seed, n, k)
     right = rng_matrix(seed + 1, k, n)
     a = left @ right if k else np.zeros((n, n))
-    dec = numerical_rank(a)
-    assert dec.rank == k
-    assert dec.singular_values.shape == (n,)
+    assert numerical_rank(a) == k
     # the cutoff max(shape)*eps*sigma1 keeps 1e-6 and drops 1e-17 at any scale
     scale = 10.0 ** (seed % 25 - 12)
-    assert numerical_rank(scale * np.diag([1.0, 1e-6, 1e-17])).rank == 2
+    assert numerical_rank(scale * np.diag([1.0, 1e-6, 1e-17])) == 2
 
 
 @given(seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
@@ -102,36 +104,65 @@ def test_null_basis_annihilates(seed, n, k):
         assert np.allclose(nb.T @ nb, np.eye(nb.shape[1]), atol=1e-12)
 
 
+def _assert_null_basis_matches_scipy(a, nb, dim, span_tol=1e-10):
+    """``nb`` is orthonormal, has ``dim`` columns, annihilates ``a`` to
+    rounding, and spans the null space that scipy's SVD-based
+    ``null_space`` finds at the same default cutoff max(shape) * eps *
+    sigma_1, to ``span_tol`` in the projector distance."""
+    ref = scipy.linalg.null_space(a)
+    assert nb.shape == ref.shape == (a.shape[1], dim)
+    assert np.allclose(nb.conj().T @ nb, np.eye(dim), atol=1e-12)
+    assert np.linalg.norm(a @ nb) <= 1e-13 * max(1.0, np.linalg.norm(a))
+    assert np.linalg.norm(nb @ nb.conj().T - ref @ ref.conj().T) <= span_tol
+
+
 @given(
     seeds,
     st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),
     st.integers(min_value=0, max_value=6),
     st.booleans(),
+    st.booleans(),
 )
-def test_null_basis_wide_matches_independent_svd(seed, rows, extra_cols, rank, is_complex):
-    # Wide input takes the QR route; compare with scipy's SVD-based null
-    # space, whose default cutoff max(shape) * eps * sigma_1 is the same.
+def test_null_basis_matches_scipy_null_space(seed, rows, extra_cols, rank, is_complex, tall):
+    # Wide input takes the QR route with its full-rank certificate, tall
+    # and square input the SVD route; products of random factors are full
+    # rank or exactly rank deficient.
     cols = rows + extra_cols
-    rank = min(rank, rows)
+    if tall:
+        rows, cols = cols, rows
+    rank = min(rank, rows, cols)
     left = rng_matrix(seed, rows, rank)
     right = rng_matrix(seed + 1, rank, cols)
     if is_complex:
         left = left + 1j * rng_matrix(seed + 2, rows, rank)
         right = right + 1j * rng_matrix(seed + 3, rank, cols)
     a = left @ right if rank else np.zeros((rows, cols), dtype=left.dtype)
-    nb = orthonormal_null_basis(a)
-    assert nb.shape == (cols, cols - rank)
-    assert np.allclose(nb.conj().T @ nb, np.eye(cols - rank), atol=1e-12)
-    ref = scipy.linalg.null_space(a)
-    assert ref.shape[1] == cols - rank
-    assert np.linalg.norm(nb @ nb.conj().T - ref @ ref.conj().T) <= 1e-10
+    _assert_null_basis_matches_scipy(a, orthonormal_null_basis(a), cols - rank)
     # the default cutoff is relative: a singular value 1e-6 below sigma1
     # stays in the range at any scale, so only the zero columns are null
     scale = 10.0 ** (seed % 25 - 12)
     wide_null = orthonormal_null_basis(scale * np.hstack([np.diag([1.0, 1e-6]), np.zeros((2, 2))]))
     assert wide_null.shape == (4, 2)
     assert np.linalg.norm(wide_null[:2]) <= 1e-12
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("sigma_min", [1e-8, 100 * 9 * np.finfo(float).eps])
+def test_null_basis_certificate_and_svd_fallback(is_complex, sigma_min):
+    # A 6 x 9 input with singular values 1, ..., sigma_min.  At 1e-8 the
+    # triangular-inverse certificate proves full rank; at 100x the rank
+    # cutoff 9 * eps * sigma_1 it cannot (its margin is 1e3), and R's SVD
+    # must decide, still full rank.  Rounding of size eps * ||a|| turns
+    # the null space by up to about that over sigma_min, so two correct
+    # routes agree on the span only to 1e3 * eps / sigma_min.
+    u = np.linalg.qr(rng_matrix(1, 6, 6) + 1j * is_complex * rng_matrix(2, 6, 6))[0]
+    v = np.linalg.qr(rng_matrix(3, 9, 9) + 1j * is_complex * rng_matrix(4, 9, 9))[0]
+    a = (u * np.geomspace(1.0, sigma_min, 6)) @ v[:6].conj()
+    r = scipy.linalg.qr(a.conj().T, mode="r")[0][:6]
+    assert linalg_module._certified_full_rank(r, a.shape) == (sigma_min == 1e-8)
+    span_tol = 1e3 * np.finfo(float).eps / sigma_min
+    _assert_null_basis_matches_scipy(a, orthonormal_null_basis(a), 3, span_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -191,3 +222,57 @@ def test_jacobi_orthogonal_input_is_identity():
 def test_jacobi_dependent_input_raises():
     with pytest.raises(ValueError):
         jacobi_orthogonalize([1.0, 2.0], [2.0, 4.0])
+
+
+# ---------------------------------------------------------------------------
+# serial_blas
+
+
+def _set_openblas_threads(count):
+    for _, _, set_ in linalg_module._openblas_thread_controls():
+        set_(count)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every bundled OpenBLAS at 2 threads for the test, restored after."""
+    if not openblas_threads():
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    saved = openblas_threads()
+    _set_openblas_threads(2)
+    yield
+    for (_, _, set_), count in zip(linalg_module._openblas_thread_controls(), saved.values()):
+        set_(count)
+
+
+def test_serial_blas_restores_counts_nested_too(two_blas_threads):
+    before = openblas_threads()
+    assert set(before.values()) == {2}
+    with serial_blas():
+        assert set(openblas_threads().values()) == {1}
+        with serial_blas():
+            assert set(openblas_threads().values()) == {1}
+        assert set(openblas_threads().values()) == {1}
+    assert openblas_threads() == before
+    with pytest.raises(RuntimeError), serial_blas():
+        raise RuntimeError
+    assert openblas_threads() == before
+
+
+def test_entry_points_restore_blas_threads_and_solve_bit_identically(two_blas_threads):
+    # The solver runs on one thread whatever the caller's count, so its
+    # answer cannot move with how a threaded BLAS splits its sums.  At
+    # n = 100 OpenBLAS splits products over threads: solved on 2 threads
+    # without serial_blas, an entry of this instance's F moves by 0.2
+    # from its 1-thread value.
+    prob = make_instance(100, 50, 10, 60)
+    before = openblas_threads()
+    sol = run_pipeline(prob)
+    assert openblas_threads() == before
+    assert validate_problem(prob).passed
+    assert openblas_threads() == before
+    assert verify_solution(prob, sol).passed
+    assert openblas_threads() == before
+    _set_openblas_threads(1)
+    serial = run_pipeline(prob)
+    assert np.array_equal(sol.F, serial.F) and np.array_equal(sol.G, serial.G)

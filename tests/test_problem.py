@@ -281,7 +281,12 @@ def test_validate_uncontrollable_finite_mode():
     huge = Problem(
         E=np.diag([1e-10, 1.0]), A=np.eye(2), B=np.array([[0.0], [1.0]]), poles=poles, r=2
     )
-    for prob in (small, huge):
+    # Mode at lambda = 2e200 is untouched by B = e1.  ||A||_F's plain sum
+    # of squares overflows; the spectrum must still reach the probes.
+    overflow = Problem(
+        E=np.eye(2), A=np.diag([1e200, 2e200]), B=np.array([[1.0], [0.0]]), poles=poles, r=2
+    )
+    for prob in (small, huge, overflow):
         rep = validate_problem(prob)
         names = [c.name for c in rep.failures()]
         assert "finite-pole-controllability" in names
