@@ -18,7 +18,7 @@ import numpy as np
 
 from .assign import run_pipeline
 from .errors import DegenerateStepError, SingularPencilError
-from .linalg import numerical_rank, qr_decompose
+from .linalg import numerical_rank, qr_decompose, serial_blas
 from .metrics import Report, generalized_eig_oracle, verify_solution
 from .poles import PolePair, expand_to_values
 from .problem import Problem, validate_problem
@@ -127,11 +127,11 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
         k = n - cfg.rank_e
         re_[:k, :k] = 0.0
         e = qe @ re_ @ qe.T
-        if numerical_rank(e) != cfg.rank_e:
-            continue
-        if numerical_rank(b) != m:
-            continue
-        if numerical_rank(np.hstack([e, b])) != cfg.q:
+        # numerical_rank works in scipy's OpenBLAS; run it on one thread so
+        # its worker threads do not spin against numpy's on the same cores
+        with serial_blas():
+            ranks = (numerical_rank(e), numerical_rank(b), numerical_rank(np.hstack([e, b])))
+        if ranks != (cfg.rank_e, m, cfg.q):
             continue
         if r > 0:
             try:
@@ -177,7 +177,11 @@ def _mean(values) -> float:
 
 
 def run_sweep(cfg: BenchConfig) -> list[dict]:
-    """All (r, trial) cells of the sweep, averaged per r over passing trials."""
+    """All (r, trial) cells of the sweep, averaged per r over passing trials.
+
+    Each row also maps every failed trial to its ``TrialResult.error``
+    under ``"errors"``, which is not a CSV column.
+    """
     rows = []
     for r in cfg.r_values:
         results = [run_trial(cfg, r, trial) for trial in range(cfg.trials)]
@@ -196,6 +200,7 @@ def run_sweep(cfg: BenchConfig) -> list[dict]:
                 "mean_kappaXGF": _mean(rep.kappa_x_gf for rep in good),
                 "mean_kappaX": _mean(rep.kappa_eigvec for rep in good),
                 "failures": cfg.trials - len(good),
+                "errors": {t.trial: t.error for t in results if not t.ok},
             }
         )
     return rows

@@ -112,6 +112,9 @@ def _cmd_bench(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = run_sweep(cfg)
+    for row in rows:
+        for trial, reason in row["errors"].items():
+            print(f"failed: r={row['r']} trial={trial}: {reason}", file=sys.stderr)
     try:
         write_csv(rows, args.csv)
     except OSError as exc:

@@ -7,6 +7,9 @@ are pinned here so downstream computations are reproducible run to run:
 * ``qr_decompose``: the triangular factor has a nonnegative diagonal.
 * ``sym_eig``: eigenvalues descending, first nonzero component of every
   eigenvector positive.
+* ``numerical_rank``: a full-rank certificate from one Householder QR and
+  a triangular inverse runs first; where it does not hold, the input's
+  singular values are counted.
 * ``orthonormal_null_basis``: on square and tall input, the trailing right
   singular vectors in order; on wide input, the null directions of the
   square triangular factor of a QR of the conjugate transpose, followed by
@@ -46,11 +49,11 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Margin of the full-rank certificate in orthonormal_null_basis.  A
-# triangular inverse X computed by LAPACK's ?trtri satisfies
-# X R = I + F with ||F||_F <= c_k eps ||X||_F ||R||_F, c_k of the order
-# of k, the order of R (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2nd ed., Sect. 14.2).  Hence
+# Margin of the full-rank certificate in numerical_rank and
+# orthonormal_null_basis.  A triangular inverse X computed by LAPACK's
+# ?trtri satisfies X R = I + F with ||F||_F <= c_k eps ||X||_F ||R||_F,
+# c_k of the order of k, the order of R (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., Sect. 14.2).  Hence
 # ||R^{-1}||_F <= ||X||_F / (1 - c_k eps ||X||_F ||R||_F).  When
 # 1/||X||_F > margin * max(shape) * eps * ||R||_F, with k <= max(shape),
 # the denominator exceeds 1 - c_k/(k margin), so sigma_min(R) >=
@@ -102,24 +105,40 @@ def _rank_from_singular_values(s: np.ndarray, shape) -> int:
     return int(np.count_nonzero(s > max(shape) * _EPS * float(s[0])))
 
 
-def numerical_rank(m) -> int:
-    """Numerical rank of ``m`` at the cutoff max(rows, cols) * eps * sigma_max."""
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
-
-
 def _certified_full_rank(r: np.ndarray, shape) -> bool:
-    """True when the square triangular ``r`` provably has all its singular
-    values above the rank cutoff of a matrix of ``shape`` (the bound behind
-    ``_FULL_RANK_MARGIN``); False leaves the decision to the SVD."""
-    (trtri,) = scipy.linalg.get_lapack_funcs(("trtri",), (r,))
+    """True when the upper triangle R of the square ``r`` provably has all
+    its singular values above the rank cutoff of a matrix of ``shape`` (the
+    bound behind ``_FULL_RANK_MARGIN``); False leaves the decision to the
+    SVD.  Entries below the diagonal are not read."""
+    trtri, lantr = scipy.linalg.get_lapack_funcs(("trtri", "lantr"), (r,))
     inv, info = trtri(r)
     if info != 0:
         return False
-    cutoff = max(shape) * _EPS * float(np.linalg.norm(r))
-    return 1.0 / float(np.linalg.norm(inv)) > _FULL_RANK_MARGIN * cutoff
+    cutoff = max(shape) * _EPS * lantr("F", r)
+    return 1.0 / lantr("F", inv) > _FULL_RANK_MARGIN * cutoff
+
+
+def numerical_rank(m) -> int:
+    """Numerical rank of ``m`` at the cutoff max(rows, cols) * eps * sigma_max.
+
+    One Householder QR (LAPACK ``?geqrf``) of the taller of M and M^T gives
+    a square triangular R with M's singular values.  When R's triangular
+    inverse certifies full rank (``_FULL_RANK_MARGIN``), the answer is
+    min(rows, cols) and no SVD runs.  Otherwise the singular values of
+    ``m`` itself, not of R, are counted, so a rank-deficient answer is
+    always that SVD count.
+    """
+    a = _as_matrix(m)
+    if a.size == 0:
+        return 0
+    rows, cols = a.shape
+    tall = a if rows >= cols else a.T
+    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (tall,))
+    lwork = int(geqrf(tall, lwork=-1)[2][0].real)
+    qr, _, _, info = geqrf(tall, lwork=max(lwork, 1))
+    if info == 0 and _certified_full_rank(qr[: min(rows, cols)], a.shape):
+        return min(rows, cols)
+    return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def orthonormal_null_basis(m) -> np.ndarray:

@@ -36,10 +36,9 @@ __all__ = [
     "validate_problem",
 ]
 
-# Fixed stream and count of the random finite-lambda probes of the
-# controllability check; constants keep validation reproducible.
-_PROBE_SEED = 0x5F0C8E
-_PROBE_COUNT = 8
+# The 8 fixed pseudo-random finite-lambda probes of the controllability
+# check, drawn once from a fixed stream so validation is reproducible.
+_FIXED_PROBES = tuple(complex(*z) for z in np.random.default_rng(0x5F0C8E).standard_normal((8, 2)))
 
 
 @dataclass(eq=False)
@@ -285,6 +284,28 @@ def serialize_solution(f, g) -> str:
     return "\n".join(out) + "\n"
 
 
+def _probe_ranks(p: Problem, probes):
+    """Yield (a, b, rank([a*E - b*A, B])) for each probe, homogeneously
+    scaled so that huge eigenvalues do not drown B under the rank cutoff.
+    A real probe is built in real arithmetic; the matrices share one buffer
+    per dtype, with B written once."""
+    n = p.n
+    buffers: dict[type, np.ndarray] = {}
+    for a, b in probes:
+        scale = np.hypot(abs(a), abs(b))
+        ca, cb = a / scale, b / scale
+        dtype = complex if complex(ca).imag or complex(cb).imag else float
+        if dtype is float:
+            ca, cb = ca.real, cb.real
+        if dtype not in buffers:
+            buffers[dtype] = np.empty((n, n + p.m), dtype=dtype)
+            buffers[dtype][:, n:] = p.B
+        mat = buffers[dtype]
+        np.multiply(p.E, ca, out=mat[:, :n])
+        mat[:, :n] -= cb * p.A
+        yield a, b, numerical_rank(mat)
+
+
 @serial_blas()
 def validate_problem(p: Problem) -> ValidationReport:
     """Feasibility checks for an assignment instance.
@@ -294,8 +315,12 @@ def validate_problem(p: Problem) -> ValidationReport:
     [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full row rank
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
     every open-loop eigenvalue that (d) does not count as infinite and at
-    8 fixed pseudo-random complex values.  Requested poles of multiplicity
-    above m are recorded as warnings.  Runs on one BLAS thread
+    8 fixed pseudo-random complex values; a conjugate couple of eigenvalues
+    is probed once, at the member with positive imaginary part.  Each rank
+    is certified full from one QR where it can be, and counted by an SVD
+    otherwise (:func:`numerical_rank`).  Every repeated requested pole is
+    recorded as a warning naming its multiplicity k and the accuracy of a
+    defective eigenvalue, about eps**(1/k).  Runs on one BLAS thread
     (:func:`~schurpole.linalg.serial_blas`).
     """
     n, m, r = p.n, p.m, p.r
@@ -333,29 +358,23 @@ def validate_problem(p: Problem) -> ValidationReport:
     # modulus as infinite, although (d) may cover fewer than those with its
     # n - rank(E) null directions.  The excess poles are the reciprocals of
     # the eigenvalues mu = 1/lambda of the reversed pencil (E, A), taken by
-    # increasing modulus after the first n - rank(E).
+    # increasing modulus after the first n - rank(E).  A conjugate couple
+    # is probed once: conj(M) has the rank of M.
     k_d = n_inf.shape[1]
-    pairs: list[tuple[complex, complex]] = []  # (a, b) probes a*E - b*A
+    probes: list[tuple[complex, complex]] = []  # (a, b) probes a*E - b*A
     try:
         spectrum = generalized_eig_oracle(p.A, p.E)
-        pairs += [(lam, 1.0) for lam in expand_to_values(spectrum)]
+        probes += [(pole.value, 1.0) for pole in spectrum if not pole.is_infinite]
         k_inf = count_infinite(spectrum)
         if k_inf > k_d:
-            mus = sorted(expand_to_values(generalized_eig_oracle(p.E, p.A)), key=abs)
-            pairs += [(1.0, mu) for mu in mus[k_d:k_inf]]
+            mus = sorted(expand_to_values(generalized_eig_oracle(p.E, p.A)), key=abs)[k_d:k_inf]
+            probes += [(1.0, mu) for i, mu in enumerate(mus) if mu.conjugate() not in mus[:i]]
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBE_COUNT):
-        pairs.append((complex(rng.standard_normal(), rng.standard_normal()), 1.0))
+    probes += [(lam, 1.0) for lam in _FIXED_PROBES]
     ok = True
     detail = "full row rank at all probes"
-    for a, b in pairs:
-        # Homogeneous scaling keeps the probe well conditioned for huge
-        # eigenvalues, where lam*E - A would drown B under the tolerance.
-        scale = np.hypot(abs(a), abs(b))
-        mat = np.hstack([(a / scale) * p.E - (b / scale) * p.A, p.B.astype(complex)])
-        rk = numerical_rank(mat)
+    for a, b, rk in _probe_ranks(p, probes):
         if rk != n:
             ok = False
             lam = f"{a / b:g}" if b else "inf"
@@ -363,18 +382,17 @@ def validate_problem(p: Problem) -> ValidationReport:
             break
     checks.append(CheckResult("finite-pole-controllability", ok, detail))
 
-    vals = [p2.value for p2 in p.finite_poles]
-    for i, v in enumerate(vals):
-        mult = sum(
-            1
-            for w in vals
-            if abs(w - v) <= 1e-10 * max(1.0, abs(v))
+    vals = np.array([pole.value for pole in p.finite_poles])
+    # close[i, j]: requested pole j coincides with pole i (a couple counts once)
+    close = np.abs(vals - vals[:, None]) <= 1e-10 * np.maximum(1.0, np.abs(vals))[:, None]
+    mults = close.sum(axis=1)
+    repeated = (mults > 1) & ~np.tril(close, -1).any(axis=1)  # first of each group
+    for v, k in zip(vals[repeated], mults[repeated]):
+        excess = f" > m={m}" if k > m else ""
+        warnings.append(
+            f"requested pole {complex(v):g} has multiplicity {k}{excess}; it may be "
+            f"assigned as a defective eigenvalue, accurate to about "
+            f"eps**(1/{k}) = {np.finfo(float).eps ** (1.0 / k):.1e}"
         )
-        if mult > m:
-            warnings.append(
-                f"requested pole {v:g} has multiplicity {mult} > m={m}; "
-                "assignment accuracy may degrade"
-            )
-            break
 
     return ValidationReport(q=q, r=r, checks=tuple(checks), warnings=tuple(warnings))

@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurpole.assign as assign_module
-from schurpole import DegenerateStepError, PoleKind, PolePair, Problem, run_pipeline, verify_solution
+from schurpole import (
+    DegenerateStepError,
+    PoleKind,
+    PolePair,
+    Problem,
+    run_pipeline,
+    validate_problem,
+    verify_solution,
+)
 from schurpole.assign import (
     _complex_pair_core,
     assign_infinite_block,
@@ -288,6 +296,25 @@ def test_pipeline_assigns_a_repeated_pole(finite):
     rep = verify_solution(prob, sol)
     assert rep.passed, (rep.precs, rep.infinite_count, rep.index_ok)
     assert rep.infinite_count == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_triple_pole_is_warned_and_refused(seed):
+    # A real pole of multiplicity 3 <= m on E = I (n = 8, m = 3): the solver
+    # places it as a defective eigenvalue, matched only to about
+    # eps**(1/3) (precs -4.8 to -5.3 on these draws), and verify_solution
+    # refuses the answer.  validate_problem passes the instance but must say
+    # so in advance.  If a solver change assigns the pole semisimply, the
+    # refusal here is what changes, not the warning.
+    poles = tuple(PolePair.from_value(v) for v in (-1.0, -1.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0))
+    prob = Problem(E=np.eye(8), A=rng_matrix(seed, 8, 8), B=rng_matrix(seed + 100, 8, 3), poles=poles, r=8)
+    val = validate_problem(prob)
+    assert val.passed
+    (warning,) = val.warnings
+    assert "-1+0j has multiplicity 3;" in warning and "eps**(1/3) = 6.1e-06" in warning
+    rep = verify_solution(prob, run_pipeline(prob))
+    assert not rep.passed
+    assert -6.0 < rep.precs < -4.0
 
 
 def test_pipeline_is_deterministic():

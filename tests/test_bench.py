@@ -81,9 +81,13 @@ def test_run_sweep_rows():
         assert row["r"] == r
         assert row["n"] == 5 and row["rankE"] == 2 and row["m"] == 2
         assert row["trials"] == 3
-        assert set(row) == set(CSV_COLUMNS)
-        assert row["failures"] == 0
+        assert set(row) == set(CSV_COLUMNS) | {"errors"}
+        assert row["failures"] == 0 and row["errors"] == {}
         assert row["mean_precs"] <= -6.0
+    # a failed trial keeps its reason beside the counts
+    rows = run_sweep(BenchConfig(n=6, rank_e=3, m=3, trials=3, seed=69))
+    assert [row["errors"] for row in rows] == [{}, {}, {}, {2: "verification failed"}]
+    assert [row["failures"] for row in rows] == [0, 0, 0, 1]
 
 
 def test_write_csv_is_byte_deterministic(tmp_path):

@@ -91,6 +91,77 @@ def test_numerical_rank_of_products(seed, n, k):
     assert numerical_rank(scale * np.diag([1.0, 1e-6, 1e-17])) == 2
 
 
+def _svd_rank(a):
+    """The rank count numerical_rank promises, from the test's own SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > max(a.shape) * np.finfo(float).eps * s[0])) if s.size else 0
+
+
+def _random_unitary(seed, n, is_complex):
+    z = rng_matrix(seed, n, n)
+    return np.linalg.qr(z + 1j * rng_matrix(seed + 1, n, n) if is_complex else z)[0]
+
+
+def _with_singular_values(seed, rows, cols, sigma, is_complex):
+    """U diag(sigma) V^H with random unitary U, V and len(sigma) = min(rows, cols)."""
+    u = _random_unitary(seed, rows, is_complex)
+    v = _random_unitary(seed + 2, cols, is_complex)
+    k = min(rows, cols)
+    return (u[:, :k] * sigma) @ v[:, :k].conj().T
+
+
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=7),
+    st.floats(min_value=-20.0, max_value=0.0),
+    st.booleans(),
+)
+def test_numerical_rank_equals_svd_count(seed, rows, cols, rank, log_sigma_min, is_complex):
+    # Wide, tall and square, real and complex; the smallest nonzero
+    # singular value runs from far below the cutoff through the
+    # certificate's margin to well above it, so both routes are taken.
+    k = min(rows, cols)
+    rank = min(rank, k)
+    sigma = np.zeros(k)
+    sigma[:rank] = np.geomspace(1.0, 10.0**log_sigma_min, rank) if rank else []
+    a = 10.0 ** (seed % 25 - 12) * _with_singular_values(seed, rows, cols, sigma, is_complex)
+    assert numerical_rank(a) == _svd_rank(a)
+    assert numerical_rank(a.conj().T) == _svd_rank(a.conj().T)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6), (6, 6)])
+def test_numerical_rank_certifies_without_svd_and_falls_back_near_the_cutoff(monkeypatch, shape, is_complex):
+    svd_calls = []
+    original_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return original_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cutoff = max(shape) * np.finfo(float).eps
+    # sigma_min = 1e-8 clears the cutoff by far more than the 1e3 margin:
+    # certified full rank, no SVD at all
+    a = _with_singular_values(5, *shape, np.geomspace(1.0, 1e-8, 6), is_complex)
+    assert np.iscomplexobj(a) == is_complex
+    assert numerical_rank(a) == 6 and svd_calls == []
+    # 100 x the cutoff is inside the margin: the input's own SVD decides
+    a = _with_singular_values(5, *shape, np.geomspace(1.0, 100 * cutoff, 6), is_complex)
+    assert numerical_rank(a) == 6 and svd_calls == [shape]
+    # rank deficient: the certificate cannot hold, the SVD counts
+    a = _with_singular_values(5, *shape, np.array([1.0, 0.5, 0.25, 0.1, 0.0, 0.0]), is_complex)
+    assert numerical_rank(a) == 4 and svd_calls == [shape, shape]
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4, 4), (0, 4), (4, 0), (0, 0)])
+def test_numerical_rank_of_zero_and_empty_input(shape):
+    assert numerical_rank(np.zeros(shape)) == 0
+    assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
+
+
 @given(seeds, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6))
 def test_null_basis_annihilates(seed, n, k):
     k = min(k, n)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import schurpole.problem as problem_module
 from schurpole import (
     ParseError,
     PolePair,
@@ -286,10 +287,11 @@ def test_validate_uncontrollable_finite_mode():
     overflow = Problem(
         E=np.eye(2), A=np.diag([1e200, 2e200]), B=np.array([[1.0], [0.0]]), poles=poles, r=2
     )
-    for prob in (small, huge, overflow):
+    # the first failing probe and its detail string are part of the verdict
+    for prob, lam in ((small, "2+0j"), (huge, "1e+10+0j"), (overflow, "2e+200+0j")):
         rep = validate_problem(prob)
-        names = [c.name for c in rep.failures()]
-        assert "finite-pole-controllability" in names
+        assert [c.name for c in rep.failures()] == ["finite-pole-controllability"]
+        assert rep.failures()[0].detail == f"rank([lambda*E - A, B])=1 at lambda={lam}"
 
 
 def test_validate_uncontrollable_at_infinity():
@@ -328,15 +330,64 @@ def test_validate_huge_finite_eigenvalue_probe_is_scale_free():
     )
     rep = validate_problem(prob)
     assert rep.passed, [f"{c.name}: {c.detail}" for c in rep.failures()]
+    assert rep.checks[-1].detail == "full row rank at all probes"
+
+
+def test_validate_probes_each_conjugate_couple_once(monkeypatch):
+    # Open-loop spectrum: 1 +- 2i, +-i*sqrt(2) and 3, two couples and one
+    # real eigenvalue.  Check (e) probes one member of each couple, the
+    # real one in real arithmetic, and the 8 fixed complex values; checks
+    # (a), (b/c) and (d) take one rank each.
+    a = np.zeros((5, 5))
+    a[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
+    a[2:4, 2:4] = [[0.0, 1.0], [-2.0, 0.0]]
+    a[4, 4] = 3.0
+    prob = Problem(
+        E=np.eye(5),
+        A=a,
+        B=np.arange(10.0).reshape(5, 2) ** 0.5,
+        poles=tuple(PolePair.from_value(-v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)),
+        r=5,
+    )
+    seen = []
+    original = problem_module.numerical_rank
+
+    def recording(m):
+        seen.append(np.asarray(m).copy())
+        return original(m)
+
+    monkeypatch.setattr(problem_module, "numerical_rank", recording)
+    rep = validate_problem(prob)
+    assert rep.passed, [f"{c.name}: {c.detail}" for c in rep.failures()]
+    probes = seen[3:]
+    assert len(probes) == 3 + 8
+    assert [p.dtype.kind for p in probes[:3]] == ["c", "c", "f"]
+    # each probe a*I - b*A (b > 0) is singular at an eigenvalue, and the
+    # couples are probed at the member with positive imaginary part
+    for probe in probes[:3]:
+        assert abs(np.linalg.det(probe[:, :5])) <= 1e-12
+    assert all(probe[0, 0].imag > 0 for probe in probes[:2])
+    for probe in probes:
+        assert np.array_equal(probe[:, 5:], prob.B)
 
 
 def test_validate_multiplicity_warning():
-    prob = Problem(
-        E=np.eye(2),
-        A=np.diag([1.0, 2.0]),
-        B=np.array([[1.0], [1.0]]),
-        poles=(PolePair.from_value(-3.0), PolePair.from_value(-3.0)),
-        r=2,
-    )
-    rep = validate_problem(prob)
-    assert any("multiplicity" in w for w in rep.warnings)
+    # A double pole above m = 1, then one within m = 2 (it still comes out
+    # defective, to about eps**(1/2)), then a double complex couple and a
+    # triple real pole: every repeated pole is named once, with its
+    # multiplicity and the accuracy of a defective eigenvalue.
+    def warnings_for(values, m):
+        poles = tuple(PolePair.from_value(v) for v in values)
+        n = sum(2 if complex(v).imag else 1 for v in values)
+        b = np.vander(np.arange(1.0, n + 1), m)
+        prob = Problem(E=np.eye(n), A=np.diag(np.arange(1.0, n + 1)), B=b, poles=poles, r=n)
+        return validate_problem(prob).warnings
+
+    (w,) = warnings_for([-3.0, -3.0], 1)
+    assert "-3+0j has multiplicity 2 > m=1" in w and "eps**(1/2) = 1.5e-08" in w
+    (w,) = warnings_for([-3.0, -3.0], 2)
+    assert "-3+0j has multiplicity 2;" in w and "eps**(1/2)" in w
+    w1, w2 = warnings_for([-1.0 + 1.0j, -2.0, -1.0 + 1.0j, -2.0, -2.0], 2)
+    assert "-1+1j has multiplicity 2;" in w1
+    assert "-2+0j has multiplicity 3 > m=2" in w2 and "eps**(1/3) = 6.1e-06" in w2
+    assert warnings_for([-1.0, -2.0, -1.0 - 1e-6], 1) == ()
