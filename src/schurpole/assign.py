@@ -23,9 +23,12 @@ The free coefficients are chosen to keep the off-diagonal mass of (S, T)
 small, so the closed-loop pencil stays close to a normal pair and the
 assigned spectrum is insensitive to perturbations.  Once all n columns
 exist, X is completed from Xi by an orthogonal complement and (F, G) are
-read off.  A step's null-space basis is scratch: it is used once, and
-each step leaves only a ``StepRecord`` of scalars (null dimension,
-P-share, branch).
+read off.  The factors are written in place: ``AssignState`` holds
+buffers of their final size, each step fills its one or two columns of
+P, Xi, S and T and updates the complement stack in place, and
+``run_pipeline`` returns the filled buffers.  A step's null-space basis is
+scratch: it is used once, and each step leaves only a ``StepRecord`` of
+scalars (null dimension, P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -45,7 +48,8 @@ exactly when S[k+1, k] or T[k+1, k] is nonzero: that entry is D's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,39 +126,68 @@ class Parametrization:
 
 @dataclass(eq=False)
 class AssignState:
-    """Partially grown factors after j assigned columns.
+    """The factors after ``j`` assigned columns, written in place.
 
-    ``perp`` stacks an orthonormal basis P_perp of the complement of
-    range(P) over Q2^T E P_perp and Q2^T A P_perp, an (n + 2(n-m)) x (n-j)
-    array kept up to date by one Householder reflection per new column.
+    The state owns buffers of the factors' final size: n x n for P, S and
+    T, (n-m) x n for Xi, and (n + 2(n-m)) x n for the complement stack and
+    for the scratch of its update.  A step writes its new columns into them
+    and raises ``j``; the properties are views of what is filled.  The last
+    n - j columns of the stack hold an orthonormal basis P_perp of the
+    complement of range(P) over Q2^T E P_perp and Q2^T A P_perp, kept up
+    to date in place by one Householder reflection per new column.  S and
+    T are zero outside their filled blocks.  A step that raises leaves the
+    state unusable.
     """
 
     n: int
     m: int
-    P: np.ndarray
-    perp: np.ndarray
-    Xi: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
-    steps: tuple[StepRecord, ...]
+    j: int = 0
+    p_buf: np.ndarray = field(init=False, repr=False)
+    xi_buf: np.ndarray = field(init=False, repr=False)
+    s_buf: np.ndarray = field(init=False, repr=False)
+    t_buf: np.ndarray = field(init=False, repr=False)
+    perp_buf: np.ndarray = field(init=False, repr=False)
+    scratch: np.ndarray = field(init=False, repr=False)
+    steps: list[StepRecord] = field(default_factory=list)
+
+    def __post_init__(self):
+        n, m = self.n, self.m
+        self.p_buf = np.empty((n, n))
+        self.xi_buf = np.empty((n - m, n))
+        self.s_buf = np.zeros((n, n))
+        self.t_buf = np.zeros((n, n))
+        self.perp_buf = np.empty((3 * n - 2 * m, n))
+        self.scratch = np.empty(self.perp_buf.size)
 
     @property
-    def j(self) -> int:
-        return self.P.shape[1]
+    def P(self) -> np.ndarray:
+        return self.p_buf[:, : self.j]
+
+    @property
+    def Xi(self) -> np.ndarray:
+        return self.xi_buf[:, : self.j]
+
+    @property
+    def S(self) -> np.ndarray:
+        return self.s_buf[: self.j, : self.j]
+
+    @property
+    def T(self) -> np.ndarray:
+        return self.t_buf[: self.j, : self.j]
 
     @property
     def P_perp(self) -> np.ndarray:
-        return self.perp[: self.n]
+        return self.perp_buf[: self.n, self.j :]
 
     @property
     def EP_perp(self) -> np.ndarray:
         """Q2^T E P_perp."""
-        return self.perp[self.n : 2 * self.n - self.m]
+        return self.perp_buf[self.n : 2 * self.n - self.m, self.j :]
 
     @property
     def AP_perp(self) -> np.ndarray:
         """Q2^T A P_perp."""
-        return self.perp[2 * self.n - self.m :]
+        return self.perp_buf[2 * self.n - self.m :, self.j :]
 
 
 @dataclass(eq=False)
@@ -186,14 +219,6 @@ def compute_parametrization(b) -> Parametrization:
     return Parametrization(q1=q[:, :m], q2=q[:, m:], r=r)
 
 
-def _grown(mat: np.ndarray, vcols: np.ndarray, block: np.ndarray) -> np.ndarray:
-    j = mat.shape[0]
-    k = block.shape[0]
-    top = np.hstack([mat, vcols.reshape(j, k)])
-    bot = np.hstack([np.zeros((k, j)), block])
-    return np.vstack([top, bot])
-
-
 def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Clean residual non-orthogonality of a new (near-orthonormal) column.
 
@@ -212,20 +237,37 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _complement_after(perp: np.ndarray, n: int, p: np.ndarray) -> np.ndarray:
-    """``AssignState.perp`` once the unit column p, taken from the range of
-    P_perp = perp[:n], has joined P.
+def _complement_after(perp: np.ndarray, n: int, p: np.ndarray, scratch: np.ndarray) -> None:
+    """Update the complement stack ``perp`` in place once the unit column
+    p, taken from the range of P_perp = perp[:n], has joined P; afterwards
+    ``perp[:, 1:]`` is the stack of the new complement.
 
     The Householder reflection H that maps p's coordinates y = P_perp^T p
     onto the first axis makes P_perp H = [+-p, rest]; ``rest`` spans what
     is left, and the same columns of perp H carry Q2^T E rest and
     Q2^T A rest.  That costs O(n (n - j)), against a complete QR of P and
-    two products with P_perp per step.
+    two products with P_perp per step.  The rank-1 term of the reflection
+    is formed in the flat buffer ``scratch`` (at least perp's size) and
+    subtracted in place, so nothing is allocated but vectors.
     """
-    y = perp[:n].T @ p
-    v = y.copy()
-    v[0] += math.copysign(float(np.linalg.norm(y)), y[0])
-    return perp[:, 1:] - np.outer(perp @ v, (2.0 / float(v @ v)) * v[1:])
+    if perp.shape[1] == 1:
+        return  # p was the last column; no complement is left
+    v = perp[:n].T @ p
+    v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+    rest = perp[:, 1:]
+    term = scratch[: rest.size].reshape(rest.shape)
+    np.multiply.outer(perp @ v, (2.0 / float(v @ v)) * v[1:], out=term)
+    np.subtract(rest, term, out=rest)
+
+
+def _advance(state: AssignState, width: int, record: StepRecord) -> AssignState:
+    """Close a step that has written its ``width`` columns of P, Xi, S and
+    T: drop them from the complement and count them."""
+    for k in range(state.j, state.j + width):
+        _complement_after(state.perp_buf[:, k:], state.n, state.p_buf[:, k], state.scratch)
+    state.j += width
+    state.steps.append(record)
+    return state
 
 
 def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState:
@@ -251,11 +293,16 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
             null_dim=z.shape[1],
             needed=count,
         )
-    p = z[:, :count].copy()
-    p_perp = np.linalg.qr(p, mode="complete")[0][:, count:]
-    perp = np.vstack([p_perp, q2t_e @ p_perp, q2t_a @ p_perp])
-    steps = (StepRecord("infinite-block", 0, z.shape[1]),)
-    return AssignState(n, m, p, perp, q2t_a @ p, np.eye(count), np.zeros((count, count)), steps)
+    state = AssignState(n, m, count)
+    state.P[:] = z[:, :count]
+    p_perp = np.linalg.qr(state.P, mode="complete")[0][:, count:]
+    state.P_perp[:] = p_perp
+    state.EP_perp[:] = q2t_e @ p_perp
+    state.AP_perp[:] = q2t_a @ p_perp
+    state.Xi[:] = q2t_a @ state.P
+    np.fill_diagonal(state.S, 1.0)
+    state.steps.append(StepRecord("infinite-block", 0, z.shape[1]))
+    return state
 
 
 def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
@@ -287,10 +334,13 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
     # [kp, c Xi] is rank deficient, which only adds freedom.  A smaller
     # dimension means the instance violates the full-row-rank condition
     # required for assignment.
-    k = kp.shape[1]
+    rows, k = kp.shape
     j, m = state.j, state.m
     c = math.hypot(abs(c_s), abs(c_t))
-    z = orthonormal_null_basis(np.hstack([kp, c * state.Xi]))
+    mat = np.empty((rows, k + j), dtype=kp.dtype)
+    mat[:, :k] = kp
+    np.multiply(state.Xi, c, out=mat[:, k:])
+    z = orthonormal_null_basis(mat)
     if z.shape[1] < m:
         raise DegenerateStepError(
             f"{what}: constraint matrix null space has dimension "
@@ -299,15 +349,20 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
             needed=m + j,
         )
     u = z[k:]
-    return z[:k], np.vstack([(np.conj(c_s) / c) * u, (np.conj(c_t) / c) * u])
+    v = np.empty((2 * j, z.shape[1]), dtype=z.dtype)
+    np.multiply(u, np.conj(c_s) / c, out=v[:j])
+    np.multiply(u, np.conj(c_t) / c, out=v[j:])
+    return z[:k], v
 
 
 def _free_directions(c_s, c_t, j) -> np.ndarray:
     """The j stacked (v_s; v_t) columns (c_t e_i; -c_s e_i) / c of a step's
     solutions that have p = 0 (see :func:`_step_null_basis`)."""
     c = math.hypot(abs(c_s), abs(c_t))
-    eye = np.eye(j)
-    return np.vstack([(c_t / c) * eye, (-c_s / c) * eye])
+    free = np.zeros((2 * j, j), dtype=np.result_type(c_s, c_t, float))
+    np.fill_diagonal(free[:j], c_t / c)
+    np.fill_diagonal(free[j:], -c_s / c)
+    return free
 
 
 def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
@@ -325,18 +380,15 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     h = math.hypot(lam, 1.0)
     eps1 = lam / h
     eps2 = 1.0 / h
-    n, m, j = state.n, state.m, state.j
+    j = state.j
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    q2t = par.q2.T
-    xi = state.Xi
     if abs(eps1) >= abs(eps2):
         ratio = eps2 / eps1
         kp, c_s, c_t = state.EP_perp - ratio * state.AP_perp, ratio, -1.0
     else:
         ratio = eps1 / eps2
         kp, c_s, c_t = state.AP_perp - ratio * state.EP_perp, -1.0, ratio
-    p_perp = state.P_perp
     y, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
@@ -346,27 +398,23 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     uvec = v_eig[:, 0]
-    pt = p_perp @ (y @ uvec)
+    pt = state.P_perp @ (y @ uvec)
     scale = float(np.linalg.norm(pt))
     p_new = _orthonormal_against(state.P, pt / scale)
     vc = (v @ uvec) / scale
-    v_s, v_t = vc[:j], vc[j:]
+    state.p_buf[:, j] = p_new
+    state.s_buf[:j, j], state.s_buf[j, j] = vc[:j], eps1
+    state.t_buf[:j, j], state.t_buf[j, j] = vc[j:], eps2
     if abs(eps1) >= abs(eps2):
-        xi_new = (q2t @ (a @ p_new) - xi @ v_s) / eps1
+        state.xi_buf[:, j] = (par.q2.T @ (a @ p_new) - state.Xi @ vc[:j]) / eps1
     else:
-        xi_new = (q2t @ (e @ p_new) - xi @ v_t) / eps2
+        state.xi_buf[:, j] = (par.q2.T @ (e @ p_new) - state.Xi @ vc[j:]) / eps2
+    return _advance(state, 1, StepRecord("real", j, y.shape[1] + j, p_share=share))
 
-    rec = StepRecord("real", j, y.shape[1] + j, p_share=share)
-    return AssignState(
-        n,
-        m,
-        np.hstack([state.P, p_new[:, None]]),
-        _complement_after(state.perp, n, p_new),
-        np.hstack([xi, xi_new[:, None]]),
-        _grown(state.S, v_s[:, None], np.array([[eps1]])),
-        _grown(state.T, v_t[:, None], np.array([[eps2]])),
-        state.steps + (rec,),
-    )
+
+def _symplectic(x: np.ndarray) -> np.ndarray:
+    """J x for the symplectic unit J = [[0, I2], [-I2, 0]]."""
+    return np.concatenate([x[2:], -x[:2]])
 
 
 def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray:
@@ -382,7 +430,7 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     R2^2 = phi1/(phi1+phi2).  The objective restricted to a circle is a
     2x2 quadratic form, minimized exactly by its bottom eigenvector.
     """
-    obj = np.diag([2.0 * c1, 2.0 * c2, 2.0 * c1, 2.0 * c2])
+    obj = np.array([2.0 * c1, 2.0 * c2, 2.0 * c1, 2.0 * c2])  # the objective's diagonal
     w, vecs = np.linalg.eigh(0.5 * (hm + hm.T))
     phi1 = max(float(w[3]), 0.0)
     phi2 = max(float(w[2]), 0.0)
@@ -391,50 +439,57 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
         u = np.zeros(4)
         u[0 if c1 <= c2 else 1] = 1.0
         return u
-    jmat = np.block(
-        [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
-    )
     if phi2 <= 1e-12 * phi1:
         # a paired zero eigenvalue: its eigenspace is entirely feasible
         basis = vecs[:, 1:3]
-        g = basis.T @ obj @ basis
+        g = (basis.T * obj) @ basis
         _, gv = np.linalg.eigh(0.5 * (g + g.T))
         u = basis @ gv[:, 0]
         return u / np.linalg.norm(u)
     v1 = vecs[:, 3]
     v2 = vecs[:, 2]
-    jv1 = jmat @ v1
-    jv2 = jmat @ v2
     r1 = np.sqrt(phi2 / (phi1 + phi2))
     r2 = np.sqrt(phi1 / (phi1 + phi2))
-    best_val = None
-    best_u = None
-    for sgn in (1.0, -1.0):
-        wa = r1 * v1 + sgn * r2 * jv2
-        wb = r1 * jv1 - sgn * r2 * v2
-        g11 = float(wa @ obj @ wa)
-        g12 = float(wa @ obj @ wb)
-        g22 = float(wb @ obj @ wb)
-        gw, gv = np.linalg.eigh(np.array([[g11, g12], [g12, g22]]))
-        if best_val is None or float(gw[0]) < best_val:
-            best_val = float(gw[0])
-            best_u = gv[0, 0] * wa + gv[1, 0] * wb
+    # row i of (wa, wb) is circle i's orthonormal pair, sign +/-; their 2x2
+    # forms go through one stacked eigh
+    sgn = np.array([[1.0], [-1.0]])
+    wa = r1 * v1 + sgn * (r2 * _symplectic(v2))
+    wb = r1 * _symplectic(v1) - sgn * (r2 * v2)
+    woa, wob = wa * obj, wb * obj
+    forms = np.array([[[woa[i] @ wa[i], woa[i] @ wb[i]], [woa[i] @ wb[i], wob[i] @ wb[i]]] for i in range(2)])
+    gw, gv = np.linalg.eigh(forms)
+    best = 0 if gw[0, 0] <= gw[1, 0] else 1
+    best_u = gv[best, 0, 0] * wa[best] + gv[best, 1, 0] * wb[best]
     return best_u / np.linalg.norm(best_u)
 
 
-def _complex_pair_core(z1, zv, free, tau_pen):
+class _PairChoice(NamedTuple):
+    """A complex step's chosen column and the scalars behind the choice."""
+
+    p: np.ndarray  # complex p-coordinates, unnormalized
+    v: np.ndarray  # the matching stacked (v_s; v_t) column
+    nu1: float
+    nu2: float
+    branch: str
+    rho1: float | None
+    rho2: float | None
+
+
+def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
     """Pick the complex combination of null-basis columns for one pair.
 
     The candidate columns are orthonormal: d columns with P-part ``z1`` and
-    stacked (v_s; v_t) part ``zv``, followed by the columns of ``free``,
-    whose P-part is zero.  So Z1 = [z1, 0] has the SVD of z1 with
-    V = blockdiag(V_d, I), and only z1 is factorized.  Returns the
+    stacked (v_s; v_t) part ``zv`` (2j rows), followed by the j free
+    directions of :func:`_free_directions` for the step coefficients
+    ``c_s``, ``c_t``, whose P-part is zero.  So Z1 = [z1, 0] has the SVD of
+    z1 with V = blockdiag(V_d, I), and only z1 is factorized.  Returns the
     unnormalized complex column p (real and imaginary parts become the two
-    new P columns), the matching stacked v-column, and a dict of the data
-    behind the choice.  ``z1`` may be given in any real orthonormal
-    coordinates of the p-space, and p comes back in the same coordinates:
-    z1 enters only through inner products of real and imaginary parts,
-    which a real isometry keeps.
+    new P columns), the matching stacked v-column, Z1's two leading
+    singular values, the branch taken and the objectives rho1, rho2 of the
+    single- and two-direction choices (None on the rank-1 branch).  ``z1``
+    may be given in any real orthonormal coordinates of the p-space, and p
+    comes back in the same coordinates: z1 enters only through inner
+    products of real and imaginary parts, which a real isometry keeps.
     """
     # Every coefficient direction of z1 is used, so V_d must be square; U is
     # read only in its first two columns and stays thin whenever it can.
@@ -444,8 +499,8 @@ def _complex_pair_core(z1, zv, free, tau_pen):
         raise DegenerateStepError("complex step: direction matrix Z1 vanishes")
     nu1 = float(nus[0])
     nu2 = float(nus[1]) if nus.size > 1 else 0.0
-    diag: dict = {"nu1": nu1, "nu2": nu2}
     vfree = 0.0
+    rho1 = rho2 = None
 
     if nu2 <= 1e-8 * nu1:
         # single usable direction: orthogonalize its real/imaginary parts
@@ -462,9 +517,9 @@ def _complex_pair_core(z1, zv, free, tau_pen):
         vs2 = float(np.linalg.norm(p2))
         if min(vs1, vs2) <= 1e-13:
             raise DegenerateStepError("complex step: degenerate rotated direction")
-        zv_all = np.hstack([zv @ v, free])
-        w = zv_all[:, 0]
-        big_w = zv_all[:, 1:]
+        zvv = zv @ v
+        w = zvv[:, 0]
+        big_w = np.hstack([zvv[:, 1:], _free_directions(c_s, c_t, zv.shape[0] // 2)])
         k = big_w.shape[1]
         if k > 0:
             if zv.shape[0] == 0:
@@ -488,20 +543,19 @@ def _complex_pair_core(z1, zv, free, tau_pen):
                 raise DegenerateStepError("complex step: coefficient system is numerically singular")
             y = -0.5 * np.linalg.solve(hmat, hvec)
             g = y[:k] + 1j * y[k:]
-            diag.update({"H": hmat, "h": hvec, "y": y, "w": w, "W": big_w})
         else:
             g = np.zeros(0, dtype=complex)
-            diag.update({"H": None, "h": None, "y": np.zeros(0), "w": w, "W": big_w})
         coef = (c + 1j * s) * np.concatenate([[1.0 / nu1], g])
-        bvec = v @ coef[: v.shape[1]]
-        vfree = free @ coef[v.shape[1] :]
-        diag.update({"branch": "rank1", "c": c, "s": s, "vs": (vs1, vs2)})
+        d = v.shape[1]
+        bvec = v @ coef[:d]
+        # the free directions' part, (c_t g; -c_s g) / c, in closed form
+        c_st = math.hypot(abs(c_s), abs(c_t))
+        vfree = np.concatenate([(c_t / c_st) * coef[d:], (-c_s / c_st) * coef[d:]])
+        branch = "rank1"
     else:
         psi1 = u[:, 0]
-        psi2 = u[:, 1]
         zv2 = zv @ v[:, :2]
         w1 = zv2[:, 0] / nu1
-        w2 = zv2[:, 1] / nu2
         c1 = (1.0 - nu1**2) / nu1**2
         c2 = (1.0 - nu2**2) / nu2**2
         rho1 = np.inf
@@ -523,28 +577,27 @@ def _complex_pair_core(z1, zv, free, tau_pen):
                     + tau_pen**2 * (delta - 1.0 / delta) ** 2
                 )
                 s1 = (c, s)
-        kr = np.column_stack([psi1.real, psi2.real])
-        ki = np.column_stack([psi1.imag, psi2.imag])
+        kr = np.ascontiguousarray(u[:, :2].real)
+        ki = np.ascontiguousarray(u[:, :2].imag)
         cmat = kr.T @ kr - ki.T @ ki
         dmat = kr.T @ ki + ki.T @ kr
-        hm = np.block([[cmat, -dmat], [-dmat, -cmat]])
+        hm = np.empty((4, 4))
+        hm[:2, :2] = cmat
+        hm[:2, 2:] = hm[2:, :2] = -dmat
+        hm[2:, 2:] = -cmat
         coeff = _equalizing_coefficients(hm, c1, c2)
-        rho2 = 2.0 * (
-            c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2)
-        )
-        diag.update({"rho1": float(rho1), "rho2": float(rho2), "coeff": coeff})
+        rho1 = float(rho1)
+        rho2 = float(2.0 * (c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2)))
         if rho2 <= rho1:
             gz = coeff[:2] + 1j * coeff[2:]
             bvec = v[:, :2] @ (gz / nus[:2])
-            diag["branch"] = "hamiltonian"
+            branch = "hamiltonian"
         else:
             c, s = s1
             bvec = (c + 1j * s) * v[:, 0] / nu1
-            diag["branch"] = "jacobi"
+            branch = "jacobi"
 
-    pc = z1 @ bvec
-    vc = zv @ bvec + vfree
-    return pc, vc, diag
+    return _PairChoice(z1 @ bvec, zv @ bvec + vfree, nu1, nu2, branch, rho1, rho2)
 
 
 def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
@@ -563,61 +616,49 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     alpha_dom = mag >= 1.0
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
     sigma, tau = gamma.real, gamma.imag
-    n, m, j = state.n, state.m, state.j
+    j = state.j
     a = np.asarray(a, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
-    q2t = par.q2.T
-    xi = state.Xi
     if alpha_dom:
         kp, c_s, c_t = state.EP_perp - gamma * state.AP_perp, gamma, -1.0
     else:
         kp, c_s, c_t = state.AP_perp - gamma * state.EP_perp, -1.0, gamma
-    p_perp = state.P_perp
     y, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
 
-    pc, vc, diag = _complex_pair_core(y, v, _free_directions(c_s, c_t, j), tau)
-    pc = p_perp @ pc
-    pt1, pt2 = pc.real.copy(), pc.imag.copy()
-    vs1 = float(np.linalg.norm(pt1))
-    vs2 = float(np.linalg.norm(pt2))
+    choice = _complex_pair_core(y, v, c_s, c_t, tau)
+    pc = state.P_perp @ choice.p
+    vc = choice.v
+    vs1 = float(np.linalg.norm(pc.real))
+    vs2 = float(np.linalg.norm(pc.imag))
     if min(vs1, vs2) <= 1e-13:
         raise DegenerateStepError("complex step: produced dependent column pair")
     delta = vs1 / vs2
-    p1 = _orthonormal_against(state.P, pt1 / vs1)
-    p2 = _orthonormal_against(np.hstack([state.P, p1[:, None]]), pt2 / vs2)
-    v_s = np.column_stack([vc.real[:j] / vs1, vc.imag[:j] / vs2])
-    v_t = np.column_stack([vc.real[j:] / vs1, vc.imag[j:] / vs2])
+    new = slice(j, j + 2)
+    p_buf, s_buf, t_buf = state.p_buf, state.s_buf, state.t_buf
+    p_buf[:, j] = _orthonormal_against(state.P, pc.real / vs1)
+    p_buf[:, j + 1] = _orthonormal_against(p_buf[:, : j + 1], pc.imag / vs2)
+    s_buf[:j, j], s_buf[:j, j + 1] = vc.real[:j] / vs1, vc.imag[:j] / vs2
+    t_buf[:j, j], t_buf[:j, j + 1] = vc.real[j:] / vs1, vc.imag[j:] / vs2
     if alpha_dom:
-        xi1 = q2t @ (a @ p1) - xi @ v_s[:, 0]
-        xi2 = q2t @ (a @ p2) - xi @ v_s[:, 1]
-        block_s = np.eye(2)
-        block_t = d_delta_block(sigma, tau, delta)
+        np.fill_diagonal(s_buf[new, new], 1.0)
+        t_buf[new, new] = d_delta_block(sigma, tau, delta)
+        state.xi_buf[:, new] = par.q2.T @ (a @ p_buf[:, new]) - state.Xi @ s_buf[:j, new]
     else:
-        xi1 = q2t @ (e @ p1) - xi @ v_t[:, 0]
-        xi2 = q2t @ (e @ p2) - xi @ v_t[:, 1]
-        block_s = d_delta_block(sigma, tau, delta)
-        block_t = np.eye(2)
+        s_buf[new, new] = d_delta_block(sigma, tau, delta)
+        np.fill_diagonal(t_buf[new, new], 1.0)
+        state.xi_buf[:, new] = par.q2.T @ (e @ p_buf[:, new]) - state.Xi @ t_buf[:j, new]
 
     rec = StepRecord(
         "complex",
         j,
         y.shape[1] + j,
-        p_share=diag["nu1"] ** 2,
-        branch=diag["branch"],
-        nu2=diag["nu2"],
-        rho1=diag.get("rho1"),
-        rho2=diag.get("rho2"),
+        p_share=choice.nu1**2,
+        branch=choice.branch,
+        nu2=choice.nu2,
+        rho1=choice.rho1,
+        rho2=choice.rho2,
     )
-    return AssignState(
-        n,
-        m,
-        np.hstack([state.P, p1[:, None], p2[:, None]]),
-        _complement_after(_complement_after(state.perp, n, p1), n, p2),
-        np.hstack([xi, xi1[:, None], xi2[:, None]]),
-        _grown(state.S, v_s, block_s),
-        _grown(state.T, v_t, block_t),
-        state.steps + (rec,),
-    )
+    return _advance(state, 2, rec)
 
 
 def complete_X(par: Parametrization, xi) -> np.ndarray:
@@ -692,12 +733,4 @@ def run_pipeline(problem) -> Solution:
         raise DegenerateStepError(f"assignment finished with {state.j} columns, expected {n}")
     x = complete_X(par, state.Xi)
     f, g = extract_feedback(a, e, par, x, state.S, state.T, state.P)
-    return Solution(
-        F=f,
-        G=g,
-        P=state.P,
-        S=state.S,
-        T=state.T,
-        X=x,
-        steps=state.steps,
-    )
+    return Solution(F=f, G=g, P=state.P, S=state.S, T=state.T, X=x, steps=tuple(state.steps))

@@ -155,7 +155,11 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
 
 
 def run_trial(cfg: BenchConfig, r: int, trial: int) -> TrialResult:
-    """Generate, validate, assign and verify one instance."""
+    """Generate, validate, assign and verify one instance.
+
+    A failed verification keeps its reason: ``"verification failed: "``
+    and the report's first failing criterion with its value.
+    """
     try:
         problem = generate_random_instance(cfg, r, trial)
     except DegenerateStepError as exc:
@@ -168,7 +172,7 @@ def run_trial(cfg: BenchConfig, r: int, trial: int) -> TrialResult:
     except DegenerateStepError as exc:
         return TrialResult(r, trial, error=str(exc))
     rep = verify_solution(problem, sol)
-    return TrialResult(r, trial, rep, None if rep.passed else "verification failed")
+    return TrialResult(r, trial, rep, None if rep.passed else f"verification failed: {rep.failure}")
 
 
 def _mean(values) -> float:

@@ -14,7 +14,8 @@ are pinned here so downstream computations are reproducible run to run:
   singular vectors in order; on wide input, the null directions of the
   square triangular factor of a QR of the conjugate transpose, followed by
   that QR's trailing orthogonal columns.  The orthogonal factor is applied
-  in its Householder form (LAPACK ``?ormqr``/``?unmqr``) and never formed.
+  in its Householder form, one reflector at a time (LAPACK
+  ``?orm2r``/``?unm2r``), and never formed.
 
 ``serial_blas`` runs a computation on one OpenBLAS thread, in numpy's and
 scipy's OpenBLAS alike.  The package's entry points (``run_pipeline``,
@@ -63,6 +64,11 @@ _EPS = float(np.finfo(np.float64).eps)
 # SVD to every R within three decades of the cutoff.
 _FULL_RANK_MARGIN = 1e3
 
+# LAPACK's block size for ?geqrf (its ilaenv default).  A workspace of that
+# many entries per column is the blocked algorithm's optimum, so ?geqrf
+# runs as it would after a workspace query, without one.
+_GEQRF_BLOCK = 32
+
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m)
@@ -105,16 +111,30 @@ def _rank_from_singular_values(s: np.ndarray, shape) -> int:
     return int(np.count_nonzero(s > max(shape) * _EPS * float(s[0])))
 
 
-def _certified_full_rank(r: np.ndarray, shape) -> bool:
-    """True when the upper triangle R of the square ``r`` provably has all
-    its singular values above the rank cutoff of a matrix of ``shape`` (the
-    bound behind ``_FULL_RANK_MARGIN``); False leaves the decision to the
-    SVD.  Entries below the diagonal are not read."""
-    trtri, lantr = scipy.linalg.get_lapack_funcs(("trtri", "lantr"), (r,))
-    inv, info = trtri(r)
+def _householder_qr(tall: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Raw Householder QR (LAPACK ``?geqrf``) of ``tall`` (rows >= cols):
+    the reflectors below and R on and above the diagonal of the first
+    array, the reflector scalars in the second.  ``overwrite`` lets LAPACK
+    work in ``tall`` itself when it is Fortran-ordered."""
+    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (tall,))
+    qr, tau, _, info = geqrf(tall, lwork=max(_GEQRF_BLOCK * tall.shape[1], 1), overwrite_a=overwrite)
+    if info != 0:
+        raise ValueError(f"LAPACK ?geqrf failed (info={info})")
+    return qr, tau
+
+
+def _certified_full_rank(qr: np.ndarray, shape) -> bool:
+    """True when the upper triangle R of the leading square of ``qr``
+    (rows >= cols, such as ``_householder_qr``'s first output) provably has
+    all its singular values above the rank cutoff of a matrix of ``shape``
+    (the bound behind ``_FULL_RANK_MARGIN``); False leaves the decision to
+    the SVD.  Entries below the diagonal are not read: ``?lantr`` takes
+    ||R||_F from the upper trapezoid of ``qr`` itself, without a copy."""
+    trtri, lantr = scipy.linalg.get_lapack_funcs(("trtri", "lantr"), (qr,))
+    inv, info = trtri(qr[: qr.shape[1]])
     if info != 0:
         return False
-    cutoff = max(shape) * _EPS * lantr("F", r)
+    cutoff = max(shape) * _EPS * lantr("F", qr)
     return 1.0 / lantr("F", inv) > _FULL_RANK_MARGIN * cutoff
 
 
@@ -132,11 +152,8 @@ def numerical_rank(m) -> int:
     if a.size == 0:
         return 0
     rows, cols = a.shape
-    tall = a if rows >= cols else a.T
-    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (tall,))
-    lwork = int(geqrf(tall, lwork=-1)[2][0].real)
-    qr, _, _, info = geqrf(tall, lwork=max(lwork, 1))
-    if info == 0 and _certified_full_rank(qr[: min(rows, cols)], a.shape):
+    qr, _ = _householder_qr(a if rows >= cols else a.T)
+    if _certified_full_rank(qr, a.shape):
         return min(rows, cols)
     return _rank_from_singular_values(np.linalg.svd(a, compute_uv=False), a.shape)
 
@@ -153,9 +170,12 @@ def orthonormal_null_basis(m) -> np.ndarray:
     when M has less than full row rank, the extra ones, Q1 U_R[:, rank:]
     for R = U_R S V_R^H, come first.  Those columns are Q applied to
     [0; I], or to [U_R[:, rank:], 0; 0, I], through the stored reflectors:
-    O(rows cols (cols - rank)) work; Q itself is never formed.  Full row rank
-    is certified from the triangular inverse of R when
-    1/||R^{-1}||_F > 1e3 * max(rows, cols) * eps * ||R||_F (see
+    O(rows cols (cols - rank)) work; Q itself is never formed.  The
+    reflectors are applied one at a time (LAPACK's unblocked ``?orm2r`` /
+    ``?unm2r``, chosen by the minimal workspace), which for the few columns
+    of [0; I] costs less than forming the blocked method's triangular
+    factors.  Full row rank is certified from the triangular inverse of R
+    when 1/||R^{-1}||_F > 1e3 * max(rows, cols) * eps * ||R||_F (see
     ``_FULL_RANK_MARGIN``); otherwise R's SVD decides.  The result is
     reproducible for identical inputs, but which orthonormal basis of the
     null space it is remains a convention.
@@ -169,18 +189,19 @@ def orthonormal_null_basis(m) -> np.ndarray:
     if rows >= cols:
         _, s, vh = np.linalg.svd(a, full_matrices=True)
         return vh[_rank_from_singular_values(s, a.shape) :].conj().T.copy()
-    (qr, tau), r = scipy.linalg.qr(a.conj().T, mode="raw", check_finite=False)
+    # np.conjugate always returns a fresh (Fortran-ordered) array, which
+    # ?geqrf may overwrite; ndarray.conj() would return a real input itself
+    qr, tau = _householder_qr(np.conjugate(a.T), overwrite=True)
     rank = rows
-    if not _certified_full_rank(r, a.shape):
-        u_r, s, _ = np.linalg.svd(r)
+    if not _certified_full_rank(qr, a.shape):
+        u_r, s, _ = np.linalg.svd(np.triu(qr[:rows]))
         rank = _rank_from_singular_values(s, a.shape)
     c = np.zeros((cols, cols - rank), dtype=qr.dtype, order="F")
-    c[rows:, rows - rank :] = np.eye(cols - rows)
+    np.fill_diagonal(c[rows:, rows - rank :], 1.0)
     if rank < rows:
         c[:rows, : rows - rank] = u_r[:, rank:]
     (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (qr,))
-    lwork = int(ormqr("L", "N", qr, tau, c, -1)[1][0].real)
-    out, _, info = ormqr("L", "N", qr, tau, c, max(lwork, 1), overwrite_c=1)
+    out, _, info = ormqr("L", "N", qr, tau, c, c.shape[1], overwrite_c=1)
     if info != 0:
         raise ValueError(f"LAPACK ?ormqr failed (info={info})")
     return out
@@ -255,14 +276,12 @@ def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
     # LAPACK's divide-and-conquer driver: numpy's eigh wakes the OpenBLAS
     # worker threads and can stall for milliseconds on small matrices.
     w, v = scipy.linalg.eigh(0.5 * (a + a.T), driver="evd")
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(cols):
-        col = v[:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, k] = -col
-    return w, v
+    if cols == 0:
+        return w, v
+    v = v[:, ::-1]
+    # the sign of each column's first nonzero entry (row 0 of a zero column)
+    first = v[np.argmax(v != 0.0, axis=0), np.arange(cols)]
+    return w[::-1].copy(), np.where(first < 0.0, -v, v)
 
 
 def jacobi_orthogonalize(x, y) -> tuple[float, float]:

@@ -225,18 +225,18 @@ def precs_metric(requested, computed) -> float:
     +inf when the counts differ, and is floored at -17 (machine-precision
     agreement, including the empty case).
     """
-    req = [complex(v) for v in requested]
-    comp = [complex(v) for v in computed]
-    if len(req) != len(comp):
+    req = np.array([complex(v) for v in requested], dtype=complex)
+    comp = np.array([complex(v) for v in computed], dtype=complex)
+    if req.size != comp.size:
         return math.inf
-    if not req:
+    if not req.size:
         return _PRECS_FLOOR
-    cost = np.empty((len(req), len(comp)))
-    for i, rv in enumerate(req):
-        den = abs(rv)
-        for k, cv in enumerate(comp):
-            err = abs(rv - cv)
-            cost[i, k] = err / den if den > 0 else err
+    # |z| as hypot(Re z, Im z), rounded as Python's abs() of a complex
+    den = np.hypot(req.real, req.imag)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = req[:, None] - comp[None, :]
+        err = np.hypot(diff.real, diff.imag)
+        cost = np.where(den > 0, err / np.where(den > 0, den, 1.0), err)
     cost = np.nan_to_num(cost, nan=np.inf, posinf=np.inf)
     rows, cols = linear_sum_assignment(cost)
     worst = float(cost[rows, cols].max())
@@ -311,7 +311,12 @@ def eigenvector_condition(values, eigvecs, null_e) -> float | None:
 
 @dataclass(eq=False)
 class Report:
-    """Verification summary for one candidate feedback pair."""
+    """Verification summary for one candidate feedback pair.
+
+    ``failure`` names the first criterion the pair fails, with its value,
+    in the order: not regular, index > 1, infinite count, precs, factor
+    residual; None when it passes.
+    """
 
     precs: float
     delta_f2: float | None
@@ -326,7 +331,11 @@ class Report:
     index_ok: bool
     regular: bool
     pole_mismatch: bool
-    passed: bool
+    failure: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
     def to_mapping(self) -> dict:
         """External key names used by the text and JSON reports."""
@@ -351,7 +360,8 @@ def verify_feedback(problem, f, g) -> Report:
 
     The verdict: a regular closed loop of index at most one whose finite
     and infinite pole counts match the problem, with precs <= -6 (or no
-    finite poles at all).  The fields that need the solver's factors read
+    finite poles at all); ``failure`` names the first of these that
+    fails.  The fields that need the solver's factors read
     None.  A closed loop with a non-finite entry or Frobenius norm fails
     as not regular: the oracle scales by that norm, so it has no spectrum
     to judge.
@@ -379,6 +389,16 @@ def verify_feedback(problem, f, g) -> Report:
     index_ok = regular and idx.index_le_1
     mismatch = math.isinf(precs) or inf_count != n - r
     precs_ok = (precs <= -6.0) or (r == 0 and not mismatch)
+    if not regular:
+        failure = "closed loop not regular"
+    elif not index_ok:
+        failure = "index > 1"
+    elif inf_count != n - r:
+        failure = f"infinite count {inf_count}, expected {n - r}"
+    elif not precs_ok:
+        failure = f"precs {precs:.3g} > -6"
+    else:
+        failure = None
     return Report(
         precs=precs,
         delta_f2=None,
@@ -393,7 +413,7 @@ def verify_feedback(problem, f, g) -> Report:
         index_ok=index_ok,
         regular=regular,
         pole_mismatch=mismatch,
-        passed=bool(regular and index_ok and not mismatch and precs_ok),
+        failure=failure,
     )
 
 
@@ -402,8 +422,9 @@ def verify_feedback(problem, f, g) -> Report:
 def verify_solution(problem, sol) -> Report:
     """Verify a pipeline solution: :func:`verify_feedback` on (F, G), plus
     the residuals of the factors (A+BF)P = XS, (E+BG)P = XT and P^T P = I,
-    each of which must be at most ``_FACTOR_TOL`` (a NaN fails).  Runs on
-    one BLAS thread (:func:`~schurpole.linalg.serial_blas`)."""
+    each of which must be at most ``_FACTOR_TOL`` (a NaN fails); the first
+    that is not names ``failure`` when the closed loop itself passes.  Runs
+    on one BLAS thread (:func:`~schurpole.linalg.serial_blas`)."""
     rep = verify_feedback(problem, sol.F, sol.G)
     scale = max(
         float(np.linalg.norm(problem.A) + np.linalg.norm(problem.E) + np.linalg.norm(sol.X)), 1.0
@@ -413,6 +434,8 @@ def verify_solution(problem, sol) -> Report:
     residual_a = float(np.linalg.norm(a_c @ sol.P - sol.X @ sol.S)) / scale
     residual_e = float(np.linalg.norm(e_c @ sol.P - sol.X @ sol.T)) / scale
     orth_p = float(np.linalg.norm(sol.P.T @ sol.P - np.eye(problem.n)))
+    residuals = {"residual_a": residual_a, "residual_e": residual_e, "orth_p": orth_p}
+    over = (f"{name} {res:.3g} > {_FACTOR_TOL:g}" for name, res in residuals.items() if not res <= _FACTOR_TOL)
     return replace(
         rep,
         residual_a=residual_a,
@@ -420,5 +443,5 @@ def verify_solution(problem, sol) -> Report:
         orth_p=orth_p,
         delta_f2=departure_measure(sol.S, sol.T),
         kappa_x_gf=frobenius_condition(sol.X),
-        passed=rep.passed and all(res <= _FACTOR_TOL for res in (residual_a, residual_e, orth_p)),
+        failure=rep.failure or next(over, None),
     )

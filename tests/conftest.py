@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import types
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import schurpole.assign as assign_module
 from schurpole import BenchConfig, PolePair, Problem, generalized_eig_oracle, generate_random_instance, run_pipeline
+from schurpole.linalg import jacobi_orthogonalize
 
 # Numerical tests can be slow on loaded CI boxes; wall-clock deadlines only
 # produce flaky failures there.
@@ -30,22 +34,75 @@ def solve_recording(prob, name):
 
     Returns the Solution and the ``(args, result)`` pair of every call of
     that function, in call order.  A step's null-space basis
-    (``_step_null_basis``) or its complex-pair choice data
-    (``_complex_pair_core``) is scratch the solver does not keep, so tests
-    that inspect it record it here.
+    (``_step_null_basis``) or its complex-pair choice (``_complex_pair_core``)
+    is scratch the solver does not keep, so tests that inspect it record it
+    here.  The steps write the ``AssignState`` in place, so the arguments
+    are recorded as deep copies taken at the call: a recorded state is the
+    one the call saw.
     """
     calls = []
     original = getattr(assign_module, name)
 
     def recording(*args):
+        seen = copy.deepcopy(args)
         out = original(*args)
-        calls.append((args, out))
+        calls.append((seen, out))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(assign_module, name, recording)
         sol = run_pipeline(prob)
     return sol, calls
+
+
+def rank1_quadratic(args, choice):
+    """The quadratic a rank-1 complex step minimizes, recomputed from the
+    recorded ``_complex_pair_core`` call ``args`` = (z1, zv, c_s, c_t,
+    tau_pen) and its returned ``choice``.
+
+    With psi1 = U[:, 0] of z1's SVD, (c, s) the rotation that makes Re and
+    Im of (c + i s) psi1 orthogonal, ``vs`` the norms of those parts, ``w``
+    the top column's v-part and ``W`` the v-parts of the other d - 1 mapped
+    columns and of the j free directions, coefficients g of W give the
+    v-column x = (c + i s)(w / nu1 + W g), and the added mass
+    ||Re x||^2 / vs1^2 + ||Im x||^2 / vs2^2 is ||M y + b||^2 in the real
+    coordinates y = (Re g, Im g): ``H`` = M^T M, ``h`` = 2 M^T b.  The
+    chosen ``y`` is read back from the returned columns, which the
+    orthonormal basis [[z1 V, 0], [zv V, free]] maps one to one onto their
+    coefficients.
+    """
+    z1, zv, c_s, c_t, _ = args
+    u, nus, vh = np.linalg.svd(z1)
+    v = vh.conj().T
+    psi1 = u[:, 0]
+    c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
+    vs = (
+        float(np.linalg.norm(c * psi1.real - s * psi1.imag)),
+        float(np.linalg.norm(s * psi1.real + c * psi1.imag)),
+    )
+    zvv = zv @ v
+    free = assign_module._free_directions(c_s, c_t, zv.shape[0] // 2)
+    w, big_w = zvv[:, 0], np.hstack([zvv[:, 1:], free])
+    coef = np.concatenate([(z1 @ v).conj().T @ choice.p + zvv.conj().T @ choice.v, free.conj().T @ choice.v])
+    rot = c + 1j * s
+    assert abs(coef[0] - rot / nus[0]) <= 1e-10 / nus[0]
+    g = coef[1:] / rot
+    wr, wi = big_w.real, big_w.imag
+    m_re = np.hstack([c * wr - s * wi, -c * wi - s * wr]) / vs[0]
+    m_im = np.hstack([s * wr + c * wi, -s * wi + c * wr]) / vs[1]
+    b = np.concatenate([(c * w.real - s * w.imag) / vs[0], (s * w.real + c * w.imag) / vs[1]]) / nus[0]
+    mmat = np.vstack([m_re, m_im])
+    return types.SimpleNamespace(
+        H=mmat.T @ mmat,
+        h=2.0 * mmat.T @ b,
+        y=np.concatenate([g.real, g.imag]),
+        w=w,
+        W=big_w,
+        c=c,
+        s=s,
+        vs=vs,
+        nu1=float(nus[0]),
+    )
 
 
 def unsolvable_instance():

@@ -39,7 +39,7 @@ from schurpole.cli import main as cli_main
 from schurpole.metrics import generalized_eig_oracle, verify_solution
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import solve_recording, unsolvable_instance
+from conftest import rank1_quadratic, solve_recording, unsolvable_instance
 
 SMALL = [(6, rank_e, m) for rank_e in (2, 3, 5) for m in (2, 3, 4)]
 LARGE = [(30, rank_e, m) for rank_e in (2, 15, 29) for m in (2, 15, 28)]
@@ -279,14 +279,17 @@ def test_criterion_4_step_optimality(small_suite, large_suite):
         cfg = BenchConfig(n=6, rank_e=rank_e, m=1, trials=trial + 1, seed=0)
         prob = generate_random_instance(cfg, r=r, trial=trial)
         _, calls = solve_recording(prob, "_complex_pair_core")
-        for _, (_, _, data) in calls:
-            if data["branch"] != "rank1" or data["H"] is None:
+        for args, choice in calls:
+            if choice.branch != "rank1":
                 continue
-            hmat, hvec, y = data["H"], data["h"], data["y"]
-            c, s = data["c"], data["s"]
-            vs1, vs2 = data["vs"]
-            w, big_w = data["w"], data["W"]
-            nu1 = data["nu1"]
+            quad = rank1_quadratic(args, choice)
+            if not quad.y.size:
+                continue
+            hmat, hvec, y = quad.H, quad.h, quad.y
+            c, s = quad.c, quad.s
+            vs1, vs2 = quad.vs
+            w, big_w = quad.w, quad.W
+            nu1 = quad.nu1
             k = y.size // 2
 
             def objective(yv):
@@ -369,9 +372,10 @@ def test_criterion_6_complex_strategy_bounds(small_suite, large_suite):
     rest = np.zeros((4, 2), dtype=complex)
     rest[0, 0] = np.sqrt(1.0 - nu1**2)
     rest[1, 1] = np.sqrt(1.0 - nu2**2)
-    _, _, diag = _complex_pair_core(z1, rest, np.zeros((4, 0)), tau_pen=0.4)
+    # two free directions (0; e_i), orthogonal to rest's columns
+    choice = _complex_pair_core(z1, rest, -1.0, 0.0, tau_pen=0.4)
     want = 2.0 * (1.0 - nu1**2) / nu1**2
-    special = min(diag["rho1"], diag["rho2"])
+    special = min(choice.rho1, choice.rho2)
     special_ok = abs(special - want) <= 1e-12 * want
 
     ok = checked > 0 and not bad and special_ok

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from schurpole.assign import (
     d_delta_block,
 )
 
-from conftest import make_instance, rng_matrix, solve_recording, unsolvable_instance
+from conftest import make_instance, rank1_quadratic, rng_matrix, solve_recording, unsolvable_instance
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -161,6 +162,30 @@ def test_step_null_basis_spans_the_stacked_null_space():
     assert {first for *_, first in kinds} == {False, True}
 
 
+def test_recorded_state_is_the_one_the_step_saw():
+    # The steps write the state in place; solve_recording keeps a copy per
+    # call.  Each recorded state has the step's own j, P's columns as the
+    # solution has them, and the complement from which the step formed its
+    # matrix kp: Q2^T E P_perp - c_s Q2^T A P_perp when c_t = -1, else
+    # Q2^T A P_perp - c_t Q2^T E P_perp, to the bit.
+    prob = make_instance(30, 15, 2, 17)
+    sol, calls = solve_recording(prob, "_step_null_basis")
+    assert [args[0].j for args, _ in calls] == [step.j_before for step in sol.steps[1:]]
+    for (state, kp, c_s, c_t, _), _ in calls:
+        assert np.array_equal(state.P, sol.P[:, : state.j])
+        assert state.P_perp.shape == (prob.n, prob.n - state.j)
+        if c_t == -1.0:
+            assert np.array_equal(kp, state.EP_perp - c_s * state.AP_perp)
+        else:
+            assert c_s == -1.0 and np.array_equal(kp, state.AP_perp - c_t * state.EP_perp)
+
+
+def _with_xi(state, xi):
+    """What ``_step_null_basis`` reads of a state (j, m and Xi), with Xi
+    replaced; ``xi`` may have a row more than the state's buffer holds."""
+    return types.SimpleNamespace(j=state.j, m=state.m, Xi=xi)
+
+
 def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
     prob = make_instance(30, 15, 2, 17)
     last_of_kind = {args[-1]: (args, kq) for args, _, kq in _recorded_steps(prob)}
@@ -171,13 +196,13 @@ def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
         # a repeated row leaves the constraint rank deficient: one more
         # null direction, which the step must keep
         kq_def, xi_def = np.vstack([kq[:-1], kq[:1]]), np.vstack([xi[:-1], xi[:1]])
-        deficient = dataclasses.replace(state, Xi=xi_def)
+        deficient = _with_xi(state, xi_def)
         out = assign_module._step_null_basis(deficient, kq_def @ state.P_perp, c_s, c_t, what)
         _assert_spans_stacked_null_space(kq_def, xi_def, c_s, c_t, state, out, extra=1)
         # one independent row too many leaves fewer than m + j directions
         rng = np.random.default_rng(j)
         kq_more = np.vstack([kq, rng.standard_normal((1, n)).astype(kq.dtype)])
-        more = dataclasses.replace(state, Xi=np.vstack([xi, rng.standard_normal((1, j))]))
+        more = _with_xi(state, np.vstack([xi, rng.standard_normal((1, j))]))
         with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension") as err:
             assign_module._step_null_basis(more, kq_more @ state.P_perp, c_s, c_t, what)
         assert (err.value.null_dim, err.value.needed) == (m + j - 1, m + j)
@@ -334,7 +359,9 @@ def test_pipeline_is_deterministic():
 def _synthetic_stacked_basis(nu1, nu2, phase=0.0):
     """Orthonormal stacked columns whose z1 part has singular values nu1, nu2
     and whose top left singular vector has orthogonal real/imag parts of
-    norm 1/sqrt(2) each."""
+    norm 1/sqrt(2) each, and the step coefficients (c_s, c_t) = (-1, 0) of
+    j = 2 free directions (0; e_i): no P-part, and orthogonal to zv's
+    columns."""
     rot = np.exp(1j * phase)
     psi1 = rot * np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
     psi2 = rot * np.array([0.0, 0.0, 1.0, 1.0j]) / np.sqrt(2.0)
@@ -344,37 +371,50 @@ def _synthetic_stacked_basis(nu1, nu2, phase=0.0):
     rest1[0] = np.sqrt(1.0 - nu1**2)
     rest2[1] = np.sqrt(1.0 - nu2**2)
     zv = np.column_stack([rest1, rest2])
-    # two free directions: no P-part, and orthogonal to zv's columns
-    free = np.eye(4)[:, 2:]
-    return z1, zv, free
+    assert np.array_equal(assign_module._free_directions(-1.0, 0.0, 2), np.eye(4)[:, 2:])
+    return z1, zv, (-1.0, 0.0)
 
 
 def test_complex_core_special_geometry_objective():
     # Top direction with orthogonal half-norm real/imag parts: the
     # single-direction objective collapses to 2*(1 - nu1^2)/nu1^2 exactly.
     nu1, nu2 = 0.8, 0.5
-    z1, zv, free = _synthetic_stacked_basis(nu1, nu2)
-    _, _, diag = _complex_pair_core(z1, zv, free, tau_pen=0.3)
+    z1, zv, coeffs = _synthetic_stacked_basis(nu1, nu2)
+    choice = _complex_pair_core(z1, zv, *coeffs, tau_pen=0.3)
     expected = 2.0 * (1.0 - nu1**2) / nu1**2  # = 1.125 for nu1 = 0.8
-    assert abs(diag["rho1"] - expected) <= 1e-12 * expected
-    chosen = diag["rho2"] if diag["branch"] == "hamiltonian" else diag["rho1"]
-    assert chosen == min(diag["rho1"], diag["rho2"])
+    assert abs(choice.rho1 - expected) <= 1e-12 * expected
+    chosen = choice.rho2 if choice.branch == "hamiltonian" else choice.rho1
+    assert chosen == min(choice.rho1, choice.rho2)
     assert abs(chosen - expected) <= 1e-12 * expected
 
 
 def test_complex_core_objective_is_phase_invariant():
     base = None
     for phase in (0.0, 0.3, 1.2):
-        z1, zv, free = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
-        _, _, diag = _complex_pair_core(z1, zv, free, tau_pen=0.3)
-        val = min(diag["rho1"], diag["rho2"])
+        z1, zv, coeffs = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
+        choice = _complex_pair_core(z1, zv, *coeffs, tau_pen=0.3)
+        val = min(choice.rho1, choice.rho2)
         if base is None:
             base = val
         assert abs(val - base) <= 1e-10 * base
 
 
+def _equalizing_data(z1, nu1, nu2):
+    """The two-direction choice's inputs, recomputed from z1: the form
+    ``hm`` of Z1's top two left singular vectors psi (the norm imbalance of
+    the two real columns; J*hm gives their inner product) and the weights
+    c_l = (1 - nu_l^2) / nu_l^2."""
+    psi = np.linalg.svd(z1)[0][:, :2]
+    kr, ki = psi.real, psi.imag
+    cmat = kr.T @ kr - ki.T @ ki
+    dmat = kr.T @ ki + ki.T @ kr
+    hm = np.block([[cmat, -dmat], [-dmat, -cmat]])
+    return hm, (1.0 - nu1**2) / nu1**2, (1.0 - nu2**2) / nu2**2
+
+
 def test_complex_core_two_direction_bound():
     rng = np.random.default_rng(11)
+    jmat = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
     exercised = 0
     for _ in range(20):
         raw = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
@@ -385,16 +425,23 @@ def test_complex_core_two_direction_bound():
         nus = np.linalg.svd(z1, compute_uv=False)
         if nus.size < 2 or nus[1] <= 1e-8 * nus[0] or nus[0] >= 1.0 - 1e-9:
             continue
-        _, _, diag = _complex_pair_core(z1, zv, np.zeros((4, 0)), tau_pen=0.5)
-        if diag["branch"] not in ("hamiltonian", "jacobi"):
+        # the two-direction branches never read the free directions
+        choice = _complex_pair_core(z1, zv, 1.0, 0.0, tau_pen=0.5)
+        if choice.branch not in ("hamiltonian", "jacobi"):
             continue
         exercised += 1
-        c2 = (1.0 - diag["nu2"] ** 2) / diag["nu2"] ** 2
-        assert diag["rho2"] <= 2.0 * c2 * (1.0 + 1e-12)
-        chosen = diag["rho2"] if diag["branch"] == "hamiltonian" else diag["rho1"]
-        assert chosen == min(diag["rho1"], diag["rho2"])
-        coeff = diag["coeff"]
+        hm, c1, c2 = _equalizing_data(z1, choice.nu1, choice.nu2)
+        assert c2 == (1.0 - choice.nu2**2) / choice.nu2**2
+        assert choice.rho2 <= 2.0 * c2 * (1.0 + 1e-12)
+        chosen = choice.rho2 if choice.branch == "hamiltonian" else choice.rho1
+        assert chosen == min(choice.rho1, choice.rho2)
+        # the coefficients behind rho2: a unit vector on which both
+        # structural forms vanish, with rho2 as its objective
+        coeff = assign_module._equalizing_coefficients(hm, c1, c2)
         assert np.isclose(np.linalg.norm(coeff), 1.0, atol=1e-12)
+        assert abs(coeff @ hm @ coeff) <= 1e-12 and abs(coeff @ jmat @ hm @ coeff) <= 1e-12
+        rho2 = 2.0 * (c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2))
+        assert choice.rho2 == pytest.approx(rho2, rel=1e-12)
     assert exercised >= 10
 
 
@@ -405,36 +452,36 @@ def test_complex_core_rank1_requires_prior_columns():
     z1 = np.column_stack([0.9 * psi1, 0.9 * psi1 * (1.0 + 1e-12)])
     zv = np.zeros((0, 2), dtype=complex)
     with pytest.raises(DegenerateStepError):
-        _complex_pair_core(z1, zv, np.zeros((0, 0)), tau_pen=0.3)
+        _complex_pair_core(z1, zv, 1.0, 0.0, tau_pen=0.3)
 
 
 def test_complex_core_zero_z1_is_degenerate():
     z1 = np.zeros((4, 2), dtype=complex)
     zv = np.zeros((4, 2), dtype=complex)
     with pytest.raises(DegenerateStepError, match="Z1 vanishes"):
-        _complex_pair_core(z1, zv, np.eye(4)[:, 2:], tau_pen=0.0)
+        _complex_pair_core(z1, zv, -1.0, 0.0, tau_pen=0.0)
 
 
 def test_rank1_coefficients_solve_the_quadratic():
     # On a single-input instance the complex step has one usable direction;
-    # the quadratic data recorded from the step must satisfy the
-    # stationarity equation 2 H y + h = 0 at the chosen coefficients.  Its
-    # coefficients range over the whole null space but the top direction:
-    # the d - 1 other mapped columns and the j free directions.
+    # the quadratic recomputed from the step's recorded inputs must be
+    # stationary, 2 H y + h = 0, at the coefficients of the returned
+    # column.  Its coefficients range over the whole null space but the top
+    # direction: the d - 1 other mapped columns and the j free directions.
     prob = make_instance(6, 3, 1, 4, trial=0)
     sol, calls = solve_recording(prob, "_complex_pair_core")
     complex_steps = [s for s in sol.steps if s.kind == "complex"]
-    diags = [diag for _, (_, _, diag) in calls]
-    assert [d["branch"] for d in diags] == [s.branch for s in complex_steps]
-    rank1 = [(s, d) for s, d in zip(complex_steps, diags) if d["branch"] == "rank1"]
+    assert [choice.branch for _, choice in calls] == [s.branch for s in complex_steps]
+    rank1 = [(s, args, choice) for s, (args, choice) in zip(complex_steps, calls) if choice.branch == "rank1"]
     assert rank1, "expected at least one rank-1 complex step"
-    for step, diag in rank1:
-        assert diag["W"].shape[1] == step.null_dim - 1
-        hmat, hvec, y = diag["H"], diag["h"], diag["y"]
-        if hmat is None:
+    for step, args, choice in rank1:
+        assert (choice.rho1, choice.rho2) == (None, None)
+        quad = rank1_quadratic(args, choice)
+        assert quad.W.shape[1] == step.null_dim - 1
+        if not quad.y.size:
             continue
-        grad = 2.0 * hmat @ y + hvec
-        assert np.linalg.norm(grad) <= 1e-10 * max(1.0, np.linalg.norm(hvec))
+        grad = 2.0 * quad.H @ quad.y + quad.h
+        assert np.linalg.norm(grad) <= 1e-10 * max(1.0, np.linalg.norm(quad.h))
 
 
 # ---------------------------------------------------------------------------

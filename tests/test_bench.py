@@ -86,7 +86,7 @@ def test_run_sweep_rows():
         assert row["mean_precs"] <= -6.0
     # a failed trial keeps its reason beside the counts
     rows = run_sweep(BenchConfig(n=6, rank_e=3, m=3, trials=3, seed=69))
-    assert [row["errors"] for row in rows] == [{}, {}, {}, {2: "verification failed"}]
+    assert [row["errors"] for row in rows] == [{}, {}, {}, {2: "verification failed: precs -4.62 > -6"}]
     assert [row["failures"] for row in rows] == [0, 0, 0, 1]
 
 

@@ -236,6 +236,33 @@ def test_null_basis_certificate_and_svd_fallback(is_complex, sigma_min):
     _assert_null_basis_matches_scipy(a, orthonormal_null_basis(a), 3, span_tol)
 
 
+def test_null_basis_on_alternating_wide_shapes_and_dtypes():
+    # The solver's shapes, (n - m) x n at n = 100 and smaller, real and
+    # complex in turn: one and many null columns, and an exactly rank
+    # deficient input.  Each basis is orthonormal and spans scipy's null
+    # space; the input is left as it was, and a repeated call on the same
+    # input returns the same bits whatever ran in between.
+    cases = []
+    for k, (rows, cols, rank) in enumerate([(99, 100, 99), (40, 100, 40), (90, 100, 85), (1, 30, 1), (28, 30, 28)]):
+        for is_complex in (False, True):
+            left = rng_matrix(10 * k, rows, rank) + 1j * is_complex * rng_matrix(10 * k + 1, rows, rank)
+            right = rng_matrix(10 * k + 2, rank, cols) + 1j * is_complex * rng_matrix(10 * k + 3, rank, cols)
+            cases.append((left @ right, cols - rank))
+    first = []
+    for a, dim in cases:
+        before = a.copy()
+        nb = orthonormal_null_basis(a)
+        assert np.array_equal(a, before)
+        assert nb.dtype == a.dtype
+        assert np.linalg.norm(nb.conj().T @ nb - np.eye(dim)) <= 1e-13
+        ref = scipy.linalg.null_space(a)
+        assert ref.shape[1] == dim
+        assert np.linalg.norm(nb @ nb.conj().T - ref @ ref.conj().T) <= 1e-10
+        first.append(nb)
+    for (a, _), nb in zip(reversed(cases), reversed(first)):
+        assert np.array_equal(orthonormal_null_basis(a), nb)
+
+
 # ---------------------------------------------------------------------------
 # sym_eig
 
@@ -260,6 +287,27 @@ def test_sym_eig_matches_characteristic_polynomial(seed, n):
 def test_sym_eig_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sym_eig_sign_skips_leading_zeros(perm, sign):
+    # Eigenvectors with exact zeros in front: a diagonal entry on its own
+    # and a 2 x 2 block [[1, s], [s, 1]], in several row orders.  The first
+    # nonzero component of every column is positive, and the columns are
+    # the exact eigenvectors up to that sign.
+    base = np.zeros((4, 4))
+    base[0, 0], base[1, 1] = 5.0, 3.0
+    base[2:, 2:] = [[1.0, sign], [sign, 1.0]]
+    idx = np.array(perm)
+    a = base[np.ix_(idx, idx)]
+    w, v = sym_eig(a)
+    assert np.allclose(w, [5.0, 3.0, 2.0, 0.0])
+    for k in range(4):
+        nz = np.flatnonzero(v[:, k])
+        assert nz.size and v[nz[0], k] > 0.0
+    assert np.allclose(a @ v, v * w, atol=1e-14)
+    assert np.array_equal(np.abs(v[:, :2]), np.eye(4)[:, idx.argsort()[:2]])
 
 
 def test_sym_eig_known_values():

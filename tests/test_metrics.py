@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from schurpole import PolePair, Problem, SingularPencilError, run_pipeline
+from schurpole import BenchConfig, PolePair, Problem, SingularPencilError, generate_random_instance, run_pipeline
 from schurpole.assign import d_delta_block
 from schurpole.metrics import (
     departure_measure,
@@ -178,6 +179,58 @@ def test_precs_permutation_invariant(seed, n):
     shuffled = list(vals)
     rng.shuffle(shuffled)
     assert precs_metric(vals, shuffled) == -17.0
+
+
+def _precs_by_loop(requested, computed):
+    """precs_metric as an r x r loop over the pairs: the reference for its
+    vectorized cost matrix."""
+    req = [complex(v) for v in requested]
+    comp = [complex(v) for v in computed]
+    if len(req) != len(comp):
+        return math.inf
+    if not req:
+        return -17.0
+    cost = np.empty((len(req), len(comp)))
+    for i, rv in enumerate(req):
+        den = abs(rv)
+        for k, cv in enumerate(comp):
+            err = abs(rv - cv)
+            cost[i, k] = err / den if den > 0 else err
+    cost = np.nan_to_num(cost, nan=np.inf, posinf=np.inf)
+    rows, cols = linear_sum_assignment(cost)
+    worst = float(cost[rows, cols].max())
+    if worst <= 1e-17:
+        return -17.0
+    return math.inf if math.isinf(worst) else max(math.log10(worst), -17.0)
+
+
+@given(seeds, st.integers(min_value=1, max_value=8))
+def test_precs_matches_the_loop(seed, n):
+    # zeros (absolute error), repeats and conjugates among the values
+    rng = np.random.default_rng(seed)
+    req = [complex(x, y) for x, y in rng.standard_normal((n, 2))]
+    req[0] = 0j
+    req[-1] = req[-1].conjugate() if n > 2 else req[-1]
+    comp = [v + complex(*rng.standard_normal(2)) * 10.0 ** rng.integers(-16, 1) for v in req]
+    comp[rng.integers(n)] = 0j
+    assert precs_metric(req, comp) == _precs_by_loop(req, comp)
+
+
+def test_precs_matches_the_loop_on_the_sweep_n30_cells():
+    # every cell of the benchmark's sweep-n30 round (seed 0, trial 0), with
+    # the closed-loop spectrum verify_solution compares
+    checked = 0
+    for rank_e in (2, 15, 29):
+        for m in (2, 15, 28):
+            cfg = BenchConfig(n=30, rank_e=rank_e, m=m, trials=1, seed=0)
+            for r in cfg.r_values:
+                prob = generate_random_instance(cfg, r=r, trial=0)
+                sol = run_pipeline(prob)
+                idx = index_and_regularity_check(prob.A + prob.B @ sol.F, prob.E + prob.B @ sol.G)
+                req, comp = expand_to_values(prob.poles), expand_to_values(idx.poles)
+                assert precs_metric(req, comp) == _precs_by_loop(req, comp) == verify_solution(prob, sol).precs
+                checked += 1
+    assert checked == 144
 
 
 # ---------------------------------------------------------------------------
@@ -438,5 +491,41 @@ def test_verify_solution_fails_on_damaged_factors(damage):
     assert verify_feedback(prob, bad.F, bad.G).passed
     rep = verify_solution(prob, bad)
     assert not rep.passed
+    # the first residual over the bound names the failure, with its value
+    assert rep.failure == f"residual_a {rep.residual_a:.3g} > 1e-08"
+    # with zero feedback the closed loop fails too, and is named first
+    no_feedback = dataclasses.replace(bad, F=np.zeros_like(bad.F), G=np.zeros_like(bad.G))
+    rep = verify_solution(prob, no_feedback)
+    assert not rep.residual_a <= 1e-8
+    closed_loop = verify_feedback(prob, no_feedback.F, no_feedback.G).failure
+    assert closed_loop is not None and rep.failure == closed_loop
     if damage == "nan-in-X":
         assert math.isnan(rep.kappa_x_gf)
+
+
+@pytest.mark.parametrize("criterion", ["not-regular", "index", "infinite-count", "precs"])
+def test_verify_feedback_names_the_failing_criterion(criterion):
+    # One closed loop per criterion, zero feedback: it fails that criterion
+    # and passes every one before it.
+    one = np.ones((2, 1))
+    e, a, poles, r = {
+        # det(sE - A) = 0 for every s
+        "not-regular": (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), (PolePair.infinite(), PolePair.from_value(-1.0)), 1),
+        # E nilpotent of index 2: both poles infinite, but rank E = 1
+        "index": (np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), (PolePair.infinite(),) * 2, 0),
+        # two finite poles where one infinite is asked
+        "infinite-count": (np.eye(2), np.diag([-1.0, -2.0]), (PolePair.infinite(), PolePair.from_value(-1.0)), 1),
+        # the open-loop spectrum {-1, -2} where {-3, -4} is asked
+        "precs": (np.eye(2), np.diag([-1.0, -2.0]), (PolePair.from_value(-3.0), PolePair.from_value(-4.0)), 2),
+    }[criterion]
+    prob = Problem(E=e, A=a, B=one, poles=poles, r=r)
+    rep = verify_feedback(prob, np.zeros((1, 2)), np.zeros((1, 2)))
+    assert not rep.passed
+    assert rep.failure == {
+        "not-regular": "closed loop not regular",
+        "index": "index > 1",
+        "infinite-count": "infinite count 0, expected 1",
+        # -3 and -4 matched to -2 and -1: worst relative error 3/4
+        "precs": "precs -0.125 > -6",
+    }[criterion]
+

@@ -117,9 +117,9 @@ def _assigned_block(pole: PolePair):
     prob = make_instance(6, 3, 2, 4)
     par = compute_parametrization(prob.B)
     state = assign_infinite_block(prob.A, prob.E, par, prob.n - prob.r)
+    j = state.j  # the step writes the state in place and raises j
     step = assign_complex_pair if pole.kind is PoleKind.FINITE_COMPLEX else assign_real_pole
     grown = step(state, pole, prob.A, prob.E, par)
-    j = state.j
     return grown.S[j:, j:], grown.T[j:, j:]
 
 
