@@ -21,9 +21,12 @@ the j solutions with p = 0 that the coefficients add are written down in
 closed form.
 The free coefficients are chosen to keep the off-diagonal mass of (S, T)
 small, so the closed-loop pencil stays close to a normal pair and the
-assigned spectrum is insensitive to perturbations.  Once all n columns
-exist, X is completed from Xi by an orthogonal complement and (F, G) are
-read off.  The factors are written in place: ``AssignState`` holds
+assigned spectrum is insensitive to perturbations.  A real pole is the
+1x1 case and a conjugate pair the 2x2 case of one step: both shift the
+pencil in ``_shifted`` and write their columns in ``_write_step``.  Once
+all n columns exist, X is completed from the null space of Xi, taken by
+the steps' own kernel, and (F, G) are read off.  The factors are written
+in place: ``AssignState`` holds
 buffers of their final size, each step fills its one or two columns of
 P, Xi, S and T and updates the complement stack in place, and
 ``run_pipeline`` returns the filled buffers.  A step's null-space basis is
@@ -282,8 +285,15 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
     n, m = par.n, par.m
     if not 0 <= count <= n:
         raise ValueError(f"infinite pole count {count} outside [0, {n}]")
-    q2t_e = par.q2.T @ np.asarray(e, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    q2t_e = par.q2.T @ e
     q2t_a = par.q2.T @ np.asarray(a, dtype=np.float64)
+    # When range(E) lies in range(B), Q2^T E is zero but computes as
+    # rounding, ||Q2^T E||_F <= c n eps ||E||_F with c <= 0.2 (measured,
+    # n = 4..300), which its own sigma_max would count as full rank.  The
+    # random families of the tests and benchmark keep it above 0.09 ||E||_F.
+    if np.linalg.norm(q2t_e) <= n * np.finfo(np.float64).eps * np.linalg.norm(e):
+        q2t_e = np.zeros_like(q2t_e)
     z = orthonormal_null_basis(q2t_e)
     if z.shape[1] < count:
         raise DegenerateStepError(
@@ -365,6 +375,36 @@ def _free_directions(c_s, c_t, j) -> np.ndarray:
     return free
 
 
+def _shifted(state: AssignState, gamma, s_dominant: bool):
+    """(Q2^T K P_perp, c_s, c_t) for the pole's entry gamma, |gamma| <= 1:
+    K = E - gamma A when S's diagonal block is the dominant one, else
+    K = A - gamma E."""
+    if s_dominant:
+        return state.EP_perp - gamma * state.AP_perp, gamma, -1.0
+    return state.AP_perp - gamma * state.EP_perp, -1.0, gamma
+
+
+def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, a, e, par, record) -> AssignState:
+    """Write a step's unit columns ``cols`` of P (each cleaned against
+    those before it), their stacked (v_s; v_t) columns ``vcols`` and the
+    diagonal blocks into S and T, and Xi's columns from the dominant
+    relation Q2^T A P = Xi S (or Q2^T E P = Xi T), whose block diagonal is
+    eps1 for a real pole and 1 for a pair; then close the step."""
+    j, width = state.j, len(cols)
+    new = slice(j, j + width)
+    p_buf, s_buf, t_buf = state.p_buf, state.s_buf, state.t_buf
+    for i, (p, v) in enumerate(zip(cols, vcols)):
+        p_buf[:, j + i] = _orthonormal_against(p_buf[:, : j + i], p)
+        s_buf[:j, j + i] = v[:j]
+        t_buf[:j, j + i] = v[j:]
+    s_buf[new, new] = s_block
+    t_buf[new, new] = t_block
+    k, coupling, diag = (a, s_buf, s_block[0][0]) if s_dominant else (e, t_buf, t_block[0][0])
+    k_p = np.asarray(k, dtype=np.float64) @ p_buf[:, new]
+    state.xi_buf[:, new] = (par.q2.T @ k_p - state.Xi @ coupling[:j, new]) / diag
+    return _advance(state, width, record)
+
+
 def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
     """Append one column carrying a finite real pole.
 
@@ -380,15 +420,8 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     h = math.hypot(lam, 1.0)
     eps1 = lam / h
     eps2 = 1.0 / h
-    j = state.j
-    a = np.asarray(a, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if abs(eps1) >= abs(eps2):
-        ratio = eps2 / eps1
-        kp, c_s, c_t = state.EP_perp - ratio * state.AP_perp, ratio, -1.0
-    else:
-        ratio = eps1 / eps2
-        kp, c_s, c_t = state.AP_perp - ratio * state.EP_perp, -1.0, ratio
+    s_dom = abs(eps1) >= abs(eps2)
+    kp, c_s, c_t = _shifted(state, eps2 / eps1 if s_dom else eps1 / eps2, s_dom)
     y, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
@@ -400,16 +433,8 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     uvec = v_eig[:, 0]
     pt = state.P_perp @ (y @ uvec)
     scale = float(np.linalg.norm(pt))
-    p_new = _orthonormal_against(state.P, pt / scale)
-    vc = (v @ uvec) / scale
-    state.p_buf[:, j] = p_new
-    state.s_buf[:j, j], state.s_buf[j, j] = vc[:j], eps1
-    state.t_buf[:j, j], state.t_buf[j, j] = vc[j:], eps2
-    if abs(eps1) >= abs(eps2):
-        state.xi_buf[:, j] = (par.q2.T @ (a @ p_new) - state.Xi @ vc[:j]) / eps1
-    else:
-        state.xi_buf[:, j] = (par.q2.T @ (e @ p_new) - state.Xi @ vc[j:]) / eps2
-    return _advance(state, 1, StepRecord("real", j, y.shape[1] + j, p_share=share))
+    rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share)
+    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, a, e, par, rec)
 
 
 def _symplectic(x: np.ndarray) -> np.ndarray:
@@ -463,6 +488,22 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     return best_u / np.linalg.norm(best_u)
 
 
+def _psi_rotation(psi1: np.ndarray):
+    """(c, s, vs1, vs2) for the top left singular vector psi1 of Z1: the
+    plane rotation that makes the real and imaginary parts of
+    (c + i s) psi1 orthogonal, and the norms of those parts; None when the
+    parts are dependent, so that no rotation separates them."""
+    try:
+        c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
+    except ValueError:
+        return None
+    vs1 = float(np.linalg.norm(c * psi1.real - s * psi1.imag))
+    vs2 = float(np.linalg.norm(s * psi1.real + c * psi1.imag))
+    if min(vs1, vs2) <= 1e-13:
+        return None
+    return c, s, vs1, vs2
+
+
 class _PairChoice(NamedTuple):
     """A complex step's chosen column and the scalars behind the choice."""
 
@@ -501,22 +542,15 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
     nu2 = float(nus[1]) if nus.size > 1 else 0.0
     vfree = 0.0
     rho1 = rho2 = None
+    rotation = _psi_rotation(u[:, 0])
 
     if nu2 <= 1e-8 * nu1:
         # single usable direction: orthogonalize its real/imaginary parts
         # by a plane rotation, then choose the residual coefficients from
         # an unconstrained convex quadratic.
-        psi1 = u[:, 0]
-        try:
-            c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
-        except ValueError as exc:
-            raise DegenerateStepError(f"complex step: {exc}") from None
-        p1 = c * psi1.real - s * psi1.imag
-        p2 = s * psi1.real + c * psi1.imag
-        vs1 = float(np.linalg.norm(p1))
-        vs2 = float(np.linalg.norm(p2))
-        if min(vs1, vs2) <= 1e-13:
-            raise DegenerateStepError("complex step: degenerate rotated direction")
+        if rotation is None:
+            raise DegenerateStepError("complex step: real and imaginary parts of the direction are dependent")
+        c, s, vs1, vs2 = rotation
         zvv = zv @ v
         w = zvv[:, 0]
         big_w = np.hstack([zvv[:, 1:], _free_directions(c_s, c_t, zv.shape[0] // 2)])
@@ -553,30 +587,19 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
         vfree = np.concatenate([(c_t / c_st) * coef[d:], (-c_s / c_st) * coef[d:]])
         branch = "rank1"
     else:
-        psi1 = u[:, 0]
         zv2 = zv @ v[:, :2]
         w1 = zv2[:, 0] / nu1
         c1 = (1.0 - nu1**2) / nu1**2
         c2 = (1.0 - nu2**2) / nu2**2
         rho1 = np.inf
-        s1 = None
-        try:
-            c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
-        except ValueError:
-            pass
-        else:
-            p1 = c * psi1.real - s * psi1.imag
-            p2 = s * psi1.real + c * psi1.imag
-            vs1 = float(np.linalg.norm(p1))
-            vs2 = float(np.linalg.norm(p2))
-            if min(vs1, vs2) > 1e-13:
-                delta = vs1 / vs2
-                rho1 = (
-                    np.linalg.norm(c * w1.real - s * w1.imag) ** 2 / vs1**2
-                    + np.linalg.norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
-                    + tau_pen**2 * (delta - 1.0 / delta) ** 2
-                )
-                s1 = (c, s)
+        if rotation is not None:
+            c, s, vs1, vs2 = rotation
+            delta = vs1 / vs2
+            rho1 = (
+                np.linalg.norm(c * w1.real - s * w1.imag) ** 2 / vs1**2
+                + np.linalg.norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
+                + tau_pen**2 * (delta - 1.0 / delta) ** 2
+            )
         kr = np.ascontiguousarray(u[:, :2].real)
         ki = np.ascontiguousarray(u[:, :2].imag)
         cmat = kr.T @ kr - ki.T @ ki
@@ -593,7 +616,6 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
             bvec = v[:, :2] @ (gz / nus[:2])
             branch = "hamiltonian"
         else:
-            c, s = s1
             bvec = (c + 1j * s) * v[:, 0] / nu1
             branch = "jacobi"
 
@@ -615,70 +637,48 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     mag = abs(lam)
     alpha_dom = mag >= 1.0
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
-    sigma, tau = gamma.real, gamma.imag
-    j = state.j
-    a = np.asarray(a, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if alpha_dom:
-        kp, c_s, c_t = state.EP_perp - gamma * state.AP_perp, gamma, -1.0
-    else:
-        kp, c_s, c_t = state.AP_perp - gamma * state.EP_perp, -1.0, gamma
+    kp, c_s, c_t = _shifted(state, gamma, alpha_dom)
     y, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
 
-    choice = _complex_pair_core(y, v, c_s, c_t, tau)
+    choice = _complex_pair_core(y, v, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
-    vc = choice.v
     vs1 = float(np.linalg.norm(pc.real))
     vs2 = float(np.linalg.norm(pc.imag))
     if min(vs1, vs2) <= 1e-13:
         raise DegenerateStepError("complex step: produced dependent column pair")
-    delta = vs1 / vs2
-    new = slice(j, j + 2)
-    p_buf, s_buf, t_buf = state.p_buf, state.s_buf, state.t_buf
-    p_buf[:, j] = _orthonormal_against(state.P, pc.real / vs1)
-    p_buf[:, j + 1] = _orthonormal_against(p_buf[:, : j + 1], pc.imag / vs2)
-    s_buf[:j, j], s_buf[:j, j + 1] = vc.real[:j] / vs1, vc.imag[:j] / vs2
-    t_buf[:j, j], t_buf[:j, j + 1] = vc.real[j:] / vs1, vc.imag[j:] / vs2
-    if alpha_dom:
-        np.fill_diagonal(s_buf[new, new], 1.0)
-        t_buf[new, new] = d_delta_block(sigma, tau, delta)
-        state.xi_buf[:, new] = par.q2.T @ (a @ p_buf[:, new]) - state.Xi @ s_buf[:j, new]
-    else:
-        s_buf[new, new] = d_delta_block(sigma, tau, delta)
-        np.fill_diagonal(t_buf[new, new], 1.0)
-        state.xi_buf[:, new] = par.q2.T @ (e @ p_buf[:, new]) - state.Xi @ t_buf[:j, new]
-
+    d = d_delta_block(gamma.real, gamma.imag, vs1 / vs2)
+    s_block, t_block = (np.eye(2), d) if alpha_dom else (d, np.eye(2))
     rec = StepRecord(
         "complex",
-        j,
-        y.shape[1] + j,
+        state.j,
+        y.shape[1] + state.j,
         p_share=choice.nu1**2,
         branch=choice.branch,
         nu2=choice.nu2,
         rho1=choice.rho1,
         rho2=choice.rho2,
     )
-    return _advance(state, 2, rec)
+    cols = [pc.real / vs1, pc.imag / vs2]
+    vcols = [choice.v.real / vs1, choice.v.imag / vs2]
+    return _write_step(state, cols, vcols, s_block, t_block, alpha_dom, a, e, par, rec)
 
 
 def complete_X(par: Parametrization, xi) -> np.ndarray:
-    """Extend Xi = Q2^T X to the full invertible factor X.
+    """Extend Xi = Q2^T X to the full invertible factor X = Q1 Y + Q2 Xi.
 
-    The Q1-component is the orthogonal complement of range(Xi^T), which
-    keeps X as well conditioned as the data permits.
+    Y's rows are an orthonormal basis of the null space of Xi, so the
+    Q1-component is orthogonal to range(Xi^T), which keeps X as well
+    conditioned as the data permits.  Xi needs full row rank: its null
+    space must have exactly m dimensions.
     """
     xi = np.asarray(xi, dtype=np.float64)
     n, m = par.n, par.m
     if xi.shape != (n - m, n):
         raise ValueError(f"Xi must be (n-m) x n = {(n - m, n)}, got {xi.shape}")
-    if n > m:
-        if numerical_rank(xi) != n - m:
-            raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
-        qx, _ = qr_decompose(xi.T)
-        y = qx[:, n - m :].T
-    else:
-        y = np.eye(n)
-    return par.q1 @ y + par.q2 @ xi
+    y = orthonormal_null_basis(xi)
+    if y.shape[1] != m:
+        raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
+    return par.q1 @ y.T + par.q2 @ xi
 
 
 def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray, np.ndarray]:

@@ -155,11 +155,6 @@ class IndexReport:
     #: orthonormal basis of null(E_c) at the rank cutoff, n x (n - rank_e)
     null_e: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    @property
-    def finite_count(self) -> int | None:
-        """Number of finite poles, conjugates counted (None when singular)."""
-        return len(expand_to_values(self.poles)) if self.regular else None
-
 
 # Relative rank cutoff of the index check.  It must separate construction
 # roundoff (E_c produced by a feedback computation carries noise-level
@@ -330,7 +325,6 @@ class Report:
     infinite_count: int | None
     index_ok: bool
     regular: bool
-    pole_mismatch: bool
     failure: str | None
 
     @property
@@ -359,9 +353,9 @@ def verify_feedback(problem, f, g) -> Report:
     """Verify a feedback pair through its closed loop alone.
 
     The verdict: a regular closed loop of index at most one whose finite
-    and infinite pole counts match the problem, with precs <= -6 (or no
-    finite poles at all); ``failure`` names the first of these that
-    fails.  The fields that need the solver's factors read
+    and infinite pole counts match the problem, with precs <= -6 (-17
+    when there are no finite poles); ``failure`` names the first of these
+    that fails.  The fields that need the solver's factors read
     None.  A closed loop with a non-finite entry or Frobenius norm fails
     as not regular: the oracle scales by that norm, so it has no spectrum
     to judge.
@@ -387,15 +381,13 @@ def verify_feedback(problem, f, g) -> Report:
     else:
         precs, inf_count, kappa_eig = math.inf, None, None
     index_ok = regular and idx.index_le_1
-    mismatch = math.isinf(precs) or inf_count != n - r
-    precs_ok = (precs <= -6.0) or (r == 0 and not mismatch)
     if not regular:
         failure = "closed loop not regular"
     elif not index_ok:
         failure = "index > 1"
     elif inf_count != n - r:
         failure = f"infinite count {inf_count}, expected {n - r}"
-    elif not precs_ok:
+    elif not precs <= -6.0:
         failure = f"precs {precs:.3g} > -6"
     else:
         failure = None
@@ -412,7 +404,6 @@ def verify_feedback(problem, f, g) -> Report:
         infinite_count=inf_count,
         index_ok=index_ok,
         regular=regular,
-        pole_mismatch=mismatch,
         failure=failure,
     )
 

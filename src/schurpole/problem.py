@@ -69,10 +69,7 @@ class Problem:
         n_inf = count_infinite(self.poles)
         if n_inf != n - self.r:
             raise ValueError(f"expected {n - self.r} infinite poles, got {n_inf}")
-        total = n_inf
-        for p in self.poles:
-            if not p.is_infinite:
-                total += 2 if p.kind is PoleKind.FINITE_COMPLEX else 1
+        total = n_inf + len(expand_to_values(self.poles))
         if total != n:
             raise ValueError(f"poles count {total} (with conjugates) != n={n}")
 

@@ -25,6 +25,7 @@ from schurpole.assign import (
     _complex_pair_core,
     assign_infinite_block,
     assign_real_pole,
+    complete_X,
     compute_parametrization,
     d_delta_block,
 )
@@ -300,6 +301,40 @@ def test_degenerate_step_error_names_the_failing_step():
     with pytest.raises(DegenerateStepError, match="too many infinite poles") as err:
         assign_infinite_block(small.A, small.E, par, 6)
     assert (err.value.step, err.value.null_dim, err.value.needed) == ("infinite-block", 4, 6)
+
+
+@pytest.mark.parametrize("n, r", [(4, 1), (4, 2), (8, 1), (8, 2)])
+def test_pipeline_solves_e_inside_the_input_range(n, r):
+    # E = B W: Q2^T E is zero, and computes as rounding.  Judged against its
+    # own largest singular value that rounding had full rank, so the
+    # infinite block saw m null directions instead of n and refused the
+    # n - r > m infinite poles of the cases with r < n - m.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    e = b @ rng.standard_normal((2, n))
+    poles = (PolePair.infinite(),) * (n - r) + tuple(PolePair.from_value(-1.0 - k) for k in range(r))
+    prob = Problem(E=e, A=a, B=b, poles=poles, r=r)
+    assert validate_problem(prob).passed
+    sol = run_pipeline(prob)
+    assert sol.steps[0].null_dim == n
+    rep = verify_solution(prob, sol)
+    assert rep.passed and rep.precs <= -12, rep.failure
+    assert rep.infinite_count == n - r
+
+
+def test_complete_x_extends_xi_by_an_orthonormal_complement():
+    prob = make_instance(6, 3, 2, 4)
+    par = compute_parametrization(prob.B)
+    xi = rng_matrix(3, 4, 6)
+    x = complete_X(par, xi)
+    y = (par.q1.T @ x).T
+    assert np.linalg.norm(par.q1 @ y.T + par.q2 @ xi - x) <= 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(y.T @ y - np.eye(2)) <= 1e-14
+    assert np.linalg.norm(xi @ y) <= 1e-14 * np.linalg.norm(xi)
+    # Xi with a repeated row has an m + 1 dimensional null space
+    with pytest.raises(DegenerateStepError, match="Xi lost full row rank"):
+        complete_X(par, np.vstack([xi[:-1], xi[:1]]))
 
 
 @pytest.mark.parametrize(

@@ -123,7 +123,7 @@ def test_oracle_matches_inverse_reduction(seed, n):
 def test_index_one_pencil_passes():
     rep = index_and_regularity_check(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]))
     assert rep.regular and rep.index_le_1
-    assert rep.finite_count == 2
+    assert len(expand_to_values(rep.poles)) == 2
     assert rep.rank_e == 2
 
 
@@ -133,7 +133,7 @@ def test_index_two_chain_fails():
     rep = index_and_regularity_check(np.eye(2), e)
     assert rep.regular
     assert not rep.index_le_1
-    assert rep.finite_count == 0 and rep.rank_e == 1
+    assert len(expand_to_values(rep.poles)) == 0 and rep.rank_e == 1
 
 
 def test_index_singular_pencil_reported():
@@ -146,7 +146,7 @@ def test_index_singular_pencil_reported():
 def test_index_expected_count_mismatch():
     rep = index_and_regularity_check(np.diag([1.0, 2.0]), np.eye(2))
     assert rep.regular and rep.index_le_1
-    assert rep.finite_count == 2
+    assert len(expand_to_values(rep.poles)) == 2
 
 
 # ---------------------------------------------------------------------------
