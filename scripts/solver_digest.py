@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Fingerprint the solver's answers on three fixed suites; compare two runs.
+"""Fingerprint the answers of all four stages on three fixed suites; compare two runs.
 
-Every instance is drawn by ``generate_random_instance`` (seed 0), solved by
-``run_pipeline`` and checked by ``verify_solution``.  Per instance the
-digest holds the SHA-1 of each factor of the ``Solution`` (F, G, P, S, T,
-X; shape and float64 bytes, so only bit-identical arrays match), the
-report's ``precs`` and its verdict (``"passed"`` or the first failing
-criterion).  An instance whose draw or solve raises keeps the error text
-instead.  The suites:
+Every instance goes through the stages of a sweep op: it is drawn by
+``generate_random_instance`` (seed 0), checked by ``validate_problem``,
+solved by ``run_pipeline`` and verified by ``verify_solution``.  Per
+instance the digest holds the SHA-1 of the drawn E, A and B and of the
+repr of its poles, ``validate_problem``'s whole report (q, r, every check
+and warning), the SHA-1 of each factor of the ``Solution`` (F, G, P, S, T,
+X; shape and float64 bytes, so only bit-identical arrays match), and the
+repr of every field of ``verify_solution``'s ``Report`` (``report.precs``,
+``report.failure``, ...; a repr matches only the same float).  An instance
+whose draw or solve raises keeps the error text in place of what it did
+not reach.  The suites:
 
 * ``n6``: the acceptance suite of ``tests/test_acceptance.py``, every
   (rank E, m) in {2, 3, 5} x {2, 3, 4}, every admissible r, trials 0-49;
@@ -18,7 +22,8 @@ instead.  The suites:
 
 ``--against FILE`` compares the new digest with an earlier one and prints,
 per suite, how many instances differ in each field: the bit-identity check
-for a change that should not move the solver's answers.  Everything runs on
+for a change that should not move any stage's answers.  Compare only
+digests made by the same version of this script.  Everything runs on
 one BLAS thread, so a digest does not depend on the thread settings.
 
 Example (the digest of a parent commit, then a comparison against it):
@@ -29,6 +34,7 @@ Example (the digest of a parent commit, then a comparison against it):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -36,12 +42,14 @@ import sys
 
 import numpy as np
 
-from schurpole import BenchConfig, generate_random_instance, run_pipeline, verify_solution
+from schurpole import BenchConfig, Report, generate_random_instance, run_pipeline, validate_problem, verify_solution
 from schurpole.errors import SchurPoleError
 from schurpole.linalg import serial_blas
 
+INPUTS = ("E", "A", "B")
 FACTORS = ("F", "G", "P", "S", "T", "X")
-FIELDS = FACTORS + ("precs", "verdict", "error")
+REPORT_FIELDS = tuple(f"report.{f.name}" for f in dataclasses.fields(Report))
+FIELDS = INPUTS + ("poles", "validation") + FACTORS + REPORT_FIELDS + ("error",)
 
 N100_CONFIGS = ((90, 2, 92), (60, 5, 65), (50, 10, 60), (70, 30, 100), (40, 60, 100))
 
@@ -70,16 +78,27 @@ def sha1(arr: np.ndarray) -> str:
     return hashlib.sha1(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
 
 
+def validation_text(problem) -> str:
+    """``validate_problem``'s whole report as one string."""
+    rep = validate_problem(problem)
+    checks = "; ".join(f"{c.name} {c.passed} {c.detail}" for c in rep.checks)
+    return f"q={rep.q} r={rep.r} checks: {checks} warnings: {' | '.join(rep.warnings)}"
+
+
 def digest_one(cfg: BenchConfig, r: int, trial: int) -> dict:
+    out: dict = {}
     try:
         problem = generate_random_instance(cfg, r, trial)
+        out.update({name: sha1(getattr(problem, name)) for name in INPUTS})
+        out["poles"] = hashlib.sha1(repr(problem.poles).encode()).hexdigest()
+        out["validation"] = validation_text(problem)
         sol = run_pipeline(problem)
     except (SchurPoleError, ValueError, np.linalg.LinAlgError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+        out["error"] = f"{type(exc).__name__}: {exc}"
+        return out
+    out.update({name: sha1(getattr(sol, name)) for name in FACTORS})
     rep = verify_solution(problem, sol)
-    out = {name: sha1(getattr(sol, name)) for name in FACTORS}
-    out["precs"] = rep.precs
-    out["verdict"] = rep.failure or "passed"
+    out.update({field: repr(getattr(rep, field[len("report.") :])) for field in REPORT_FIELDS})
     return out
 
 

@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import DegenerateStepError
 from .linalg import (
+    euclidean_norm,
     jacobi_orthogonalize,
     numerical_rank,
     orthonormal_null_basis,
@@ -234,7 +235,7 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     for _ in range(2):
         if p_prev.shape[1]:
             v = v - p_prev @ (p_prev.T @ v)
-    nrm = float(np.linalg.norm(v))
+    nrm = euclidean_norm(v)
     if nrm <= 1e-6:
         raise DegenerateStepError("new column collapsed onto the existing ones")
     return v / nrm
@@ -256,7 +257,7 @@ def _complement_after(perp: np.ndarray, n: int, p: np.ndarray, scratch: np.ndarr
     if perp.shape[1] == 1:
         return  # p was the last column; no complement is left
     v = perp[:n].T @ p
-    v[0] += math.copysign(float(np.linalg.norm(v)), v[0])
+    v[0] += math.copysign(euclidean_norm(v), v[0])
     rest = perp[:, 1:]
     term = scratch[: rest.size].reshape(rest.shape)
     np.multiply.outer(perp @ v, (2.0 / float(v @ v)) * v[1:], out=term)
@@ -292,7 +293,7 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
     # rounding, ||Q2^T E||_F <= c n eps ||E||_F with c <= 0.2 (measured,
     # n = 4..300), which its own sigma_max would count as full rank.  The
     # random families of the tests and benchmark keep it above 0.09 ||E||_F.
-    if np.linalg.norm(q2t_e) <= n * np.finfo(np.float64).eps * np.linalg.norm(e):
+    if euclidean_norm(q2t_e) <= n * np.finfo(np.float64).eps * euclidean_norm(e):
         q2t_e = np.zeros_like(q2t_e)
     z = orthonormal_null_basis(q2t_e)
     if z.shape[1] < count:
@@ -432,7 +433,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     uvec = v_eig[:, 0]
     pt = state.P_perp @ (y @ uvec)
-    scale = float(np.linalg.norm(pt))
+    scale = euclidean_norm(pt)
     rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share)
     return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, a, e, par, rec)
 
@@ -459,7 +460,7 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     w, vecs = np.linalg.eigh(0.5 * (hm + hm.T))
     phi1 = max(float(w[3]), 0.0)
     phi2 = max(float(w[2]), 0.0)
-    if phi1 <= 1e-12 * max(1.0, float(np.linalg.norm(hm))):
+    if phi1 <= 1e-12 * max(1.0, euclidean_norm(hm)):
         # both forms vanish identically: any unit vector is feasible
         u = np.zeros(4)
         u[0 if c1 <= c2 else 1] = 1.0
@@ -470,7 +471,7 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
         g = (basis.T * obj) @ basis
         _, gv = np.linalg.eigh(0.5 * (g + g.T))
         u = basis @ gv[:, 0]
-        return u / np.linalg.norm(u)
+        return u / euclidean_norm(u)
     v1 = vecs[:, 3]
     v2 = vecs[:, 2]
     r1 = np.sqrt(phi2 / (phi1 + phi2))
@@ -485,7 +486,7 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
     gw, gv = np.linalg.eigh(forms)
     best = 0 if gw[0, 0] <= gw[1, 0] else 1
     best_u = gv[best, 0, 0] * wa[best] + gv[best, 1, 0] * wb[best]
-    return best_u / np.linalg.norm(best_u)
+    return best_u / euclidean_norm(best_u)
 
 
 def _psi_rotation(psi1: np.ndarray):
@@ -497,8 +498,8 @@ def _psi_rotation(psi1: np.ndarray):
         c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
     except ValueError:
         return None
-    vs1 = float(np.linalg.norm(c * psi1.real - s * psi1.imag))
-    vs2 = float(np.linalg.norm(s * psi1.real + c * psi1.imag))
+    vs1 = euclidean_norm(c * psi1.real - s * psi1.imag)
+    vs2 = euclidean_norm(s * psi1.real + c * psi1.imag)
     if min(vs1, vs2) <= 1e-13:
         return None
     return c, s, vs1, vs2
@@ -596,8 +597,8 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
             c, s, vs1, vs2 = rotation
             delta = vs1 / vs2
             rho1 = (
-                np.linalg.norm(c * w1.real - s * w1.imag) ** 2 / vs1**2
-                + np.linalg.norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
+                euclidean_norm(c * w1.real - s * w1.imag) ** 2 / vs1**2
+                + euclidean_norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
                 + tau_pen**2 * (delta - 1.0 / delta) ** 2
             )
         kr = np.ascontiguousarray(u[:, :2].real)
@@ -642,8 +643,8 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
 
     choice = _complex_pair_core(y, v, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
-    vs1 = float(np.linalg.norm(pc.real))
-    vs2 = float(np.linalg.norm(pc.imag))
+    vs1 = euclidean_norm(pc.real)
+    vs2 = euclidean_norm(pc.imag)
     if min(vs1, vs2) <= 1e-13:
         raise DegenerateStepError("complex step: produced dependent column pair")
     d = d_delta_block(gamma.real, gamma.imag, vs1 / vs2)

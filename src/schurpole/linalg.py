@@ -16,6 +16,26 @@ are pinned here so downstream computations are reproducible run to run:
   that QR's trailing orthogonal columns.  The orthogonal factor is applied
   in its Householder form, one reflector at a time (LAPACK
   ``?orm2r``/``?unm2r``), and never formed.
+* ``generalized_eig``: the QZ eigenvalues (and right eigenvectors) of a
+  real pencil, exactly as ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)``
+  returns them.
+* ``euclidean_norm``: ``np.linalg.norm`` of an array, bit for bit.
+
+The small-matrix routines of the solver and of verification run hundreds
+of times per solve, so the wrappers' own work would cost more than LAPACK
+does.  scipy's LAPACK routines ``?geqrf``, ``?trtri``, ``?lantr``,
+``?ormqr``/``?unmqr``, ``?syevd`` and ``?ggev`` are therefore called
+directly, each through one handle per dtype looked up once (``_lapack``),
+with the arguments and workspace sizes that scipy's own wrappers
+(``scipy.linalg.eigh(driver="evd")``, ``scipy.linalg.eig``) would pass, so
+every answer is the wrappers' answer bit for bit.  A workspace size
+decides which blocked path LAPACK takes, and so how it rounds, but a
+workspace query reads only the order of the matrix, never its entries:
+``?syevd`` and ``?ggev`` are asked once per order (``_syevd_workspace``,
+``_ggev_workspace``) and get that size on every call.  ``?geqrf`` gets
+its block size without a query (``_GEQRF_BLOCK``).  numpy's own linalg
+(``svd``, ``eigh``, ``qr``, ``solve``) is left where it computes: numpy
+bundles another OpenBLAS than scipy, which rounds differently.
 
 ``serial_blas`` runs a computation on one OpenBLAS thread, in numpy's and
 scipy's OpenBLAS alike.  The package's entry points (``run_pipeline``,
@@ -40,6 +60,8 @@ import scipy.linalg
 
 __all__ = [
     "qr_decompose",
+    "euclidean_norm",
+    "generalized_eig",
     "orthonormal_null_basis",
     "numerical_rank",
     "openblas_threads",
@@ -70,15 +92,48 @@ _FULL_RANK_MARGIN = 1e3
 _GEQRF_BLOCK = 32
 
 
+@functools.cache
+def _lapack(name: str, dtype: np.dtype):
+    """scipy's LAPACK routine ``name`` for arrays of ``dtype``, the one
+    ``scipy.linalg.get_lapack_funcs`` picks for them, looked up once."""
+    return scipy.linalg.get_lapack_funcs(name, dtype=dtype)
+
+
+@functools.cache
+def _nrm2(dtype: np.dtype):
+    """The BLAS ``?nrm2`` that ``scipy.linalg.norm`` calls on a vector of
+    ``dtype``, looked up once."""
+    return scipy.linalg.get_blas_funcs("nrm2", dtype=dtype, ilp64="preferred")
+
+
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.inexact):
+    # float64 and complex128, the dtypes of every internal call, skip the
+    # dtype test
+    if a.dtype.char not in "dD" and not np.issubdtype(a.dtype, np.inexact):
         a = a.astype(np.float64)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def euclidean_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float64 or complex128 array, bit for bit.
+
+    numpy takes the 2-norm of the entries (the Frobenius norm of a matrix)
+    as the square root of one BLAS dot product over ``x.ravel(order="K")``,
+    a contiguous copy when ``x`` is a strided view, and of the sum of the
+    dot products of its real and imaginary parts for complex ``x``.  The
+    same calls are made here without numpy's argument handling.  The copy
+    matters: BLAS rounds a strided dot product differently.
+    """
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
 
 
 def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -96,11 +151,9 @@ def qr_decompose(m) -> tuple[np.ndarray, np.ndarray]:
         return np.eye(rows, dtype=a.dtype), np.zeros((0, 0), dtype=a.dtype)
     q, r = np.linalg.qr(a, mode="complete")
     r = r[:cols, :cols].copy()
-    for k in range(cols):
-        d = r[k, k]
-        if (d.real if np.iscomplexobj(r) else d) < 0:
-            r[k, :] = -r[k, :]
-            q[:, k] = -q[:, k]
+    flip = np.flatnonzero(r.diagonal().real < 0)
+    r[flip] = -r[flip]
+    q[:, flip] = -q[:, flip]
     return q, r
 
 
@@ -116,7 +169,7 @@ def _householder_qr(tall: np.ndarray, overwrite: bool = False) -> tuple[np.ndarr
     the reflectors below and R on and above the diagonal of the first
     array, the reflector scalars in the second.  ``overwrite`` lets LAPACK
     work in ``tall`` itself when it is Fortran-ordered."""
-    (geqrf,) = scipy.linalg.get_lapack_funcs(("geqrf",), (tall,))
+    geqrf = _lapack("geqrf", tall.dtype)
     qr, tau, _, info = geqrf(tall, lwork=max(_GEQRF_BLOCK * tall.shape[1], 1), overwrite_a=overwrite)
     if info != 0:
         raise ValueError(f"LAPACK ?geqrf failed (info={info})")
@@ -130,7 +183,7 @@ def _certified_full_rank(qr: np.ndarray, shape) -> bool:
     (the bound behind ``_FULL_RANK_MARGIN``); False leaves the decision to
     the SVD.  Entries below the diagonal are not read: ``?lantr`` takes
     ||R||_F from the upper trapezoid of ``qr`` itself, without a copy."""
-    trtri, lantr = scipy.linalg.get_lapack_funcs(("trtri", "lantr"), (qr,))
+    trtri, lantr = _lapack("trtri", qr.dtype), _lapack("lantr", qr.dtype)
     inv, info = trtri(qr[: qr.shape[1]])
     if info != 0:
         return False
@@ -200,8 +253,7 @@ def orthonormal_null_basis(m) -> np.ndarray:
     np.fill_diagonal(c[rows:, rows - rank :], 1.0)
     if rank < rows:
         c[:rows, : rows - rank] = u_r[:, rank:]
-    (ormqr,) = scipy.linalg.get_lapack_funcs(("ormqr",), (qr,))
-    out, _, info = ormqr("L", "N", qr, tau, c, c.shape[1], overwrite_c=1)
+    out, _, info = _lapack("ormqr", qr.dtype)("L", "N", qr, tau, c, c.shape[1], overwrite_c=1)
     if info != 0:
         raise ValueError(f"LAPACK ?ormqr failed (info={info})")
     return out
@@ -256,6 +308,16 @@ def serial_blas():
             set_(count)
 
 
+@functools.cache
+def _syevd_workspace(n: int) -> tuple[int, int]:
+    """(lwork, liwork) of ``?syevd`` with eigenvectors at order n, as
+    ``scipy.linalg.eigh(driver="evd")`` queries them."""
+    lwork, liwork, info = _lapack("syevd_lwork", np.dtype(np.float64))(n, compute_v=1, lower=1)
+    if info != 0:
+        raise ValueError(f"LAPACK ?syevd workspace query failed (info={info})")
+    return int(lwork), int(liwork)
+
+
 def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -270,18 +332,76 @@ def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = a.shape
     if rows != cols:
         raise ValueError(f"sym_eig expects a square matrix, got {a.shape}")
-    scale = float(np.linalg.norm(a))
-    if scale > 0 and float(np.linalg.norm(a - a.T)) > 1e-12 * scale:
+    scale = euclidean_norm(a)
+    if scale > 0 and euclidean_norm(a - a.T) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    # LAPACK's divide-and-conquer driver: numpy's eigh wakes the OpenBLAS
-    # worker threads and can stall for milliseconds on small matrices.
-    w, v = scipy.linalg.eigh(0.5 * (a + a.T), driver="evd")
     if cols == 0:
-        return w, v
+        return np.empty(0), np.empty((0, 0))
+    # LAPACK's divide-and-conquer driver, called as scipy.linalg.eigh(...,
+    # driver="evd") calls it: numpy's eigh wakes the OpenBLAS worker
+    # threads and can stall for milliseconds on small matrices.
+    lwork, liwork = _syevd_workspace(cols)
+    w, v, info = _lapack("syevd", a.dtype)(0.5 * (a + a.T), compute_v=1, lower=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK ?syevd failed (info={info})")
     v = v[:, ::-1]
     # the sign of each column's first nonzero entry (row 0 of a zero column)
     first = v[np.argmax(v != 0.0, axis=0), np.arange(cols)]
     return w[::-1].copy(), np.where(first < 0.0, -v, v)
+
+
+@functools.cache
+def _ggev_workspace(n: int) -> int:
+    """lwork of ``?ggev`` at order n, as ``scipy.linalg.eig`` queries it:
+    with both eigenvector sides requested, whichever it then computes."""
+    zero = np.zeros((n, n))
+    *_, work, info = _lapack("ggev", zero.dtype)(zero, zero, lwork=-1)
+    if info != 0:
+        raise ValueError(f"LAPACK ?ggev workspace query failed (info={info})")
+    return int(work[0].real)
+
+
+def generalized_eig(a: np.ndarray, b: np.ndarray, vectors: bool = False):
+    """QZ eigenvalues of the real pencil (a, b) as homogeneous pairs, with
+    unit right eigenvectors on request.
+
+    Returns ``(w, vr)``: ``w`` is the 2 x n complex array of the pairs
+    (alpha, beta), ``vr`` the n x n eigenvector matrix (None unless
+    ``vectors``); both are bit for bit what
+    ``scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)``
+    returns.  That is one LAPACK ``?ggev`` call with the workspace of
+    ``_ggev_workspace``; with vectors, the real pairs of columns that
+    ``?ggev`` stores for a complex couple are made complex, and each
+    column is divided by its BLAS ``?nrm2``, as scipy does.  ``a`` and
+    ``b`` are square float64 arrays of equal shape; a non-finite entry
+    raises scipy's ValueError.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((2, 0), dtype=complex), (np.zeros((0, 0)) if vectors else None)
+    ggev = _lapack("ggev", a.dtype)
+    alphar, alphai, beta, _, vr, _, info = ggev(a, b, False, vectors, _ggev_workspace(n), False, False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    w = np.vstack((alphar + 1j * alphai, beta))
+    if not vectors:
+        return w, None
+    if np.any(alphai != 0.0):
+        # ?ggev stores a couple's eigenvector as its real and imaginary
+        # parts in columns i, i+1, alphai[i] > 0
+        real_vr = vr
+        vr = np.array(real_vr, dtype=complex)
+        for i in np.flatnonzero(alphai > 0.0):
+            vr.imag[:, i] = real_vr[:, i + 1]
+            np.conj(vr[:, i], vr[:, i + 1])
+    nrm2 = _nrm2(vr.dtype)
+    for i in range(n):
+        vr[:, i] /= nrm2(vr[:, i])
+    return w, vr
 
 
 def jacobi_orthogonalize(x, y) -> tuple[float, float]:

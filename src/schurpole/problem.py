@@ -50,6 +50,7 @@ class Problem:
     B: np.ndarray
     poles: tuple[PolePair, ...]
     r: int
+    _finite_poles: tuple = field(default=(None, ()), init=False, repr=False)
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=np.float64)
@@ -83,7 +84,13 @@ class Problem:
 
     @property
     def finite_poles(self) -> tuple[PolePair, ...]:
-        return tuple(p for p in self.poles if not p.is_infinite)
+        """The poles that are not infinite, in order; built once per
+        ``poles`` tuple and rebuilt when ``poles`` is reassigned."""
+        source, finite = self._finite_poles
+        if source is not self.poles:
+            finite = tuple(p for p in self.poles if not p.is_infinite)
+            self._finite_poles = (self.poles, finite)
+        return finite
 
 
 @dataclass(frozen=True)

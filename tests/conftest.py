@@ -133,6 +133,15 @@ def rng_matrix(seed, rows, cols, scale=1.0):
     return scale * rng.standard_normal((rows, cols))
 
 
+def e_inside_the_input_range(n):
+    """E = B W with r = 0: every pole infinite, and G can cancel E exactly."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    b = rng.standard_normal((n, 2))
+    e = b @ rng.standard_normal((2, n))
+    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * n, r=0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,10 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from schurpole import PolePair, Problem, serialize_problem, serialize_solution
+from schurpole import PolePair, Problem, run_pipeline, serialize_problem, serialize_solution
 from schurpole.cli import main
 
-from conftest import make_instance, unsolvable_instance
+from conftest import e_inside_the_input_range, make_instance, unsolvable_instance
 
 
 @pytest.fixture
@@ -182,6 +182,20 @@ def test_verify_overflowing_closed_loop_prints_no_warning(tmp_path):
     assert run.returncode == 3
     assert "index_ok=false" in run.stdout
     assert run.stderr == ""
+
+
+def test_verify_accepts_a_feedback_that_cancels_e(capsys, tmp_path):
+    # range(E) in range(B) and r = 0: E + B G is zero up to rounding, which
+    # verify used to read as finite poles (exit 3)
+    prob = e_inside_the_input_range(4)
+    sol = run_pipeline(prob)
+    prob_path = tmp_path / "problem.txt"
+    prob_path.write_text(serialize_problem(prob))
+    sol_path = tmp_path / "solution.txt"
+    sol_path.write_text(serialize_solution(sol.F, sol.G))
+    rc, out, _ = run_cli(capsys, "verify", str(prob_path), str(sol_path))
+    assert rc == 0
+    assert "infinite_count=4" in out
 
 
 def test_verify_rejects_shape_mismatch(capsys, tmp_path, good_problem_file):

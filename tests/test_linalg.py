@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import schurpole.linalg as linalg_module
 from schurpole import run_pipeline, validate_problem, verify_solution
 from schurpole.linalg import (
+    euclidean_norm,
+    generalized_eig,
     jacobi_orthogonalize,
     numerical_rank,
     openblas_threads,
@@ -24,6 +26,15 @@ from conftest import make_instance, rng_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=1, max_value=7)
+
+
+def _same_bits(x, y) -> bool:
+    """x and y have one dtype, one shape, one memory layout and the same
+    bytes (signed zeros and NaN payloads included).  The layout counts:
+    BLAS rounds a product with a strided operand differently."""
+    x, y = np.asarray(x), np.asarray(y)
+    same_layout = x.shape == y.shape and x.strides == y.strides
+    return x.dtype == y.dtype and same_layout and x.tobytes(order="A") == y.tobytes(order="A")
 
 
 def _char_poly_coeffs(a):
@@ -61,6 +72,32 @@ def test_qr_reconstructs_and_is_orthogonal(seed, rows_extra, cols):
     assert np.allclose(q @ stacked, a, atol=1e-12 * max(1.0, np.linalg.norm(a)))
     assert np.allclose(r, np.triu(r))
     assert np.all(np.diag(r) >= 0)
+
+
+def _qr_by_column_loop(a):
+    """qr_decompose's sign fix as a loop over the columns, the reference
+    for its vectorized form."""
+    q, r = np.linalg.qr(a, mode="complete")
+    cols = a.shape[1]
+    r = r[:cols, :cols].copy()
+    for k in range(cols):
+        d = r[k, k]
+        if (d.real if np.iscomplexobj(r) else d) < 0:
+            r[k, :] = -r[k, :]
+            q[:, k] = -q[:, k]
+    return q, r
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), (9, 4), (30, 2), (30, 28), (100, 60)])
+def test_qr_sign_fix_matches_the_loop(shape, is_complex):
+    for seed in range(4):
+        a = rng_matrix(seed, *shape)
+        if is_complex:
+            a = a + 1j * rng_matrix(seed + 100, *shape)
+        q, r = qr_decompose(a)
+        q_ref, r_ref = _qr_by_column_loop(a)
+        assert _same_bits(q, q_ref) and _same_bits(r, r_ref)
 
 
 def test_qr_rejects_wide_input():
@@ -310,10 +347,96 @@ def test_sym_eig_sign_skips_leading_zeros(perm, sign):
     assert np.array_equal(np.abs(v[:, :2]), np.eye(4)[:, idx.argsort()[:2]])
 
 
+def _sym_eig_by_scipy(a):
+    """sym_eig through scipy.linalg.eigh(driver="evd"), the wrapper its
+    direct ?syevd call replaces."""
+    w, v = scipy.linalg.eigh(0.5 * (a + a.T), driver="evd")
+    if a.shape[0] == 0:
+        return w, v
+    v = v[:, ::-1]
+    first = v[np.argmax(v != 0.0, axis=0), np.arange(a.shape[0])]
+    return w[::-1].copy(), np.where(first < 0.0, -v, v)
+
+
+def test_sym_eig_matches_scipy_eigh_bit_for_bit():
+    # orders 0 to 40: random symmetric input, the same with a rounding-level
+    # asymmetry (the symmetrized copy is what LAPACK sees), and a matrix
+    # whose eigenvalues are 1 and 2, repeated, where the eigenvector basis
+    # is freest
+    for n in range(41):
+        g = rng_matrix(n, n, n)
+        q = np.linalg.qr(g)[0] if n else g
+        cases = [g + g.T, g + g.T + 1e-15 * rng_matrix(n + 50, n, n), (q * np.resize([1.0, 2.0], n)) @ q.T]
+        for a in cases:
+            w, v = sym_eig(a)
+            w_ref, v_ref = _sym_eig_by_scipy(a)
+            assert _same_bits(w, w_ref) and _same_bits(v, v_ref), n
+
+
 def test_sym_eig_known_values():
     w, v = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(w, [3.0, 1.0])
     assert np.allclose(v[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# generalized_eig and euclidean_norm
+
+
+def _pencils():
+    """(name, a, b) of real pencils: complex couples, infinite eigenvalues,
+    a real spectrum, a 1e200 scale and an order-1 pencil."""
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 6, 30):
+        yield f"random-{n}", rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    a, b = rng.standard_normal((8, 8)), rng.standard_normal((8, 8))
+    b[:, :3] = 0.0  # three infinite eigenvalues
+    yield "infinite", a, b
+    s = rng.standard_normal((7, 7))
+    yield "real-spectrum", s + s.T, np.eye(7)
+    yield "scaled-1e200", 1e200 * rng.standard_normal((6, 6)), 1e200 * rng.standard_normal((6, 6))
+    c = np.diag([2.0, -1.0, 0.5, 3.0])
+    c[0, 1], c[1, 0] = 4.0, -4.0  # a couple at 0.5 +- 4.03i
+    yield "couple-and-zero", c, np.diag([1.0, 1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_generalized_eig_matches_scipy_eig_bit_for_bit(vectors):
+    for name, a, b in _pencils():
+        w, vr = generalized_eig(a, b, vectors)
+        ref = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
+        w_ref, vr_ref = ref if vectors else (ref, None)
+        assert _same_bits(w, w_ref), name
+        assert (vr is None and vr_ref is None) or _same_bits(vr, vr_ref), name
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_generalized_eig_of_the_empty_pencil_and_non_finite_input(vectors):
+    empty = np.zeros((0, 0))
+    w, vr = generalized_eig(empty, empty, vectors)
+    ref = scipy.linalg.eig(empty, empty, right=vectors, homogeneous_eigvals=True)
+    w_ref, vr_ref = ref if vectors else (ref, None)
+    assert _same_bits(w, w_ref)
+    assert (vr is None and vr_ref is None) or _same_bits(vr, vr_ref)
+    bad = np.eye(3)
+    bad[1, 2] = np.inf
+    for a, b in ((bad, np.eye(3)), (np.eye(3), bad)):
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            scipy.linalg.eig(a, b)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            generalized_eig(a, b, vectors)
+
+
+def test_euclidean_norm_matches_numpy_bit_for_bit():
+    # contiguous vectors and strided views of every length up to 64, real
+    # and complex, and matrices in both orders: numpy ravels a strided view
+    # to a contiguous copy, and BLAS rounds a strided dot product otherwise
+    rng = np.random.default_rng(3)
+    for n in range(65):
+        buf = rng.standard_normal((n, 3))
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for x in (buf[:, 0].copy(), buf[:, 1], buf.T[2], z, z.real, z.imag, buf, buf.T, np.asfortranarray(buf)):
+            assert euclidean_norm(x) == float(np.linalg.norm(x)), (n, x.strides)
 
 
 # ---------------------------------------------------------------------------

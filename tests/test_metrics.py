@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import schurpole.metrics as metrics_module
 from schurpole import BenchConfig, PolePair, Problem, SingularPencilError, generate_random_instance, run_pipeline
 from schurpole.assign import d_delta_block
 from schurpole.metrics import (
@@ -25,7 +27,7 @@ from schurpole.metrics import (
 )
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import make_instance
+from conftest import e_inside_the_input_range, make_instance
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -114,6 +116,44 @@ def test_oracle_matches_inverse_reduction(seed, n):
     assert len(got) == n
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-8 * max(1.0, abs(w))
+
+
+def _oracle_through_the_wrappers(monkeypatch, a, e, vectors):
+    """generalized_eig_oracle with its QZ kernel and its norm swapped for
+    the wrappers they replace, scipy.linalg.eig and np.linalg.norm."""
+
+    def scipy_kernel(a, b, vectors=False):
+        out = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
+        return out if vectors else (out, None)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics_module, "generalized_eig", scipy_kernel)
+        patch.setattr(metrics_module, "euclidean_norm", lambda x: float(np.linalg.norm(x)))
+        return generalized_eig_oracle(a, e, vectors=vectors)
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+def test_oracle_matches_the_scipy_eig_oracle_bit_for_bit(monkeypatch, vectors):
+    # complex couples, infinite eigenvalues, a real spectrum, a 1e200 scale,
+    # and closed loops of the benchmark's sweep-n30 cells
+    rng = np.random.default_rng(11)
+    a, e = rng.standard_normal((12, 12)), rng.standard_normal((12, 12))
+    e_inf = e.copy()
+    e_inf[:, :4] = 0.0
+    sym = a + a.T
+    pencils = [(a, e), (a, e_inf), (sym, np.eye(12)), (1e200 * a, 1e200 * e)]
+    for rank_e, m, r in ((2, 2, 2), (15, 15, 17), (29, 28, 29)):
+        prob = generate_random_instance(BenchConfig(n=30, rank_e=rank_e, m=m, trials=1, seed=0), r=r, trial=0)
+        sol = run_pipeline(prob)
+        pencils.append((prob.A + prob.B @ sol.F, prob.E + prob.B @ sol.G))
+    for a_c, e_c in pencils:
+        got = generalized_eig_oracle(a_c, e_c, vectors=vectors)
+        want = _oracle_through_the_wrappers(monkeypatch, a_c, e_c, vectors)
+        if vectors:
+            (got, vecs), (want, want_vecs) = got, want
+            assert vecs.dtype == want_vecs.dtype and vecs.strides == want_vecs.strides
+            assert vecs.tobytes() == want_vecs.tobytes()
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +513,23 @@ def test_verify_feedback_fails_a_closed_loop_without_a_spectrum(case):
     assert rep.precs == math.inf
     assert rep.infinite_count is None and rep.kappa_eigvec is None
     assert not rep.passed
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_verify_takes_a_cancelled_e_c_as_zero(n):
+    # E_c = E + B G is zero up to rounding (about 1e-15).  The oracle scaled
+    # that rounding to unit norm and read finite poles from it: "infinite
+    # count 1, expected 4" at n = 4 and "infinite count 2, expected 8" at
+    # n = 8.
+    prob = e_inside_the_input_range(n)
+    sol = run_pipeline(prob)
+    e_c = prob.E + prob.B @ sol.G
+    assert 0.0 < np.linalg.norm(e_c) <= 1e-14
+    for rep in (verify_solution(prob, sol), verify_feedback(prob, sol.F, sol.G)):
+        assert rep.passed, rep.failure
+        assert rep.infinite_count == n and rep.index_ok and rep.precs == -17.0
+    # a G that leaves 1e-9 of E_c is refused, as before
+    assert not verify_feedback(prob, sol.F, sol.G + 1e-9).passed
 
 
 @pytest.mark.parametrize("damage", ["S+1e-6*I", "nan-in-P", "nan-in-X"])

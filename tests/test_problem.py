@@ -83,6 +83,15 @@ def test_problem_complex_pair_counts_two():
     assert len(prob.finite_poles) == 1
 
 
+def test_problem_finite_poles_follow_reassigned_poles():
+    prob = make_instance(6, 3, 2, 4, trial=0)
+    first = prob.finite_poles
+    assert first == tuple(p for p in prob.poles if not p.is_infinite) and len(first) >= 2
+    assert prob.finite_poles is first  # built once
+    prob.poles = (PolePair.infinite(),) * 2 + (PolePair.from_value(-1.0),) * 2 + (PolePair.from_value(1j),)
+    assert prob.finite_poles == (PolePair.from_value(-1.0),) * 2 + (PolePair.from_value(1j),)
+
+
 def test_problem_rejects_non_finite_matrix():
     e = np.eye(2)
     e[0, 0] = np.nan
