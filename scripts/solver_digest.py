@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint the answers of all four stages on three fixed suites; compare two runs.
+"""Fingerprint the answers of all four stages on four fixed suites; compare two runs.
 
 Every instance goes through the stages of a sweep op: it is drawn by
 ``generate_random_instance`` (seed 0), checked by ``validate_problem``,
@@ -10,15 +10,21 @@ and warning), the SHA-1 of each factor of the ``Solution`` (F, G, P, S, T,
 X; shape and float64 bytes, so only bit-identical arrays match), and the
 repr of every field of ``verify_solution``'s ``Report`` (``report.precs``,
 ``report.failure``, ...; a repr matches only the same float).  An instance
-whose draw or solve raises keeps the error text in place of what it did
-not reach.  The suites:
+that fails validation stops there, as a sweep op does; one whose draw or
+solve raises keeps the error text in place of what it did not reach.  The
+suites:
 
 * ``n6``: the acceptance suite of ``tests/test_acceptance.py``, every
   (rank E, m) in {2, 3, 5} x {2, 3, 4}, every admissible r, trials 0-49;
 * ``sweep-n30``: every (rank E, m) in {2, 15, 29} x {2, 15, 28} at n = 30,
   every admissible r, trial 0;
 * ``n100``: the (rank E, m, r) configurations (90, 2, 92), (60, 5, 65),
-  (50, 10, 60), (70, 30, 100) and (40, 60, 100) at n = 100, trials 0-5.
+  (50, 10, 60), (70, 30, 100) and (40, 60, 100) at n = 100, trials 0-5;
+* ``uncontrollable``: the ``sweep-n30`` cells with one uncontrollable mode
+  injected (``inject_uncontrollable_mode``), a real one in the cells of
+  even r and a conjugate couple in the others, so every instance fails
+  check (e) of ``validate_problem``, the path the three suites above, all
+  feasible, never reach.
 
 ``--against FILE`` compares the new digest with an earlier one and prints,
 per suite, how many instances differ in each field: the bit-identity check
@@ -42,7 +48,15 @@ import sys
 
 import numpy as np
 
-from schurpole import BenchConfig, Report, generate_random_instance, run_pipeline, validate_problem, verify_solution
+from schurpole import (
+    BenchConfig,
+    Problem,
+    Report,
+    generate_random_instance,
+    run_pipeline,
+    validate_problem,
+    verify_solution,
+)
 from schurpole.errors import SchurPoleError
 from schurpole.linalg import serial_blas
 
@@ -71,6 +85,30 @@ def suite_cells():
         cfg = BenchConfig(n=100, rank_e=rank_e, m=m, trials=6, seed=0)
         for trial in range(6):
             yield "n100", cfg, r, trial
+    for rank_e in (2, 15, 29):
+        for m in (2, 15, 28):
+            cfg = BenchConfig(n=30, rank_e=rank_e, m=m, trials=1, seed=0)
+            for r in cfg.r_values:
+                yield "uncontrollable", cfg, r, 0
+
+
+def inject_uncontrollable_mode(problem: Problem, seed) -> Problem:
+    """``problem`` with one mode made uncontrollable: a real eigenvalue for
+    even r, a conjugate couple for odd r, drawn from ``seed``.
+
+    For an orthonormal n x k basis W (k = 1 or 2) and a k x k matrix S
+    with the mode's eigenvalues, A + W (S W^T E - W^T A) has W^T A = S W^T E,
+    so each left eigenvector y of S gives a left eigenvector W y of the
+    pencil at that eigenvalue; B - W W^T B is blind to it.
+    """
+    rng = np.random.default_rng(seed)
+    k = 1 if problem.r % 2 == 0 else 2
+    w = np.linalg.qr(rng.standard_normal((problem.n, k)))[0]
+    sigma, omega = rng.standard_normal(2)
+    s = np.array([[sigma]]) if k == 1 else np.array([[sigma, omega], [-omega, sigma]])
+    a = problem.A + w @ (s @ (w.T @ problem.E) - w.T @ problem.A)
+    b = problem.B - w @ (w.T @ problem.B)
+    return Problem(E=problem.E, A=a, B=b, poles=problem.poles, r=problem.r)
 
 
 def sha1(arr: np.ndarray) -> str:
@@ -78,20 +116,24 @@ def sha1(arr: np.ndarray) -> str:
     return hashlib.sha1(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
 
 
-def validation_text(problem) -> str:
-    """``validate_problem``'s whole report as one string."""
-    rep = validate_problem(problem)
+def validation_text(rep) -> str:
+    """A ``validate_problem`` report, whole, as one string."""
     checks = "; ".join(f"{c.name} {c.passed} {c.detail}" for c in rep.checks)
     return f"q={rep.q} r={rep.r} checks: {checks} warnings: {' | '.join(rep.warnings)}"
 
 
-def digest_one(cfg: BenchConfig, r: int, trial: int) -> dict:
+def digest_one(suite: str, cfg: BenchConfig, r: int, trial: int) -> dict:
     out: dict = {}
     try:
         problem = generate_random_instance(cfg, r, trial)
+        if suite == "uncontrollable":
+            problem = inject_uncontrollable_mode(problem, (cfg.rank_e, cfg.m, r))
         out.update({name: sha1(getattr(problem, name)) for name in INPUTS})
         out["poles"] = hashlib.sha1(repr(problem.poles).encode()).hexdigest()
-        out["validation"] = validation_text(problem)
+        report = validate_problem(problem)
+        out["validation"] = validation_text(report)
+        if not report.passed:
+            return out
         sol = run_pipeline(problem)
     except (SchurPoleError, ValueError, np.linalg.LinAlgError) as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
@@ -107,7 +149,7 @@ def build_digest() -> dict:
     with serial_blas():
         for suite, cfg, r, trial in suite_cells():
             key = f"n={cfg.n} rankE={cfg.rank_e} m={cfg.m} r={r} trial={trial}"
-            suites.setdefault(suite, {})[key] = digest_one(cfg, r, trial)
+            suites.setdefault(suite, {})[key] = digest_one(suite, cfg, r, trial)
     return {"suites": suites}
 
 

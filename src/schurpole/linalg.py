@@ -16,9 +16,9 @@ are pinned here so downstream computations are reproducible run to run:
   that QR's trailing orthogonal columns.  The orthogonal factor is applied
   in its Householder form, one reflector at a time (LAPACK
   ``?orm2r``/``?unm2r``), and never formed.
-* ``generalized_eig``: the QZ eigenvalues (and right eigenvectors) of a
-  real pencil, exactly as ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)``
-  returns them.
+* ``generalized_eig``: the QZ eigenvalues (and right or left
+  eigenvectors) of a real pencil, exactly as
+  ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)`` returns them.
 * ``euclidean_norm``: ``np.linalg.norm`` of an array, bit for bit.
 
 The small-matrix routines of the solver and of verification run hundreds
@@ -361,47 +361,62 @@ def _ggev_workspace(n: int) -> int:
     return int(work[0].real)
 
 
-def generalized_eig(a: np.ndarray, b: np.ndarray, vectors: bool = False):
-    """QZ eigenvalues of the real pencil (a, b) as homogeneous pairs, with
-    unit right eigenvectors on request.
+def _unit_eigenvectors(v: np.ndarray, alphai: np.ndarray) -> np.ndarray:
+    """``?ggev``'s eigenvector columns as ``scipy.linalg.eig`` returns them:
+    the real pair of columns i, i+1 that ``?ggev`` stores for a couple
+    (alphai[i] > 0) made complex, then each column divided by its BLAS
+    ``?nrm2``."""
+    if np.any(alphai != 0.0):
+        real_v = v
+        v = np.array(real_v, dtype=complex)
+        for i in np.flatnonzero(alphai > 0.0):
+            v.imag[:, i] = real_v[:, i + 1]
+            np.conj(v[:, i], v[:, i + 1])
+    nrm2 = _nrm2(v.dtype)
+    for i in range(v.shape[1]):
+        v[:, i] /= nrm2(v[:, i])
+    return v
 
-    Returns ``(w, vr)``: ``w`` is the 2 x n complex array of the pairs
-    (alpha, beta), ``vr`` the n x n eigenvector matrix (None unless
-    ``vectors``); both are bit for bit what
-    ``scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)``
-    returns.  That is one LAPACK ``?ggev`` call with the workspace of
-    ``_ggev_workspace``; with vectors, the real pairs of columns that
-    ``?ggev`` stores for a complex couple are made complex, and each
-    column is divided by its BLAS ``?nrm2``, as scipy does.  ``a`` and
-    ``b`` are square float64 arrays of equal shape; a non-finite entry
-    raises scipy's ValueError.
+
+def generalized_eig(a: np.ndarray, b: np.ndarray, vectors: bool = False, *, left: bool = False):
+    """QZ eigenvalues of the real pencil (a, b) as homogeneous pairs, with
+    unit right eigenvectors, and unit left ones, on request.
+
+    Returns ``(w, vr)``, or ``(w, vl, vr)`` when ``left``: ``w`` is the
+    2 x n complex array of the pairs (alpha, beta), ``vr`` the n x n matrix
+    of right eigenvectors (None unless ``vectors``), ``vl`` that of the
+    left ones, y^H a = (alpha/beta) y^H b.  ``w`` and ``vr`` are bit for
+    bit what ``scipy.linalg.eig(a, b, left=left, right=vectors,
+    homogeneous_eigvals=True)`` returns, and so is ``vl`` when ``vectors``
+    is set too.  That is one LAPACK ``?ggev`` call with the workspace of
+    ``_ggev_workspace``; the eigenvector columns are made complex for a
+    couple and divided by their BLAS ``?nrm2``, as scipy does
+    (``_unit_eigenvectors``).  With ``left`` alone scipy divides only the
+    first column of ``vl``: its loop over the columns counts the rows of
+    the right-eigenvector array, a 1 x n placeholder when that is not
+    computed.  Here every column is a unit vector.  ``a`` and ``b`` are
+    square float64 arrays of equal shape; a non-finite entry raises
+    scipy's ValueError.
     """
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
     n = a.shape[0]
     if n == 0:
-        return np.zeros((2, 0), dtype=complex), (np.zeros((0, 0)) if vectors else None)
-    ggev = _lapack("ggev", a.dtype)
-    alphar, alphai, beta, _, vr, _, info = ggev(a, b, False, vectors, _ggev_workspace(n), False, False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
-    w = np.vstack((alphar + 1j * alphai, beta))
-    if not vectors:
-        return w, None
-    if np.any(alphai != 0.0):
-        # ?ggev stores a couple's eigenvector as its real and imaginary
-        # parts in columns i, i+1, alphai[i] > 0
-        real_vr = vr
-        vr = np.array(real_vr, dtype=complex)
-        for i in np.flatnonzero(alphai > 0.0):
-            vr.imag[:, i] = real_vr[:, i + 1]
-            np.conj(vr[:, i], vr[:, i + 1])
-    nrm2 = _nrm2(vr.dtype)
-    for i in range(n):
-        vr[:, i] /= nrm2(vr[:, i])
-    return w, vr
+        w, vl, vr = np.zeros((2, 0), dtype=complex), np.zeros((0, 0)), np.zeros((0, 0))
+    else:
+        ggev = _lapack("ggev", a.dtype)
+        alphar, alphai, beta, vl, vr, _, info = ggev(a, b, left, vectors, _ggev_workspace(n), False, False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal generalized eig algorithm (ggev)")
+        if info > 0:
+            raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+        w = np.vstack((alphar + 1j * alphai, beta))
+        if left:
+            vl = _unit_eigenvectors(vl, alphai)
+        if vectors:
+            vr = _unit_eigenvectors(vr, alphai)
+    vr = vr if vectors else None
+    return (w, vl, vr) if left else (w, vr)
 
 
 def jacobi_orthogonalize(x, y) -> tuple[float, float]:

@@ -5,7 +5,9 @@ closed-loop matrices, independently of how the feedback was constructed:
 
 * an eigenvalue oracle: one QZ call (Moler & Stewart, SIAM J. Numer.
   Anal. 10, 1973) on the norm-scaled pencil, whose homogeneous pairs
-  (alpha, beta) give the finite poles and count the infinite ones;
+  (alpha, beta) give the finite poles and count the infinite ones
+  (``qz_spectrum``, which check (e) of ``validate_problem`` reads too,
+  with left eigenvectors);
 * a regularity / nilpotency-index check, which carries that spectrum and
   its eigenvectors so a verification runs QZ once;
 * the matched relative pole error on a log10 scale;
@@ -24,15 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import SingularPencilError
 from .linalg import euclidean_norm, generalized_eig, serial_blas
-from .poles import PolePair, count_infinite, expand_to_values
+from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 __all__ = [
+    "frobenius_norm",
+    "QZSpectrum",
+    "qz_spectrum",
     "generalized_eig_oracle",
     "IndexReport",
     "index_and_regularity_check",
@@ -65,7 +71,7 @@ _SINGULAR_CUTOFF = 100.0
 _FACTOR_TOL = 1e-8
 
 
-def _frobenius_norm(mat: np.ndarray) -> float:
+def frobenius_norm(mat: np.ndarray) -> float:
     """||mat||_F; where the plain sum of squares overflows, the norm of
     mat / max|mat_ij| times that maximum."""
     with np.errstate(over="ignore"):
@@ -76,8 +82,31 @@ def _frobenius_norm(mat: np.ndarray) -> float:
     return norm
 
 
-def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
-    """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
+class QZSpectrum(NamedTuple):
+    """One QZ call on a norm-scaled pencil, read with the oracle's cutoffs
+    (:func:`qz_spectrum`)."""
+
+    #: the homogeneous pairs of (A_c/||A_c||_F, E_c/||E_c||_F), in ``?ggev``'s order
+    alpha: np.ndarray
+    beta: np.ndarray
+    #: ||A_c||_F and ||E_c||_F (1.0 for a zero matrix); lambda = alpha/beta * norm_a/norm_e
+    norm_a: float
+    norm_e: float
+    #: ``?ggev`` indices of the finite pairs
+    finite: np.ndarray
+    #: the finite poles, sorted by (real, imag), a couple once with positive imaginary part
+    poles: tuple[PolePair, ...]
+    #: the ``?ggev`` index of each of ``poles``
+    columns: tuple[int, ...]
+    #: unit left and right eigenvectors, one column per pair (None unless asked for)
+    vl: np.ndarray | None
+    vr: np.ndarray | None
+
+
+def qz_spectrum(a_c, e_c, *, vectors: bool = False, left: bool = False) -> QZSpectrum:
+    """The QZ pairs of the pencil (A_c, E_c), split into finite and
+    infinite ones, with unit right (``vectors``) or left (``left``)
+    eigenvectors on request.
 
     One QZ call (LAPACK ``?ggev``, through
     :func:`~schurpole.linalg.generalized_eig`, which returns what
@@ -85,13 +114,7 @@ def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     (A_c/||A_c||_F, E_c/||E_c||_F) returns homogeneous pairs (alpha, beta)
     with lambda = alpha/beta * ||A_c||_F/||E_c||_F.  A norm whose plain sum
     of squares overflows is taken with a scaled sum, so the scaled pencil
-    keeps unit norm there too.  Infinite poles come first, then the finite
-    ones sorted by (real, imag); a complex conjugate couple is returned
-    once, with positive imaginary part.
-
-    ``vectors=True`` returns ``(poles, eigvecs)``: one unit right
-    eigenvector column per value of ``expand_to_values(poles)``, in order.
-    QZ's infinite eigenvectors, an arbitrary basis, are not returned.
+    keeps unit norm there too.
 
     Both cutoffs rest on QZ's backward stability: the computed pairs are
     the exact generalized Schur diagonal of a pencil within about n*eps of
@@ -119,9 +142,12 @@ def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     if a_c.ndim != 2 or a_c.shape[0] != a_c.shape[1] or a_c.shape != e_c.shape:
         raise ValueError("oracle needs two square matrices of equal shape")
     n = a_c.shape[0]
-    norm_a = _frobenius_norm(a_c) or 1.0
-    norm_e = _frobenius_norm(e_c) or 1.0
-    (alpha, beta), vr = generalized_eig(a_c / norm_a, e_c / norm_e, vectors)
+    norm_a = frobenius_norm(a_c) or 1.0
+    norm_e = frobenius_norm(e_c) or 1.0
+    if left:
+        (alpha, beta), vl, vr = generalized_eig(a_c / norm_a, e_c / norm_e, vectors, left=True)
+    else:
+        ((alpha, beta), vr), vl = generalized_eig(a_c / norm_a, e_c / norm_e, vectors), None
     negligible = _SINGULAR_CUTOFF * n * _EPS
     if np.any((np.abs(alpha) <= negligible) & (np.abs(beta) <= negligible)):
         raise SingularPencilError(
@@ -132,13 +158,35 @@ def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
     lams = alpha[finite] / beta[finite] * (norm_a / norm_e)
     # real ggev returns conjugate couples exactly mirrored: keep the upper one
     upper = sorted(np.flatnonzero(lams.imag >= 0.0), key=lambda k: (lams[k].real, lams[k].imag))
-    poles = [PolePair.infinite()] * (n - finite.size) + [PolePair.from_value(lams[k]) for k in upper]
+    poles = tuple(PolePair.from_value(lams[k]) for k in upper)
+    return QZSpectrum(alpha, beta, norm_a, norm_e, finite, poles, tuple(int(finite[k]) for k in upper), vl, vr)
+
+
+def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
+    """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
+
+    The pairs of one QZ call on the norm-scaled pencil, read with the
+    infinite and singular cutoffs of :func:`qz_spectrum`.  Infinite poles
+    come first, then the finite ones sorted by (real, imag); a complex
+    conjugate couple is returned once, with positive imaginary part.
+
+    ``vectors=True`` returns ``(poles, eigvecs)``: one unit right
+    eigenvector column per value of ``expand_to_values(poles)``, in order,
+    the columns ``?ggev`` returns divided by their ``?nrm2``.  QZ's
+    infinite eigenvectors, an arbitrary basis, are not returned.
+
+    Raises SingularPencilError when the pencil is singular at working
+    precision.
+    """
+    spec = qz_spectrum(a_c, e_c, vectors=vectors)
+    n = spec.alpha.size
+    poles = [PolePair.infinite()] * (n - spec.finite.size) + list(spec.poles)
     if not vectors:
         return poles
     cols = []
-    for k in upper:
-        v = vr[:, finite[k]] / euclidean_norm(vr[:, finite[k]])
-        cols.extend([v, v.conj()] if lams[k].imag > 0.0 else [v])
+    for pole, k in zip(spec.poles, spec.columns):
+        v = spec.vr[:, k]
+        cols.extend([v, v.conj()] if pole.kind is PoleKind.FINITE_COMPLEX else [v])
     return poles, np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
 
 

@@ -16,13 +16,14 @@ alpha/beta is not finite is rejected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, SingularPencilError
 from .linalg import numerical_rank, orthonormal_null_basis, serial_blas
-from .metrics import generalized_eig_oracle
+from .metrics import QZSpectrum, frobenius_norm, qz_spectrum
 from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 __all__ = [
@@ -37,8 +38,36 @@ __all__ = [
 ]
 
 # The 8 fixed pseudo-random finite-lambda probes of the controllability
-# check, drawn once from a fixed stream so validation is reproducible.
+# check on a singular or near-singular pencil, drawn once from a fixed
+# stream so validation is reproducible.
 _FIXED_PROBES = tuple(complex(*z) for z in np.random.default_rng(0x5F0C8E).standard_normal((8, 2)))
+
+# The PBH screen of check (e) (Hautus, Proc. KNAW A 72, 1969): at a simple
+# eigenvalue lambda with unit left eigenvector w, [lambda*E - A, B] loses
+# rank exactly when w^H B = 0.  An eigenvalue passes unprobed when
+# ||w^H B|| > sqrt(eps) * ||[E, A, B]||_F and no other eigenvalue lies
+# within chordal distance 1e-6 of it.
+# * sqrt(eps): the probe counts singular values above (n+m)*eps*sigma_max
+#   of [a*E - b*A, B], |a|^2 + |b|^2 = 1, and sigma_max <= ||[E, A, B]||_F,
+#   so the screen's bar lies about 7e7/(n+m) above the probe's cutoff.  The
+#   bound also covers a B much smaller than A or E, which the probe's
+#   cutoff drowns however large w^H B is relative to ||B||.  The computed
+#   w is off by about eps/gap, so a w whose true w^H B is zero reads below
+#   the bar unless its gap is below about sqrt(eps): such an eigenvalue
+#   lies within the cluster tolerance, and it is probed.
+# * Clusters: a semisimple multiple eigenvalue has a left eigenspace, not
+#   a single vector, and one w^H B far from zero says nothing about the
+#   others; so every eigenvalue with a neighbour within 1e-6, its
+#   conjugate included, is probed.
+# * Near-singular pencils: in a singular pencil every lambda is an
+#   eigenvalue, the left null space of lambda*E - A may have any dimension,
+#   and QZ's eigenvalues are arbitrary.  A pair with |alpha|^2 + |beta|^2 <=
+#   eps on the unit-norm scaled pencil puts it within about sqrt(eps) of a
+#   singular one, which the oracle's singular cutoff (100*n*eps) need not
+#   flag.  There the screen is not used: every eigenvalue is probed, and the
+#   8 fixed values after them.
+_PBH_BAR = math.sqrt(float(np.finfo(np.float64).eps))
+_CLUSTER_CHORD = 1e-6
 
 
 @dataclass(eq=False)
@@ -310,6 +339,46 @@ def _probe_ranks(p: Problem, probes):
         yield a, b, numerical_rank(mat)
 
 
+def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[complex, complex]]:
+    """The probes (a, b), lambda = a/b, of check (e) at the open-loop
+    eigenvalues that the PBH screen cannot pass, in the order they are
+    probed; on a pencil within about sqrt(eps) of a singular one, at every
+    eigenvalue and then at the 8 fixed values.
+
+    The eigenvalues checked are every one that check (d) does not count as
+    infinite.  First the finite ones, as ``spectrum.poles`` orders them; a
+    conjugate couple is checked once, at its member with positive imaginary
+    part, since conj(M) has the rank of M.  The oracle counts a pole above
+    about 1e8*||A||/||E|| in modulus as infinite, although (d) covers only
+    k_d = n - rank(E) null directions; the excess ones follow, by
+    increasing mu = 1/lambda after the first k_d, each couple once, probed
+    at (1, mu).
+    """
+    alpha, beta = spectrum.alpha, spectrum.beta
+    checked = [(pole.value, 1.0, k) for pole, k in zip(spectrum.poles, spectrum.columns)]
+    if alpha.size - spectrum.finite.size > k_d:
+        infinite = np.delete(np.arange(alpha.size), spectrum.finite)
+        mus = beta[infinite] / alpha[infinite] * (spectrum.norm_e / spectrum.norm_a)
+        # by |mu|, ties in the order of the pole list: (real, imag) of the
+        # member with positive imaginary part, which comes first
+        order = sorted(range(infinite.size), key=lambda i: (abs(mus[i]), mus[i].real, abs(mus[i].imag), mus[i].imag < 0))
+        excess = [(complex(mus[i]), infinite[i]) for i in order[k_d:]]
+        checked += [(1.0, mu, k) for i, (mu, k) in enumerate(excess) if mu.conjugate() not in [v for v, _ in excess[:i]]]
+    size = np.hypot(np.abs(alpha), np.abs(beta))
+    if np.any(size <= _PBH_BAR):
+        return [(a, b) for a, b, _ in checked] + [(lam, 1.0) for lam in _FIXED_PROBES]
+    cols = np.array([k for *_, k in checked], dtype=int)
+    w = spectrum.vl[:, cols]
+    reach = np.linalg.norm(w.conj().T @ p.B, axis=1)
+    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, frobenius_norm(p.B))
+    # chordal distance of each checked pair to every pair, itself excluded
+    ua, ub = alpha / size, beta / size
+    chord = np.abs(np.outer(ua[cols], ub) - np.outer(ub[cols], ua))
+    chord[np.arange(cols.size), cols] = np.inf
+    screened = (reach > bar) & (chord.min(axis=1) > _CLUSTER_CHORD)
+    return [(a, b) for (a, b, _), ok in zip(checked, screened) if not ok]
+
+
 @serial_blas()
 def validate_problem(p: Problem) -> ValidationReport:
     """Feasibility checks for an assignment instance.
@@ -318,10 +387,19 @@ def validate_problem(p: Problem) -> ValidationReport:
     (a) B has full column rank; (b/c) the finite pole count r lies in
     [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full row rank
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
-    every open-loop eigenvalue that (d) does not count as infinite and at
-    8 fixed pseudo-random complex values; a conjugate couple of eigenvalues
-    is probed once, at the member with positive imaginary part.  Each rank
-    is certified full from one QR where it can be, and counted by an SVD
+    every open-loop eigenvalue that (d) does not count as infinite.  Check
+    (e) is a screen, then probes.  One QZ call with left eigenvectors
+    (:func:`~schurpole.metrics.qz_spectrum`) gives every eigenvalue; one
+    that is isolated and whose left eigenvector sees B passes (the PBH
+    test, ``_PBH_BAR``), and each other one is probed with a rank, in the
+    order ``_check_e_probes`` gives, so the first failing
+    eigenvalue names the failure.  A conjugate couple is probed once, at
+    the member with positive imaginary part.  On a regular pencil the rank
+    can drop only at an eigenvalue; on a singular one 8 fixed pseudo-random
+    complex values are probed instead, with a warning, and on one within
+    about sqrt(eps) of singular that QZ does not flag, every eigenvalue
+    and then those 8 values, without the screen.  Each rank is
+    certified full from one QR where it can be, and counted by an SVD
     otherwise (:func:`numerical_rank`).  Every repeated requested pole is
     recorded as a warning naming its multiplicity k and the accuracy of a
     defective eigenvalue, about eps**(1/k).  Runs on one BLAS thread
@@ -357,25 +435,13 @@ def validate_problem(p: Problem) -> ValidationReport:
         )
     )
 
-    # Probe at every open-loop eigenvalue that check (d) does not count as
-    # infinite.  The oracle counts a pole above about 1e8*||A||/||E|| in
-    # modulus as infinite, although (d) may cover fewer than those with its
-    # n - rank(E) null directions.  The excess poles are the reciprocals of
-    # the eigenvalues mu = 1/lambda of the reversed pencil (E, A), taken by
-    # increasing modulus after the first n - rank(E).  A conjugate couple
-    # is probed once: conj(M) has the rank of M.
-    k_d = n_inf.shape[1]
-    probes: list[tuple[complex, complex]] = []  # (a, b) probes a*E - b*A
     try:
-        spectrum = generalized_eig_oracle(p.A, p.E)
-        probes += [(pole.value, 1.0) for pole in spectrum if not pole.is_infinite]
-        k_inf = count_infinite(spectrum)
-        if k_inf > k_d:
-            mus = sorted(expand_to_values(generalized_eig_oracle(p.E, p.A)), key=abs)[k_d:k_inf]
-            probes += [(1.0, mu) for i, mu in enumerate(mus) if mu.conjugate() not in mus[:i]]
+        spectrum = qz_spectrum(p.A, p.E, left=True)
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
-    probes += [(lam, 1.0) for lam in _FIXED_PROBES]
+        probes = [(lam, 1.0) for lam in _FIXED_PROBES]
+    else:
+        probes = _check_e_probes(p, spectrum, n_inf.shape[1])
     ok = True
     detail = "full row rank at all probes"
     for a, b, rk in _probe_ranks(p, probes):

@@ -411,6 +411,27 @@ def test_generalized_eig_matches_scipy_eig_bit_for_bit(vectors):
 
 
 @pytest.mark.parametrize("vectors", [False, True])
+def test_generalized_eig_left_vectors_match_scipy_eig_bit_for_bit(vectors):
+    # scipy.linalg.eig(left=True, right=False) divides only the first
+    # column of vl by its norm (its loop counts the rows of the 1 x n
+    # placeholder for vr), so the pairs and that column are pinned to it,
+    # and every column to the call with both sides
+    for name, a, b in _pencils():
+        w, vl, vr = generalized_eig(a, b, vectors, left=True)
+        w_ref, vl_ref, vr_ref = scipy.linalg.eig(a, b, left=True, right=True, homogeneous_eigvals=True)
+        w_left, vl_left = scipy.linalg.eig(a, b, left=True, right=False, homogeneous_eigvals=True)
+        assert _same_bits(w, w_ref) and _same_bits(w, w_left), name
+        assert _same_bits(vl, vl_ref), name
+        assert _same_bits(vl[:, 0], vl_left[:, 0]), name
+        assert (vr is None and not vectors) or _same_bits(vr, vr_ref), name
+        # beta y^H a = alpha y^H b with unit y, in units of max|a_ij|, max|b_ij|
+        assert np.allclose(np.linalg.norm(vl, axis=0), 1.0), name
+        sa, sb = np.abs(a).max(), np.abs(b).max()
+        resid = (w[1] / sb)[:, None] * (vl.conj().T @ (a / sa)) - (w[0] / sa)[:, None] * (vl.conj().T @ (b / sb))
+        assert np.linalg.norm(resid) <= 1e-13 * a.shape[0] ** 2, name
+
+
+@pytest.mark.parametrize("vectors", [False, True])
 def test_generalized_eig_of_the_empty_pencil_and_non_finite_input(vectors):
     empty = np.zeros((0, 0))
     w, vr = generalized_eig(empty, empty, vectors)
@@ -418,6 +439,9 @@ def test_generalized_eig_of_the_empty_pencil_and_non_finite_input(vectors):
     w_ref, vr_ref = ref if vectors else (ref, None)
     assert _same_bits(w, w_ref)
     assert (vr is None and vr_ref is None) or _same_bits(vr, vr_ref)
+    w, vl, vr = generalized_eig(empty, empty, vectors, left=True)
+    w_ref, vl_ref = scipy.linalg.eig(empty, empty, left=True, right=False, homogeneous_eigvals=True)
+    assert _same_bits(w, w_ref) and _same_bits(vl, vl_ref)
     bad = np.eye(3)
     bad[1, 2] = np.inf
     for a, b in ((bad, np.eye(3)), (np.eye(3), bad)):
@@ -425,6 +449,8 @@ def test_generalized_eig_of_the_empty_pencil_and_non_finite_input(vectors):
             scipy.linalg.eig(a, b)
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             generalized_eig(a, b, vectors)
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            generalized_eig(a, b, vectors, left=True)
 
 
 def test_euclidean_norm_matches_numpy_bit_for_bit():

@@ -6,7 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schurpole.problem as problem_module
@@ -14,12 +15,16 @@ from schurpole import (
     ParseError,
     PolePair,
     Problem,
+    SingularPencilError,
     parse_problem,
     parse_solution,
     serialize_problem,
     serialize_solution,
     validate_problem,
 )
+from schurpole.linalg import orthonormal_null_basis
+from schurpole.metrics import generalized_eig_oracle
+from schurpole.poles import count_infinite, expand_to_values
 
 from conftest import make_instance
 
@@ -342,22 +347,30 @@ def test_validate_huge_finite_eigenvalue_probe_is_scale_free():
     assert rep.checks[-1].detail == "full row rank at all probes"
 
 
-def test_validate_probes_each_conjugate_couple_once(monkeypatch):
+def _five_state_plant(blind_rows=()):
     # Open-loop spectrum: 1 +- 2i, +-i*sqrt(2) and 3, two couples and one
-    # real eigenvalue.  Check (e) probes one member of each couple, the
-    # real one in real arithmetic, and the 8 fixed complex values; checks
-    # (a), (b/c) and (d) take one rank each.
+    # real eigenvalue, each on its own block of rows; B is zero on
+    # ``blind_rows``, so the modes of those rows are uncontrollable.
     a = np.zeros((5, 5))
     a[:2, :2] = [[1.0, 2.0], [-2.0, 1.0]]
     a[2:4, 2:4] = [[0.0, 1.0], [-2.0, 0.0]]
     a[4, 4] = 3.0
-    prob = Problem(
+    b = np.arange(10.0).reshape(5, 2) ** 0.5
+    b[list(blind_rows)] = 0.0
+    return Problem(
         E=np.eye(5),
         A=a,
-        B=np.arange(10.0).reshape(5, 2) ** 0.5,
+        B=b,
         poles=tuple(PolePair.from_value(-v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)),
         r=5,
     )
+
+
+def test_validate_probes_only_the_eigenvalues_the_pbh_screen_cannot_pass(monkeypatch):
+    # Checks (a), (b/c) and (d) take one rank each; check (e) probes only an
+    # eigenvalue whose left eigenvector w has w^H B near zero, a couple once
+    # at its member with positive imaginary part, a real one in real
+    # arithmetic.  A regular pencil takes no fixed probe.
     seen = []
     original = problem_module.numerical_rank
 
@@ -366,18 +379,144 @@ def test_validate_probes_each_conjugate_couple_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(problem_module, "numerical_rank", recording)
+    cases = (
+        ((), "full row rank at all probes", []),
+        ((0, 1), "rank([lambda*E - A, B])=4 at lambda=1+2j", ["c"]),
+        ((4,), "rank([lambda*E - A, B])=4 at lambda=3+0j", ["f"]),
+    )
+    for blind_rows, detail, kinds in cases:
+        prob = _five_state_plant(blind_rows)
+        seen.clear()
+        check_e = validate_problem(prob).checks[-1]
+        assert (check_e.passed, check_e.detail) == (not blind_rows, detail)
+        probes = seen[3:]
+        assert [probe.dtype.kind for probe in probes] == kinds
+        for probe in probes:
+            # a*I - b*A is singular at the eigenvalue, beside B
+            assert abs(np.linalg.det(probe[:, :5])) <= 1e-12
+            assert np.array_equal(probe[:, 5:], prob.B)
+        if kinds == ["c"]:
+            assert probes[0][0, 0].imag > 0
+
+
+def test_validate_probes_a_double_eigenvalue_and_an_input_below_the_cutoff():
+    # E = I, A = I, B = [1; 1]: every vector is a left eigenvector at
+    # lambda = 1, and the one QZ returns may well see B; only the cluster
+    # rule sends the double eigenvalue to the probe.  B = 1e-17 [1; 1] has
+    # w^H B far from zero relative to ||B||, but lies below the probe's
+    # cutoff beside A and E.
+    poles = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
+    for a, b in ((np.eye(2), np.ones((2, 1))), (np.diag([1.0, 2.0]), np.full((2, 1), 1e-17))):
+        check_e = validate_problem(Problem(E=np.eye(2), A=a, B=b, poles=poles, r=2)).checks[-1]
+        assert not check_e.passed
+        assert check_e.detail == "rank([lambda*E - A, B])=1 at lambda=1+0j"
+
+
+def _check_e_by_the_probe_loop(prob):
+    """Check (e) as a rank probe at every eigenvalue decides it: the
+    verdict, the detail and the singular-pencil warning.  The oracle's
+    finite eigenvalues, then the excess infinite-counted ones as
+    reciprocals of the reversed pencil's eigenvalues (each couple once),
+    then 8 fixed values."""
+    k_d = orthonormal_null_basis(prob.E).shape[1]
+    probes, warnings = [], []
+    try:
+        spectrum = generalized_eig_oracle(prob.A, prob.E)
+        probes += [(pole.value, 1.0) for pole in spectrum if not pole.is_infinite]
+        k_inf = count_infinite(spectrum)
+        if k_inf > k_d:
+            mus = sorted(expand_to_values(generalized_eig_oracle(prob.E, prob.A)), key=abs)[k_d:k_inf]
+            probes += [(1.0, mu) for i, mu in enumerate(mus) if mu.conjugate() not in mus[:i]]
+    except SingularPencilError:
+        warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
+    probes += [(lam, 1.0) for lam in problem_module._FIXED_PROBES]
+    for a, b, rk in problem_module._probe_ranks(prob, probes):
+        if rk != prob.n:
+            return False, f"rank([lambda*E - A, B])={rk} at lambda={a / b:g}", warnings
+    return True, "full row rank at all probes", warnings
+
+
+def _block(kind, value, omega):
+    """(E block, A block) of one part of a block-diagonal plant."""
+    if kind == "real":
+        return np.eye(1), np.array([[value]])
+    if kind == "couple":
+        return np.eye(2), np.array([[value, omega], [-omega, value]])
+    if kind == "double":  # semisimple
+        return np.eye(2), value * np.eye(2)
+    if kind == "jordan":
+        return np.eye(2), np.array([[value, 1.0], [0.0, value]])
+    if kind == "huge":  # lambda = 1e10, which QZ counts as infinite
+        return np.array([[1e-10]]), np.array([[1.0]])
+    if kind == "infinite":  # a singular E
+        return np.zeros((1, 1)), np.eye(1)
+    return np.zeros((1, 1)), np.zeros((1, 1))  # "singular": a singular pencil
+
+
+_grid = st.integers(min_value=-8, max_value=8).map(lambda k: k / 4)
+_parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid.filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+# an exactly singular pencil that QZ does not flag: lambda = 0 has a left
+# null space of dimension 2 and m = 1, while each computed w sees B
+@example(0, [("infinite", 0.0, 0.25), ("real", 0.0, 0.25), ("real", 0.5, 0.25)], "singular", [(0.0, 0.25, False)], 1)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(_parts, min_size=1, max_size=5),
+    st.sampled_from(["real", "couple", "double", "jordan", "huge", "infinite", "singular"]),
+    st.lists(st.tuples(_grid, _grid.filter(bool), st.booleans()), min_size=1, max_size=2),
+    st.integers(min_value=1, max_value=3),
+)
+def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
+    # U blockdiag V^T plants: a controllable base of real modes, couples
+    # and infinite ones, and one or two injected blocks of one kind, each
+    # with B blind to it or not.  Eigenvalues on a grid of quarters either
+    # coincide or are well apart.  The screen may spare probes, never
+    # change the verdict, the first failing eigenvalue or the warning.
+    rng = np.random.default_rng(seed)
+    blocks = [(*_block(k, v, w), False) for k, v, w in base]
+    blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
+    e = scipy.linalg.block_diag(*(be for be, _, _ in blocks))
+    a = scipy.linalg.block_diag(*(ba for _, ba, _ in blocks))
+    n = e.shape[0]
+    b = rng.standard_normal((n, m))
+    row = 0
+    for be, _, blind in blocks:
+        if blind:  # the block's left eigenvectors then miss B
+            b[row : row + be.shape[0]] = 0.0
+        row += be.shape[0]
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    prob = Problem(E=u @ e @ v.T, A=u @ a @ v.T, B=u @ b, poles=(PolePair.infinite(),) * n, r=0)
     rep = validate_problem(prob)
-    assert rep.passed, [f"{c.name}: {c.detail}" for c in rep.failures()]
-    probes = seen[3:]
-    assert len(probes) == 3 + 8
-    assert [p.dtype.kind for p in probes[:3]] == ["c", "c", "f"]
-    # each probe a*I - b*A (b > 0) is singular at an eigenvalue, and the
-    # couples are probed at the member with positive imaginary part
-    for probe in probes[:3]:
-        assert abs(np.linalg.det(probe[:, :5])) <= 1e-12
-    assert all(probe[0, 0].imag > 0 for probe in probes[:2])
-    for probe in probes:
-        assert np.array_equal(probe[:, 5:], prob.B)
+    check_e = rep.checks[-1]
+    want_ok, want_detail, want_warnings = _check_e_by_the_probe_loop(prob)
+    assert check_e.passed == want_ok
+    assert [w for w in rep.warnings if "singular" in w] == want_warnings
+    if want_ok or want_warnings:
+        assert check_e.detail == want_detail
+        return
+    if kind == "singular":
+        # QZ did not flag the singular pencil: its computed eigenvalues are
+        # then arbitrary, and a QZ call with eigenvectors returns others
+        # than one without, so the first failing one may differ
+        return
+    # the same rank at the same eigenvalue.  Its printed 6 digits may differ
+    # at an eigenvalue near 0, and where QZ counts it as infinite: 1/lambda
+    # = beta/alpha is then known to an absolute n*eps, about 1e-6 relative
+    # at lambda = 1e10, from either QZ call.
+    (rank, lam), (want_rank, want_lam) = (_probe_failure(d) for d in (check_e.detail, want_detail))
+    assert rank == want_rank
+    assert abs(lam - want_lam) <= 1e-5 * max(1.0, abs(want_lam))
+
+
+def _probe_failure(detail):
+    """(rank, lambda) of a failing check (e) detail."""
+    head, lam = detail.split(" at lambda=")
+    prefix = "rank([lambda*E - A, B])="
+    assert head.startswith(prefix), detail
+    return int(head[len(prefix) :]), complex(lam)
 
 
 def test_validate_multiplicity_warning():
