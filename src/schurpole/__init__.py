@@ -9,14 +9,12 @@ assigned poles are insensitive to perturbations.
 
 from .assign import (
     AssignState,
-    Parametrization,
     Solution,
     StepRecord,
     assign_complex_pair,
     assign_infinite_block,
     assign_real_pole,
     complete_X,
-    compute_parametrization,
     extract_feedback,
     run_pipeline,
 )
@@ -52,7 +50,6 @@ __all__ = [
     "BenchConfig",
     "DegenerateStepError",
     "IndexReport",
-    "Parametrization",
     "ParseError",
     "PoleKind",
     "PolePair",
@@ -68,7 +65,6 @@ __all__ = [
     "assign_infinite_block",
     "assign_real_pole",
     "complete_X",
-    "compute_parametrization",
     "departure_measure",
     "eigenvector_condition",
     "extract_feedback",

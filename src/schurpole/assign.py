@@ -25,13 +25,15 @@ assigned spectrum is insensitive to perturbations.  A real pole is the
 1x1 case and a conjugate pair the 2x2 case of one step: both shift the
 pencil in ``_shifted`` and write their columns in ``_write_step``.  Once
 all n columns exist, X is completed from the null space of Xi, taken by
-the steps' own kernel, and (F, G) are read off.  The factors are written
-in place: ``AssignState`` holds
-buffers of their final size, each step fills its one or two columns of
-P, Xi, S and T and updates the complement stack in place, and
-``run_pipeline`` returns the filled buffers.  A step's null-space basis is
-scratch: it is used once, and each step leaves only a ``StepRecord`` of
-scalars (null dimension, P-share, branch).
+the steps' own kernel, and (F, G) are read off.  ``AssignState`` owns the
+plant and the factors: A, E and B's factors Q1, Q2, R, taken once when
+the infinite block opens the state, and buffers of the factors' final
+size.  Every later stage reads the plant from the state: a step is
+``step(state, pole)``, fills its one or two columns of P, Xi, S and T and
+updates the complement stack in place, and ``run_pipeline`` returns the
+filled buffers.  A step's null-space basis is scratch: it is used once,
+and each step leaves only a ``StepRecord`` of scalars (null dimension,
+P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -59,7 +61,6 @@ import numpy as np
 from .errors import DegenerateStepError
 from .linalg import (
     euclidean_norm,
-    jacobi_orthogonalize,
     numerical_rank,
     orthonormal_null_basis,
     qr_decompose,
@@ -69,11 +70,9 @@ from .linalg import (
 from .poles import PoleKind, PolePair
 
 __all__ = [
-    "Parametrization",
     "StepRecord",
     "AssignState",
     "Solution",
-    "compute_parametrization",
     "assign_infinite_block",
     "assign_real_pole",
     "assign_complex_pair",
@@ -112,29 +111,14 @@ class StepRecord:
 
 
 @dataclass(eq=False)
-class Parametrization:
-    """QR data of the input matrix: B = Q [R; 0], Q = [Q1 Q2]."""
-
-    q1: np.ndarray
-    q2: np.ndarray
-    r: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.q1.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.q1.shape[1]
-
-
-@dataclass(eq=False)
 class AssignState:
-    """The factors after ``j`` assigned columns, written in place.
+    """The plant and the factors after ``j`` assigned columns, written in
+    place.
 
-    The state owns buffers of the factors' final size: n x n for P, S and
-    T, (n-m) x n for Xi, and (n + 2(n-m)) x n for the complement stack and
-    for the scratch of its update.  A step writes its new columns into them
+    The state owns the plant, A, E and the factors of B = [Q1 Q2] [R; 0],
+    and buffers of the factors' final size: n x n for P, S and T,
+    (n-m) x n for Xi, and (n + 2(n-m)) x n for the complement stack and for
+    the scratch of its update.  A step writes its new columns into them
     and raises ``j``; the properties are views of what is filled.  The last
     n - j columns of the stack hold an orthonormal basis P_perp of the
     complement of range(P) over Q2^T E P_perp and Q2^T A P_perp, kept up
@@ -143,8 +127,11 @@ class AssignState:
     state unusable.
     """
 
-    n: int
-    m: int
+    a: np.ndarray
+    e: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    r: np.ndarray
     j: int = 0
     p_buf: np.ndarray = field(init=False, repr=False)
     xi_buf: np.ndarray = field(init=False, repr=False)
@@ -155,13 +142,21 @@ class AssignState:
     steps: list[StepRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        n, m = self.n, self.m
+        n, m = self.q1.shape
         self.p_buf = np.empty((n, n))
         self.xi_buf = np.empty((n - m, n))
         self.s_buf = np.zeros((n, n))
         self.t_buf = np.zeros((n, n))
         self.perp_buf = np.empty((3 * n - 2 * m, n))
         self.scratch = np.empty(self.perp_buf.size)
+
+    @property
+    def n(self) -> int:
+        return self.q1.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.q1.shape[1]
 
     @property
     def P(self) -> np.ndarray:
@@ -212,17 +207,6 @@ def d_delta_block(sigma: float, tau: float, delta: float) -> np.ndarray:
     return np.array([[sigma, delta * tau], [-tau / delta, sigma]])
 
 
-def compute_parametrization(b) -> Parametrization:
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2 or b.shape[1] < 1 or b.shape[0] < b.shape[1]:
-        raise ValueError(f"B must be n x m with 1 <= m <= n, got {b.shape}")
-    if numerical_rank(b) != b.shape[1]:
-        raise ValueError("B must have full column rank")
-    q, r = qr_decompose(b)
-    m = b.shape[1]
-    return Parametrization(q1=q[:, :m], q2=q[:, m:], r=r)
-
-
 def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Clean residual non-orthogonality of a new (near-orthonormal) column.
 
@@ -264,31 +248,28 @@ def _complement_after(perp: np.ndarray, n: int, p: np.ndarray, scratch: np.ndarr
     np.subtract(rest, term, out=rest)
 
 
-def _advance(state: AssignState, width: int, record: StepRecord) -> AssignState:
-    """Close a step that has written its ``width`` columns of P, Xi, S and
-    T: drop them from the complement and count them."""
-    for k in range(state.j, state.j + width):
-        _complement_after(state.perp_buf[:, k:], state.n, state.p_buf[:, k], state.scratch)
-    state.j += width
-    state.steps.append(record)
-    return state
+def assign_infinite_block(problem) -> AssignState:
+    """Open the state of ``problem`` with its n - r infinite poles.
 
-
-def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState:
-    """Open the factors with ``count`` infinite poles.
-
-    P's first columns come from the null space of Q2^T E, giving the exact
-    leading structure S = I, T = 0 with no off-diagonal contribution at
-    all, which is the optimum for these steps.  When that null space is
-    larger than ``count``, its first ``count`` basis columns are taken: an
-    arbitrary pick, fixed by :func:`orthonormal_null_basis`'s convention.
+    B must have full column rank and at most n columns; its QR factors,
+    with A and E, go into the state.  P's first columns come from the null
+    space of Q2^T E, giving the exact leading structure S = I, T = 0 with
+    no off-diagonal contribution at all, which is the optimum for these
+    steps.  When that null space is larger than n - r, its first n - r
+    basis columns are taken: an arbitrary pick, fixed by
+    :func:`orthonormal_null_basis`'s convention.
     """
-    n, m = par.n, par.m
-    if not 0 <= count <= n:
-        raise ValueError(f"infinite pole count {count} outside [0, {n}]")
-    e = np.asarray(e, dtype=np.float64)
-    q2t_e = par.q2.T @ e
-    q2t_a = par.q2.T @ np.asarray(a, dtype=np.float64)
+    a, e, b = problem.A, problem.E, problem.B
+    n, m = b.shape
+    if m > n:
+        raise ValueError(f"B must be n x m with 1 <= m <= n, got {b.shape}")
+    if numerical_rank(b) != m:
+        raise ValueError("B must have full column rank")
+    q, r = qr_decompose(b)
+    q1, q2 = q[:, :m], q[:, m:]
+    count = n - problem.r
+    q2t_e = q2.T @ e
+    q2t_a = q2.T @ a
     # When range(E) lies in range(B), Q2^T E is zero but computes as
     # rounding, ||Q2^T E||_F <= c n eps ||E||_F with c <= 0.2 (measured,
     # n = 4..300), which its own sigma_max would count as full rank.  The
@@ -304,7 +285,7 @@ def assign_infinite_block(a, e, par: Parametrization, count: int) -> AssignState
             null_dim=z.shape[1],
             needed=count,
         )
-    state = AssignState(n, m, count)
+    state = AssignState(a, e, q1, q2, r, count)
     state.P[:] = z[:, :count]
     p_perp = np.linalg.qr(state.P, mode="complete")[0][:, count:]
     state.P_perp[:] = p_perp
@@ -385,12 +366,13 @@ def _shifted(state: AssignState, gamma, s_dominant: bool):
     return state.AP_perp - gamma * state.EP_perp, -1.0, gamma
 
 
-def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, a, e, par, record) -> AssignState:
+def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, record) -> AssignState:
     """Write a step's unit columns ``cols`` of P (each cleaned against
     those before it), their stacked (v_s; v_t) columns ``vcols`` and the
     diagonal blocks into S and T, and Xi's columns from the dominant
     relation Q2^T A P = Xi S (or Q2^T E P = Xi T), whose block diagonal is
-    eps1 for a real pole and 1 for a pair; then close the step."""
+    eps1 for a real pole and 1 for a pair; then drop the new columns from
+    the complement and count them."""
     j, width = state.j, len(cols)
     new = slice(j, j + width)
     p_buf, s_buf, t_buf = state.p_buf, state.s_buf, state.t_buf
@@ -400,13 +382,17 @@ def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, a
         t_buf[:j, j + i] = v[j:]
     s_buf[new, new] = s_block
     t_buf[new, new] = t_block
-    k, coupling, diag = (a, s_buf, s_block[0][0]) if s_dominant else (e, t_buf, t_block[0][0])
-    k_p = np.asarray(k, dtype=np.float64) @ p_buf[:, new]
-    state.xi_buf[:, new] = (par.q2.T @ k_p - state.Xi @ coupling[:j, new]) / diag
-    return _advance(state, width, record)
+    k, coupling, diag = (state.a, s_buf, s_block[0][0]) if s_dominant else (state.e, t_buf, t_block[0][0])
+    k_p = k @ p_buf[:, new]
+    state.xi_buf[:, new] = (state.q2.T @ k_p - state.Xi @ coupling[:j, new]) / diag
+    for i in range(j, j + width):
+        _complement_after(state.perp_buf[:, i:], state.n, p_buf[:, i], state.scratch)
+    state.j += width
+    state.steps.append(record)
+    return state
 
 
-def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
+def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     """Append one column carrying a finite real pole.
 
     Among all unit feasible directions, the new column maximizes the share
@@ -435,7 +421,7 @@ def assign_real_pole(state: AssignState, pole: PolePair, a, e, par: Parametrizat
     pt = state.P_perp @ (y @ uvec)
     scale = euclidean_norm(pt)
     rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share)
-    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, a, e, par, rec)
+    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, rec)
 
 
 def _symplectic(x: np.ndarray) -> np.ndarray:
@@ -491,13 +477,24 @@ def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray
 
 def _psi_rotation(psi1: np.ndarray):
     """(c, s, vs1, vs2) for the top left singular vector psi1 of Z1: the
-    plane rotation that makes the real and imaginary parts of
-    (c + i s) psi1 orthogonal, and the norms of those parts; None when the
-    parts are dependent, so that no rotation separates them."""
-    try:
-        c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
-    except ValueError:
+    plane rotation (c, s), closest to the identity, that makes the real and
+    imaginary parts of (c + i s) psi1 orthogonal, and the norms of those
+    parts; None when the parts are dependent, so that no rotation
+    separates them."""
+    # contiguous copies: BLAS rounds a strided dot product differently
+    x, y = psi1.real.ravel(), psi1.imag.ravel()
+    nx2, ny2, g = float(x @ x), float(y @ y), float(x @ y)
+    # cross-norm dependence test: sin^2 of the angle between x and y
+    if nx2 == 0.0 or ny2 == 0.0 or (nx2 * ny2 - g * g) <= (1e-12) ** 2 * nx2 * ny2:
         return None
+    c, s = 1.0, 0.0
+    if g != 0.0:
+        theta = 0.5 * math.atan2(-2.0 * g, nx2 - ny2)
+        if theta > math.pi / 4.0:
+            theta -= math.pi / 2.0
+        elif theta <= -math.pi / 4.0:
+            theta += math.pi / 2.0
+        c, s = math.cos(theta), math.sin(theta)
     vs1 = euclidean_norm(c * psi1.real - s * psi1.imag)
     vs2 = euclidean_norm(s * psi1.real + c * psi1.imag)
     if min(vs1, vs2) <= 1e-13:
@@ -623,7 +620,7 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
     return _PairChoice(z1 @ bvec, zv @ bvec + vfree, nu1, nu2, branch, rho1, rho2)
 
 
-def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametrization) -> AssignState:
+def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     """Append the two columns carrying a complex conjugate pole pair.
 
     The dominant one of (lambda, 1) is scaled to 1: when |lambda| >= 1 the
@@ -661,38 +658,34 @@ def assign_complex_pair(state: AssignState, pole: PolePair, a, e, par: Parametri
     )
     cols = [pc.real / vs1, pc.imag / vs2]
     vcols = [choice.v.real / vs1, choice.v.imag / vs2]
-    return _write_step(state, cols, vcols, s_block, t_block, alpha_dom, a, e, par, rec)
+    return _write_step(state, cols, vcols, s_block, t_block, alpha_dom, rec)
 
 
-def complete_X(par: Parametrization, xi) -> np.ndarray:
-    """Extend Xi = Q2^T X to the full invertible factor X = Q1 Y + Q2 Xi.
+def complete_X(state: AssignState) -> np.ndarray:
+    """Extend the state's Xi = Q2^T X to the full invertible factor
+    X = Q1 Y + Q2 Xi.
 
     Y's rows are an orthonormal basis of the null space of Xi, so the
     Q1-component is orthogonal to range(Xi^T), which keeps X as well
     conditioned as the data permits.  Xi needs full row rank: its null
     space must have exactly m dimensions.
     """
-    xi = np.asarray(xi, dtype=np.float64)
-    n, m = par.n, par.m
-    if xi.shape != (n - m, n):
-        raise ValueError(f"Xi must be (n-m) x n = {(n - m, n)}, got {xi.shape}")
+    xi = state.Xi
     y = orthonormal_null_basis(xi)
-    if y.shape[1] != m:
+    if y.shape[1] != state.m:
         raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
-    return par.q1 @ y.T + par.q2 @ xi
+    return state.q1 @ y.T + state.q2 @ xi
 
 
-def extract_feedback(a, e, par: Parametrization, x, s, t, p) -> tuple[np.ndarray, np.ndarray]:
+def extract_feedback(state: AssignState, x) -> tuple[np.ndarray, np.ndarray]:
     """Solve R F = Q1^T (X S P^T - A) and R G = Q1^T (X T P^T - E).
 
     R is triangular, but a general LU solve is used: OpenBLAS's
     triangular solve wakes its worker threads and can stall for
     milliseconds on these small systems.
     """
-    a = np.asarray(a, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    f = np.linalg.solve(par.r, par.q1.T @ (x @ s @ p.T - a))
-    g = np.linalg.solve(par.r, par.q1.T @ (x @ t @ p.T - e))
+    f = np.linalg.solve(state.r, state.q1.T @ (x @ state.S @ state.P.T - state.a))
+    g = np.linalg.solve(state.r, state.q1.T @ (x @ state.T @ state.P.T - state.e))
     return f, g
 
 
@@ -708,20 +701,14 @@ def run_pipeline(problem) -> Solution:
     (:func:`~schurpole.linalg.serial_blas`), so its answer does not depend
     on the caller's thread counts.
     """
-    par = compute_parametrization(problem.B)
-    a, e = problem.A, problem.E
-    n, r = problem.n, problem.r
-    reals = sorted(
-        (p for p in problem.finite_poles if p.kind is PoleKind.FINITE_REAL),
-        key=lambda p: p.value.real,
-    )
-    cplx = [p for p in problem.finite_poles if p.kind is PoleKind.FINITE_COMPLEX]
-    state = assign_infinite_block(a, e, par, n - r)
-    queue = reals + cplx
+    state = assign_infinite_block(problem)
+    finite = problem.finite_poles
+    reals = sorted((p for p in finite if p.kind is PoleKind.FINITE_REAL), key=lambda p: p.value.real)
+    queue = reals + [p for p in finite if p.kind is PoleKind.FINITE_COMPLEX]
     for idx, pole in enumerate(queue, start=1):
         is_pair = pole.kind is PoleKind.FINITE_COMPLEX
         try:
-            state = (assign_complex_pair if is_pair else assign_real_pole)(state, pole, a, e, par)
+            state = (assign_complex_pair if is_pair else assign_real_pole)(state, pole)
         except DegenerateStepError as exc:
             raise DegenerateStepError(
                 f"{exc} (while assigning pole {idx} of {len(queue)})",
@@ -730,8 +717,8 @@ def run_pipeline(problem) -> Solution:
                 null_dim=exc.null_dim,
                 needed=exc.needed,
             ) from None
-    if state.j != n:
-        raise DegenerateStepError(f"assignment finished with {state.j} columns, expected {n}")
-    x = complete_X(par, state.Xi)
-    f, g = extract_feedback(a, e, par, x, state.S, state.T, state.P)
+    if state.j != state.n:
+        raise DegenerateStepError(f"assignment finished with {state.j} columns, expected {state.n}")
+    x = complete_X(state)
+    f, g = extract_feedback(state, x)
     return Solution(F=f, G=g, P=state.P, S=state.S, T=state.T, X=x, steps=tuple(state.steps))

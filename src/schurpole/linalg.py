@@ -1,8 +1,8 @@
 """Dense real/complex linear-algebra kernels with fixed output conventions.
 
-Thin deterministic wrappers around LAPACK (through numpy and scipy) plus a few
-closed-form helpers.  Conventions that the underlying library leaves open
-are pinned here so downstream computations are reproducible run to run:
+Thin deterministic wrappers around LAPACK (through numpy and scipy) and
+BLAS.  Conventions that the underlying library leaves open are pinned here
+so downstream computations are reproducible run to run:
 
 * ``qr_decompose``: the triangular factor has a nonnegative diagonal.
 * ``sym_eig``: eigenvalues descending, first nonzero component of every
@@ -18,7 +18,8 @@ are pinned here so downstream computations are reproducible run to run:
   ``?orm2r``/``?unm2r``), and never formed.
 * ``generalized_eig``: the QZ eigenvalues (and right or left
   eigenvectors) of a real pencil, exactly as
-  ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)`` returns them.
+  ``scipy.linalg.eig(a, b, homogeneous_eigvals=True)`` returns them,
+  always as the triple (w, vl, vr).
 * ``euclidean_norm``: ``np.linalg.norm`` of an array, bit for bit.
 
 The small-matrix routines of the solver and of verification run hundreds
@@ -67,7 +68,6 @@ __all__ = [
     "openblas_threads",
     "serial_blas",
     "sym_eig",
-    "jacobi_orthogonalize",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -382,10 +382,10 @@ def generalized_eig(a: np.ndarray, b: np.ndarray, vectors: bool = False, *, left
     """QZ eigenvalues of the real pencil (a, b) as homogeneous pairs, with
     unit right eigenvectors, and unit left ones, on request.
 
-    Returns ``(w, vr)``, or ``(w, vl, vr)`` when ``left``: ``w`` is the
-    2 x n complex array of the pairs (alpha, beta), ``vr`` the n x n matrix
-    of right eigenvectors (None unless ``vectors``), ``vl`` that of the
-    left ones, y^H a = (alpha/beta) y^H b.  ``w`` and ``vr`` are bit for
+    Returns ``(w, vl, vr)``: ``w`` is the 2 x n complex array of the pairs
+    (alpha, beta), ``vr`` the n x n matrix of right eigenvectors (None
+    unless ``vectors``), ``vl`` that of the left ones, y^H a =
+    (alpha/beta) y^H b (None unless ``left``).  ``w`` and ``vr`` are bit for
     bit what ``scipy.linalg.eig(a, b, left=left, right=vectors,
     homogeneous_eigvals=True)`` returns, and so is ``vl`` when ``vectors``
     is set too.  That is one LAPACK ``?ggev`` call with the workspace of
@@ -415,35 +415,5 @@ def generalized_eig(a: np.ndarray, b: np.ndarray, vectors: bool = False, *, left
             vl = _unit_eigenvectors(vl, alphai)
         if vectors:
             vr = _unit_eigenvectors(vr, alphai)
-    vr = vr if vectors else None
-    return (w, vl, vr) if left else (w, vr)
+    return w, vl if left else None, vr if vectors else None
 
-
-def jacobi_orthogonalize(x, y) -> tuple[float, float]:
-    """Plane rotation (c, s) making ``c*x - s*y`` and ``s*x + c*y`` orthogonal.
-
-    The rotation angle is reduced to (-pi/4, pi/4], i.e. the rotation
-    closest to the identity is chosen.  If x and y are already orthogonal,
-    (1, 0) is returned.  Linearly dependent inputs are an error because no
-    rotation can produce two independent orthogonal vectors from them.
-    """
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.shape != yv.shape:
-        raise ValueError("jacobi_orthogonalize needs vectors of equal length")
-    if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
-        raise ValueError("jacobi_orthogonalize got non-finite input")
-    nx2 = float(xv @ xv)
-    ny2 = float(yv @ yv)
-    g = float(xv @ yv)
-    # cross-norm dependence test: sin^2 of the angle between x and y
-    if nx2 == 0.0 or ny2 == 0.0 or (nx2 * ny2 - g * g) <= (1e-12) ** 2 * nx2 * ny2:
-        raise ValueError("jacobi_orthogonalize: inputs are linearly dependent")
-    if g == 0.0:
-        return 1.0, 0.0
-    theta = 0.5 * math.atan2(-2.0 * g, nx2 - ny2)
-    if theta > math.pi / 4.0:
-        theta -= math.pi / 2.0
-    elif theta <= -math.pi / 4.0:
-        theta += math.pi / 2.0
-    return math.cos(theta), math.sin(theta)

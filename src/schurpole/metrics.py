@@ -144,10 +144,7 @@ def qz_spectrum(a_c, e_c, *, vectors: bool = False, left: bool = False) -> QZSpe
     n = a_c.shape[0]
     norm_a = frobenius_norm(a_c) or 1.0
     norm_e = frobenius_norm(e_c) or 1.0
-    if left:
-        (alpha, beta), vl, vr = generalized_eig(a_c / norm_a, e_c / norm_e, vectors, left=True)
-    else:
-        ((alpha, beta), vr), vl = generalized_eig(a_c / norm_a, e_c / norm_e, vectors), None
+    (alpha, beta), vl, vr = generalized_eig(a_c / norm_a, e_c / norm_e, vectors, left=left)
     negligible = _SINGULAR_CUTOFF * n * _EPS
     if np.any((np.abs(alpha) <= negligible) & (np.abs(beta) <= negligible)):
         raise SingularPencilError(

@@ -79,7 +79,6 @@ class Problem:
     B: np.ndarray
     poles: tuple[PolePair, ...]
     r: int
-    _finite_poles: tuple = field(default=(None, ()), init=False, repr=False)
 
     def __post_init__(self):
         self.E = np.asarray(self.E, dtype=np.float64)
@@ -113,13 +112,8 @@ class Problem:
 
     @property
     def finite_poles(self) -> tuple[PolePair, ...]:
-        """The poles that are not infinite, in order; built once per
-        ``poles`` tuple and rebuilt when ``poles`` is reassigned."""
-        source, finite = self._finite_poles
-        if source is not self.poles:
-            finite = tuple(p for p in self.poles if not p.is_infinite)
-            self._finite_poles = (self.poles, finite)
-        return finite
+        """The poles that are not infinite, in order."""
+        return tuple(p for p in self.poles if not p.is_infinite)
 
 
 @dataclass(frozen=True)

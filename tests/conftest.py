@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, settings
 
 import schurpole.assign as assign_module
 from schurpole import BenchConfig, PolePair, Problem, generalized_eig_oracle, generate_random_instance, run_pipeline
-from schurpole.linalg import jacobi_orthogonalize
 
 # Numerical tests can be slow on loaded CI boxes; wall-clock deadlines only
 # produce flaky failures there.
@@ -74,12 +73,7 @@ def rank1_quadratic(args, choice):
     z1, zv, c_s, c_t, _ = args
     u, nus, vh = np.linalg.svd(z1)
     v = vh.conj().T
-    psi1 = u[:, 0]
-    c, s = jacobi_orthogonalize(psi1.real, psi1.imag)
-    vs = (
-        float(np.linalg.norm(c * psi1.real - s * psi1.imag)),
-        float(np.linalg.norm(s * psi1.real + c * psi1.imag)),
-    )
+    c, s, *vs = assign_module._psi_rotation(u[:, 0])
     zvv = zv @ v
     free = assign_module._free_directions(c_s, c_t, zv.shape[0] // 2)
     w, big_w = zvv[:, 0], np.hstack([zvv[:, 1:], free])

@@ -23,10 +23,10 @@ from schurpole import (
 )
 from schurpole.assign import (
     _complex_pair_core,
+    _psi_rotation,
     assign_infinite_block,
     assign_real_pole,
     complete_X,
-    compute_parametrization,
     d_delta_block,
 )
 
@@ -50,28 +50,43 @@ def test_d_delta_block_values():
 def test_parametrization_splits_input_range(seed, n_extra, m):
     n = m + n_extra
     b = rng_matrix(seed, n, m)
-    par = compute_parametrization(b)
-    assert par.q1.shape == (n, m)
-    assert par.q2.shape == (n, n - m)
-    q = np.hstack([par.q1, par.q2])
+    poles = tuple(PolePair.from_value(-1.0 - k) for k in range(n))
+    state = assign_infinite_block(Problem(E=np.eye(n), A=rng_matrix(seed + 1, n, n), B=b, poles=poles, r=n))
+    assert state.q1.shape == (n, m)
+    assert state.q2.shape == (n, n - m)
+    q = np.hstack([state.q1, state.q2])
     assert np.allclose(q.T @ q, np.eye(n), atol=1e-12)
-    assert np.allclose(par.q1 @ par.r, b, atol=1e-12 * max(1.0, np.linalg.norm(b)))
-    assert np.linalg.norm(par.q2.T @ b) <= 1e-12 * max(1.0, np.linalg.norm(b))
-    assert np.allclose(par.r, np.triu(par.r))
+    assert np.allclose(state.q1 @ state.r, b, atol=1e-12 * max(1.0, np.linalg.norm(b)))
+    assert np.linalg.norm(state.q2.T @ b) <= 1e-12 * max(1.0, np.linalg.norm(b))
+    assert np.allclose(state.r, np.triu(state.r))
+
+
+@pytest.mark.parametrize(
+    "b, match",
+    [
+        pytest.param(np.ones((4, 2)), "full column rank", id="rank-deficient"),
+        pytest.param(np.ones((2, 3)), "1 <= m <= n", id="more-inputs-than-states"),
+    ],
+)
+def test_opening_the_state_checks_the_input_matrix(b, match):
+    n = b.shape[0]
+    poles = tuple(PolePair.from_value(-1.0 - k) for k in range(n))
+    prob = Problem(E=np.eye(n), A=np.eye(n), B=b, poles=poles, r=n)
+    with pytest.raises(ValueError, match=match):
+        run_pipeline(prob)
 
 
 def test_infinite_block_is_exact_identity_zero():
     prob = make_instance(6, 2, 2, 2, trial=0)
-    par = compute_parametrization(prob.B)
     k = prob.n - prob.r
-    state = assign_infinite_block(prob.A, prob.E, par, k)
+    state = assign_infinite_block(prob)
     assert state.j == k
     # The prescribed blocks are written exactly, not up to rounding:
     # S gets the identity and T the zero matrix.
     assert np.array_equal(state.S, np.eye(k))
     assert np.array_equal(state.T, np.zeros((k, k)))
     # The growth invariants Q2^T A P = Xi S and Q2^T E P = Xi T hold.
-    q2t = par.q2.T
+    q2t = state.q2.T
     res_a = np.linalg.norm(q2t @ (prob.A @ state.P) - state.Xi @ state.S)
     res_e = np.linalg.norm(q2t @ (prob.E @ state.P) - state.Xi @ state.T)
     assert res_a <= 1e-12 * max(1.0, np.linalg.norm(prob.A))
@@ -79,16 +94,15 @@ def test_infinite_block_is_exact_identity_zero():
     assert np.linalg.norm(state.P.T @ state.P - np.eye(k)) <= 1e-13
     # Columns of P span directions that E + BG will annihilate: E P lies in
     # the range of B.
-    assert np.linalg.norm(par.q2.T @ prob.E @ state.P) <= 1e-12
+    assert np.linalg.norm(state.q2.T @ prob.E @ state.P) <= 1e-12
     # Infinite poles enter only through this block, never the real step.
     with pytest.raises(ValueError, match="finite real pole"):
-        assign_real_pole(state, PolePair.infinite(), prob.A, prob.E, par)
+        assign_real_pole(state, PolePair.infinite())
 
 
 def test_infinite_block_zero_count_is_empty():
     prob = make_instance(4, 2, 2, 4, trial=0)
-    par = compute_parametrization(prob.B)
-    state = assign_infinite_block(prob.A, prob.E, par, 0)
+    state = assign_infinite_block(prob)
     assert state.j == 0
     assert state.S.shape == (0, 0)
 
@@ -97,11 +111,11 @@ def test_infinite_block_zero_count_is_empty():
 # step null space in the complement of P
 
 
-def _reference_kq(prob, c_s, c_t):
+def _reference_kq(prob, q2, c_s, c_t):
     """Q2^T K for a step's shifted pencil K = -(c_s A + c_t E), built from
-    the problem data alone (the solver keeps Q2^T E P_perp and Q2^T A P_perp
-    instead and forms each step's Q2^T K P_perp from those)."""
-    q2 = compute_parametrization(prob.B).q2
+    the problem data and B's factor Q2 alone (the solver keeps Q2^T E P_perp
+    and Q2^T A P_perp instead and forms each step's Q2^T K P_perp from
+    those)."""
     return -(q2.T @ (c_s * prob.A + c_t * prob.E))
 
 
@@ -140,7 +154,7 @@ def _recorded_steps(prob):
         blk = slice(j, j + width)
         lams = scipy.linalg.eigvals(sol.S[blk, blk], sol.T[blk, blk])
         assert np.min(np.abs(lams - (-c_t / c_s))) <= 1e-12 * max(1.0, abs(c_t / c_s))
-        kq = _reference_kq(prob, c_s, c_t)
+        kq = _reference_kq(prob, state.q2, c_s, c_t)
         # the hoisted Q2^T K P_perp agrees with the product formed afresh
         assert np.linalg.norm(kp - kq @ state.P_perp) <= 1e-12 * max(1.0, np.linalg.norm(kq))
         steps.append((args, out, kq))
@@ -296,10 +310,9 @@ def test_degenerate_step_error_names_the_failing_step():
     assert "Z1 vanishes" in str(exc)
     assert exc.null_dim is None and exc.needed is None
     # the infinite block reports the dimension it found and the one asked
-    small = make_instance(6, 2, 2, 2)
-    par = compute_parametrization(small.B)
+    small = dataclasses.replace(make_instance(6, 2, 2, 2), poles=(PolePair.infinite(),) * 6, r=0)
     with pytest.raises(DegenerateStepError, match="too many infinite poles") as err:
-        assign_infinite_block(small.A, small.E, par, 6)
+        assign_infinite_block(small)
     assert (err.value.step, err.value.null_dim, err.value.needed) == ("infinite-block", 4, 6)
 
 
@@ -325,16 +338,18 @@ def test_pipeline_solves_e_inside_the_input_range(n, r):
 
 def test_complete_x_extends_xi_by_an_orthonormal_complement():
     prob = make_instance(6, 3, 2, 4)
-    par = compute_parametrization(prob.B)
+    state = assign_infinite_block(prob)
     xi = rng_matrix(3, 4, 6)
-    x = complete_X(par, xi)
-    y = (par.q1.T @ x).T
-    assert np.linalg.norm(par.q1 @ y.T + par.q2 @ xi - x) <= 1e-14 * np.linalg.norm(x)
+    state.xi_buf[:], state.j = xi, prob.n
+    x = complete_X(state)
+    y = (state.q1.T @ x).T
+    assert np.linalg.norm(state.q1 @ y.T + state.q2 @ xi - x) <= 1e-14 * np.linalg.norm(x)
     assert np.linalg.norm(y.T @ y - np.eye(2)) <= 1e-14
     assert np.linalg.norm(xi @ y) <= 1e-14 * np.linalg.norm(xi)
     # Xi with a repeated row has an m + 1 dimensional null space
+    state.xi_buf[-1] = xi[0]
     with pytest.raises(DegenerateStepError, match="Xi lost full row rank"):
-        complete_X(par, np.vstack([xi[:-1], xi[:1]]))
+        complete_X(state)
 
 
 @pytest.mark.parametrize(
@@ -385,6 +400,33 @@ def test_pipeline_is_deterministic():
     assert np.array_equal(s1.G, s2.G)
     assert np.array_equal(s1.P, s2.P)
     assert np.array_equal(s1.X, s2.X)
+
+
+# ---------------------------------------------------------------------------
+# the plane rotation of a complex step's top direction
+
+
+@given(seeds, st.integers(min_value=2, max_value=8))
+def test_psi_rotation_orthogonalizes(seed, n):
+    x = rng_matrix(seed, n, 1).ravel()
+    y = rng_matrix(seed + 7, n, 1).ravel()
+    c, s, vs1, vs2 = _psi_rotation(x + 1j * y)
+    assert np.isclose(c * c + s * s, 1.0, atol=1e-14)
+    u = c * x - s * y
+    w = s * x + c * y
+    scale = np.linalg.norm(x) * np.linalg.norm(y)
+    assert abs(u @ w) <= 1e-10 * max(1.0, scale)
+    assert (vs1, vs2) == (np.linalg.norm(u), np.linalg.norm(w))
+    # Angle stays in (-pi/4, pi/4]: the rotation nearest the identity.
+    assert c >= np.cos(np.pi / 4.0) - 1e-14
+
+
+def test_psi_rotation_of_orthogonal_parts_is_identity():
+    assert _psi_rotation(np.array([1.0, 2.0j])) == (1.0, 0.0, 1.0, 2.0)
+
+
+def test_psi_rotation_of_dependent_parts_is_none():
+    assert _psi_rotation(np.array([1.0 + 2.0j, 2.0 + 4.0j])) is None
 
 
 # ---------------------------------------------------------------------------

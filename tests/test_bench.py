@@ -119,3 +119,6 @@ def test_traced_functions_exist():
     assert tracing.TRACED
     for module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"schurpole.{module}"), name, None)), f"{module}.{name}"
+    # scripts/time_assign.py times the solver's null-space kernel by
+    # rebinding it in schurpole.assign
+    assert callable(getattr(importlib.import_module("schurpole.assign"), "orthonormal_null_basis", None))

@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers: factorizations, ranks, rotations."""
+"""Dense linear-algebra helpers: factorizations, ranks, QZ, norms."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from schurpole import run_pipeline, validate_problem, verify_solution
 from schurpole.linalg import (
     euclidean_norm,
     generalized_eig,
-    jacobi_orthogonalize,
     numerical_rank,
     openblas_threads,
     orthonormal_null_basis,
@@ -403,9 +402,10 @@ def _pencils():
 @pytest.mark.parametrize("vectors", [False, True])
 def test_generalized_eig_matches_scipy_eig_bit_for_bit(vectors):
     for name, a, b in _pencils():
-        w, vr = generalized_eig(a, b, vectors)
+        w, vl, vr = generalized_eig(a, b, vectors)
         ref = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
         w_ref, vr_ref = ref if vectors else (ref, None)
+        assert vl is None
         assert _same_bits(w, w_ref), name
         assert (vr is None and vr_ref is None) or _same_bits(vr, vr_ref), name
 
@@ -434,9 +434,10 @@ def test_generalized_eig_left_vectors_match_scipy_eig_bit_for_bit(vectors):
 @pytest.mark.parametrize("vectors", [False, True])
 def test_generalized_eig_of_the_empty_pencil_and_non_finite_input(vectors):
     empty = np.zeros((0, 0))
-    w, vr = generalized_eig(empty, empty, vectors)
+    w, vl, vr = generalized_eig(empty, empty, vectors)
     ref = scipy.linalg.eig(empty, empty, right=vectors, homogeneous_eigvals=True)
     w_ref, vr_ref = ref if vectors else (ref, None)
+    assert vl is None
     assert _same_bits(w, w_ref)
     assert (vr is None and vr_ref is None) or _same_bits(vr, vr_ref)
     w, vl, vr = generalized_eig(empty, empty, vectors, left=True)
@@ -463,33 +464,6 @@ def test_euclidean_norm_matches_numpy_bit_for_bit():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for x in (buf[:, 0].copy(), buf[:, 1], buf.T[2], z, z.real, z.imag, buf, buf.T, np.asfortranarray(buf)):
             assert euclidean_norm(x) == float(np.linalg.norm(x)), (n, x.strides)
-
-
-# ---------------------------------------------------------------------------
-# jacobi_orthogonalize
-
-
-@given(seeds, st.integers(min_value=2, max_value=8))
-def test_jacobi_rotation_orthogonalizes(seed, n):
-    x = rng_matrix(seed, n, 1).ravel()
-    y = rng_matrix(seed + 7, n, 1).ravel()
-    c, s = jacobi_orthogonalize(x, y)
-    assert np.isclose(c * c + s * s, 1.0, atol=1e-14)
-    u = c * x - s * y
-    w = s * x + c * y
-    scale = np.linalg.norm(x) * np.linalg.norm(y)
-    assert abs(u @ w) <= 1e-10 * max(1.0, scale)
-    # Angle stays in (-pi/4, pi/4]: the rotation nearest the identity.
-    assert c >= np.cos(np.pi / 4.0) - 1e-14
-
-
-def test_jacobi_orthogonal_input_is_identity():
-    assert jacobi_orthogonalize([1.0, 0.0], [0.0, 2.0]) == (1.0, 0.0)
-
-
-def test_jacobi_dependent_input_raises():
-    with pytest.raises(ValueError):
-        jacobi_orthogonalize([1.0, 2.0], [2.0, 4.0])
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,11 @@ def _oracle_through_the_wrappers(monkeypatch, a, e, vectors):
     """generalized_eig_oracle with its QZ kernel and its norm swapped for
     the wrappers they replace, scipy.linalg.eig and np.linalg.norm."""
 
-    def scipy_kernel(a, b, vectors=False):
+    def scipy_kernel(a, b, vectors=False, left=False):
+        assert not left
         out = scipy.linalg.eig(a, b, right=vectors, homogeneous_eigvals=True)
-        return out if vectors else (out, None)
+        w, vr = out if vectors else (out, None)
+        return w, None, vr
 
     with monkeypatch.context() as patch:
         patch.setattr(metrics_module, "generalized_eig", scipy_kernel)

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from schurpole.assign import (
-    assign_complex_pair,
-    assign_infinite_block,
-    assign_real_pole,
-    compute_parametrization,
-)
+from schurpole.assign import assign_complex_pair, assign_infinite_block, assign_real_pole
 from schurpole.poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 from conftest import make_instance
@@ -115,11 +110,10 @@ def _assigned_block(pole: PolePair):
     """The diagonal blocks of S and T that one assignment step writes for
     ``pole``, appended to the infinite block of a 6-state instance."""
     prob = make_instance(6, 3, 2, 4)
-    par = compute_parametrization(prob.B)
-    state = assign_infinite_block(prob.A, prob.E, par, prob.n - prob.r)
+    state = assign_infinite_block(prob)
     j = state.j  # the step writes the state in place and raises j
     step = assign_complex_pair if pole.kind is PoleKind.FINITE_COMPLEX else assign_real_pole
-    grown = step(state, pole, prob.A, prob.E, par)
+    grown = step(state, pole)
     return grown.S[j:, j:], grown.T[j:, j:]
 
 
