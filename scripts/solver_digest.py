@@ -28,7 +28,9 @@ suites:
 
 ``--against FILE`` compares the new digest with an earlier one and prints,
 per suite, how many instances differ in each field: the bit-identity check
-for a change that should not move any stage's answers.  Compare only
+for a change that should not move any stage's answers.  It exits with
+status 1 when any instance differs in any field or is in only one of the
+two digests, and 0 otherwise, so it can serve as a gate.  Compare only
 digests made by the same version of this script.  Everything runs on
 one BLAS thread, so a digest does not depend on the thread settings.
 
@@ -153,17 +155,19 @@ def build_digest() -> dict:
     return {"suites": suites}
 
 
-def compare(new: dict, old: dict) -> list[str]:
-    """One line per suite: instance count, then the count differing per field."""
-    lines = []
-    for suite, cells in new["suites"].items():
-        before = old["suites"].get(suite, {})
+def compare(new: dict, old: dict) -> tuple[list[str], int]:
+    """One line per suite (instance count, then the count differing per
+    field), and the number of instances that differ or are unmatched."""
+    lines, mismatched = [], 0
+    for suite in dict.fromkeys([*new["suites"], *old["suites"]]):
+        cells, before = new["suites"].get(suite, {}), old["suites"].get(suite, {})
         shared = [key for key in cells if key in before]
         diffs = {name: sum(cells[k].get(name) != before[k].get(name) for k in shared) for name in FIELDS}
         unmatched = len(cells) + len(before) - 2 * len(shared)
+        mismatched += unmatched + sum(cells[k] != before[k] for k in shared)
         counts = ", ".join(f"{name} {count}" for name, count in diffs.items())
         lines.append(f"{suite}: {len(shared)} instances, differing: {counts}; unmatched {unmatched}")
-    return lines
+    return lines, mismatched
 
 
 def main(argv=None) -> int:
@@ -178,7 +182,9 @@ def main(argv=None) -> int:
         json.dump(digest, sys.stdout, indent=1)
         print()
     if args.against is not None:
-        print("\n".join(compare(digest, json.loads(args.against.read_text()))))
+        lines, mismatched = compare(digest, json.loads(args.against.read_text()))
+        print("\n".join(lines))
+        return 1 if mismatched else 0
     return 0
 
 

@@ -20,7 +20,7 @@ from .assign import run_pipeline
 from .errors import DegenerateStepError, SingularPencilError
 from .linalg import numerical_rank, qr_decompose, serial_blas
 from .metrics import Report, generalized_eig_oracle, verify_solution
-from .poles import PolePair, expand_to_values
+from .poles import PolePair
 from .problem import Problem, validate_problem
 
 __all__ = [
@@ -133,17 +133,13 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
             ranks = (numerical_rank(e), numerical_rank(b), numerical_rank(np.hstack([e, b])))
         if ranks != (cfg.rank_e, m, cfg.q):
             continue
-        if r > 0:
-            try:
-                target = generalized_eig_oracle(w, y)
-            except SingularPencilError:
-                continue
-            finite = tuple(p for p in target if not p.is_infinite)
-            if len(expand_to_values(finite)) != r:
-                continue
-        else:
-            finite = ()
-        poles = (PolePair.infinite(),) * (n - r) + finite
+        try:
+            target = generalized_eig_oracle(w, y)
+        except SingularPencilError:
+            continue
+        if target.finite.size != r:
+            continue
+        poles = (PolePair.infinite(),) * (n - r) + target.poles
         try:
             return Problem(E=e, A=a, B=b, poles=poles, r=r)
         except ValueError:

@@ -3,13 +3,13 @@
 Everything here judges a candidate feedback pair only through the
 closed-loop matrices, independently of how the feedback was constructed:
 
-* an eigenvalue oracle: one QZ call (Moler & Stewart, SIAM J. Numer.
-  Anal. 10, 1973) on the norm-scaled pencil, whose homogeneous pairs
-  (alpha, beta) give the finite poles and count the infinite ones
-  (``qz_spectrum``, which check (e) of ``validate_problem`` reads too,
-  with left eigenvectors);
-* a regularity / nilpotency-index check, which carries that spectrum and
-  its eigenvectors so a verification runs QZ once;
+* the spectrum oracle, the program's one QZ reader: one QZ call (Moler &
+  Stewart, SIAM J. Numer. Anal. 10, 1973) on the norm-scaled pencil,
+  whose homogeneous pairs (alpha, beta) give the finite poles and count
+  the infinite ones (``generalized_eig_oracle``, a ``QZSpectrum``, which
+  generation and check (e) of ``validate_problem`` read too);
+* a regularity / nilpotency-index check, which carries that spectrum with
+  its right eigenvectors so a verification runs QZ once;
 * the matched relative pole error on a log10 scale;
 * the departure of the solver's quasi-triangular pair (S, T) from
   normality, read off S and T alone;
@@ -33,12 +33,11 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import SingularPencilError
 from .linalg import euclidean_norm, generalized_eig, serial_blas
-from .poles import PoleKind, PolePair, count_infinite, expand_to_values
+from .poles import PoleKind, PolePair, expand_to_values
 
 __all__ = [
     "frobenius_norm",
     "QZSpectrum",
-    "qz_spectrum",
     "generalized_eig_oracle",
     "IndexReport",
     "index_and_regularity_check",
@@ -84,7 +83,7 @@ def frobenius_norm(mat: np.ndarray) -> float:
 
 class QZSpectrum(NamedTuple):
     """One QZ call on a norm-scaled pencil, read with the oracle's cutoffs
-    (:func:`qz_spectrum`)."""
+    (:func:`generalized_eig_oracle`)."""
 
     #: the homogeneous pairs of (A_c/||A_c||_F, E_c/||E_c||_F), in ``?ggev``'s order
     alpha: np.ndarray
@@ -103,10 +102,11 @@ class QZSpectrum(NamedTuple):
     vr: np.ndarray | None
 
 
-def qz_spectrum(a_c, e_c, *, vectors: bool = False, left: bool = False) -> QZSpectrum:
-    """The QZ pairs of the pencil (A_c, E_c), split into finite and
-    infinite ones, with unit right (``vectors``) or left (``left``)
-    eigenvectors on request.
+def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False, left: bool = False) -> QZSpectrum:
+    """The spectrum of the pencil (A_c, E_c), the program's only QZ call:
+    its pairs, split into finite and infinite ones, with unit right
+    (``vectors``) or left (``left``) eigenvectors on request.  A 0 x 0
+    pencil has an empty spectrum.
 
     One QZ call (LAPACK ``?ggev``, through
     :func:`~schurpole.linalg.generalized_eig`, which returns what
@@ -159,34 +159,6 @@ def qz_spectrum(a_c, e_c, *, vectors: bool = False, left: bool = False) -> QZSpe
     return QZSpectrum(alpha, beta, norm_a, norm_e, finite, poles, tuple(int(finite[k]) for k in upper), vl, vr)
 
 
-def generalized_eig_oracle(a_c, e_c, *, vectors: bool = False):
-    """Full spectrum of the pencil (A_c, E_c) as canonical pole pairs.
-
-    The pairs of one QZ call on the norm-scaled pencil, read with the
-    infinite and singular cutoffs of :func:`qz_spectrum`.  Infinite poles
-    come first, then the finite ones sorted by (real, imag); a complex
-    conjugate couple is returned once, with positive imaginary part.
-
-    ``vectors=True`` returns ``(poles, eigvecs)``: one unit right
-    eigenvector column per value of ``expand_to_values(poles)``, in order,
-    the columns ``?ggev`` returns divided by their ``?nrm2``.  QZ's
-    infinite eigenvectors, an arbitrary basis, are not returned.
-
-    Raises SingularPencilError when the pencil is singular at working
-    precision.
-    """
-    spec = qz_spectrum(a_c, e_c, vectors=vectors)
-    n = spec.alpha.size
-    poles = [PolePair.infinite()] * (n - spec.finite.size) + list(spec.poles)
-    if not vectors:
-        return poles
-    cols = []
-    for pole, k in zip(spec.poles, spec.columns):
-        v = spec.vr[:, k]
-        cols.extend([v, v.conj()] if pole.kind is PoleKind.FINITE_COMPLEX else [v])
-    return poles, np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
-
-
 @dataclass(frozen=True)
 class IndexReport:
     """Outcome of the regularity / index test on a closed-loop pencil."""
@@ -194,10 +166,8 @@ class IndexReport:
     regular: bool
     index_le_1: bool
     rank_e: int
-    #: the spectrum from :func:`generalized_eig_oracle` (empty when singular)
-    poles: tuple[PolePair, ...] = ()
-    #: unit right eigenvectors, one per value of ``expand_to_values(poles)``
-    eigvecs: np.ndarray | None = field(default=None, compare=False, repr=False)
+    #: the oracle's spectrum with unit right eigenvectors (None when singular)
+    spectrum: QZSpectrum | None = field(default=None, compare=False, repr=False)
     #: orthonormal basis of null(E_c) at the rank cutoff, n x (n - rank_e)
     null_e: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -234,9 +204,8 @@ def index_and_regularity_check(a_c, e_c) -> IndexReport:
     time scaling, which multiplies every pole too).
 
     One SVD of E_c gives rank(E_c) and an orthonormal N.  The report
-    carries N and the spectrum and unit finite eigenvectors of the one QZ
-    call, from which :func:`eigenvector_condition` builds kappaX (None when
-    two finite poles agree to 1e-8 or N lacks n - finite count columns).
+    carries N and the spectrum of the one QZ call, with its right
+    eigenvectors, from which :func:`eigenvector_condition` builds kappaX.
     """
     a_c = np.asarray(a_c, dtype=np.float64)
     e_c = np.asarray(e_c, dtype=np.float64)
@@ -245,17 +214,16 @@ def index_and_regularity_check(a_c, e_c) -> IndexReport:
     rank_e = _rank_at(s_e)
     null_e = vh_e[rank_e:].T
     try:
-        poles, eigvecs = generalized_eig_oracle(a_c, e_c, vectors=True)
+        spectrum = generalized_eig_oracle(a_c, e_c, vectors=True)
     except SingularPencilError:
         return IndexReport(False, False, rank_e)
-    finite_count = eigvecs.shape[1]
     if null_e.shape[1]:
         stacked = np.hstack([_unit_frobenius(e_c), _unit_frobenius(a_c @ null_e)])
         no_chains = _rank_at(np.linalg.svd(stacked, compute_uv=False)) == n
     else:
         no_chains = True
-    index_ok = (finite_count == rank_e) and no_chains
-    return IndexReport(True, index_ok, rank_e, tuple(poles), eigvecs, null_e)
+    index_ok = (spectrum.finite.size == rank_e) and no_chains
+    return IndexReport(True, index_ok, rank_e, spectrum, null_e)
 
 
 def precs_metric(requested, computed) -> float:
@@ -325,26 +293,33 @@ def frobenius_condition(x) -> float:
     return _kappa_f(svals)
 
 
-def eigenvector_condition(values, eigvecs, null_e) -> float | None:
+def eigenvector_condition(spectrum: QZSpectrum, null_e) -> float | None:
     """kappa_F of the eigenvector matrix X = [V, N] (Kautsky, Nichols &
     Van Dooren, 1985), or None.
 
-    V: the unit QZ right eigenvectors of the finite eigenvalues ``values``,
-    conjugates included; N: an orthonormal null(E_c) basis at the index
-    check's rank cutoff, spanning the infinite eigenvectors of an index-1
-    pencil.  kappa_F does not depend on which orthonormal N or on V's
-    phases.  None (``kappaX`` reads ``unavailable``) when two values agree
-    to 1e-8 relative, when N lacks n - len(values) columns, or when X is
-    singular to 1e-14 relative.
+    V: the unit QZ right eigenvectors of ``spectrum``'s finite poles, a
+    couple's column v followed by conj(v); N: an orthonormal null(E_c)
+    basis at the index check's rank cutoff, spanning the infinite
+    eigenvectors of an index-1 pencil.  kappa_F does not depend on which
+    orthonormal N or on V's phases.  None (``kappaX`` reads
+    ``unavailable``) when two finite poles agree to 1e-8 relative, when N
+    lacks n - (finite count) columns, or when X is singular to 1e-14
+    relative.
     """
-    vals = np.asarray(values, dtype=complex)
+    vals = np.asarray(expand_to_values(spectrum.poles), dtype=complex)
     if vals.size + null_e.shape[1] != null_e.shape[0]:
         return None
     mag = np.abs(vals)
     close = np.abs(vals[:, None] - vals[None, :]) <= 1e-8 * np.maximum(1.0, np.maximum.outer(mag, mag))
     if np.any(np.triu(close, k=1)):
         return None
-    svals = np.linalg.svd(np.hstack([eigvecs, null_e]), compute_uv=False)
+    cols = []
+    for pole, k in zip(spectrum.poles, spectrum.columns):
+        v = spectrum.vr[:, k]
+        cols.extend([v, v.conj()] if pole.kind is PoleKind.FINITE_COMPLEX else [v])
+    # X keeps vr's dtype (real when every eigenvalue is); N alone is taken in complex
+    x = np.column_stack([*cols, null_e]) if cols else null_e.astype(complex)
+    svals = np.linalg.svd(x, compute_uv=False)
     if svals[-1] <= 1e-14 * svals[0]:
         return None
     return _kappa_f(svals)
@@ -434,10 +409,10 @@ def verify_feedback(problem, f, g) -> Report:
     idx = index_and_regularity_check(a_c, e_c) if in_range else None
     regular = idx is not None and idx.regular
     if regular:
-        computed = expand_to_values(idx.poles)
-        precs = precs_metric(expand_to_values(problem.poles), computed)
-        inf_count = count_infinite(idx.poles)
-        kappa_eig = eigenvector_condition(computed, idx.eigvecs, idx.null_e)
+        spectrum = idx.spectrum
+        precs = precs_metric(expand_to_values(problem.poles), expand_to_values(spectrum.poles))
+        inf_count = spectrum.alpha.size - spectrum.finite.size
+        kappa_eig = eigenvector_condition(spectrum, idx.null_e)
     else:
         precs, inf_count, kappa_eig = math.inf, None, None
     index_ok = regular and idx.index_le_1

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ParseError, SingularPencilError
 from .linalg import numerical_rank, orthonormal_null_basis, serial_blas
-from .metrics import QZSpectrum, frobenius_norm, qz_spectrum
+from .metrics import QZSpectrum, frobenius_norm, generalized_eig_oracle
 from .poles import PoleKind, PolePair, count_infinite, expand_to_values
 
 __all__ = [
@@ -55,6 +55,11 @@ _FIXED_PROBES = tuple(complex(*z) for z in np.random.default_rng(0x5F0C8E).stand
 #   w is off by about eps/gap, so a w whose true w^H B is zero reads below
 #   the bar unless its gap is below about sqrt(eps): such an eigenvalue
 #   lies within the cluster tolerance, and it is probed.
+# * Blindness: an isolated eigenvalue with ||w^H B|| <= sqrt(eps)*||B||_F
+#   fails even where its probe, whose cutoff scales with ||[a*E - b*A, B]||,
+#   reads full rank: an n = 30 couple with ||w^H B|| = 3.4e-12 passed the
+#   probe, and the solver's closed loop was not regular.  Relative to ||B||
+#   alone, the bar does not move when A and E are rescaled.
 # * Clusters: a semisimple multiple eigenvalue has a left eigenspace, not
 #   a single vector, and one w^H B far from zero says nothing about the
 #   others; so every eigenvalue with a neighbour within 1e-6, its
@@ -314,30 +319,21 @@ def serialize_solution(f, g) -> str:
 def _probe_ranks(p: Problem, probes):
     """Yield (a, b, rank([a*E - b*A, B])) for each probe, homogeneously
     scaled so that huge eigenvalues do not drown B under the rank cutoff.
-    A real probe is built in real arithmetic; the matrices share one buffer
-    per dtype, with B written once."""
-    n = p.n
-    buffers: dict[type, np.ndarray] = {}
+    A real probe is built in real arithmetic."""
     for a, b in probes:
         scale = np.hypot(abs(a), abs(b))
         ca, cb = a / scale, b / scale
-        dtype = complex if complex(ca).imag or complex(cb).imag else float
-        if dtype is float:
+        if not (complex(ca).imag or complex(cb).imag):
             ca, cb = ca.real, cb.real
-        if dtype not in buffers:
-            buffers[dtype] = np.empty((n, n + p.m), dtype=dtype)
-            buffers[dtype][:, n:] = p.B
-        mat = buffers[dtype]
-        np.multiply(p.E, ca, out=mat[:, :n])
-        mat[:, :n] -= cb * p.A
-        yield a, b, numerical_rank(mat)
+        yield a, b, numerical_rank(np.hstack([p.E * ca - cb * p.A, p.B]))
 
 
-def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[complex, complex]]:
+def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> tuple[list[tuple[complex, complex]], dict]:
     """The probes (a, b), lambda = a/b, of check (e) at the open-loop
     eigenvalues that the PBH screen cannot pass, in the order they are
     probed; on a pencil within about sqrt(eps) of a singular one, at every
-    eigenvalue and then at the 8 fixed values.
+    eigenvalue and then at the 8 fixed values.  Beside them, ||w^H B|| of
+    each probe at an isolated eigenvalue blind to B, which fails anyway.
 
     The eigenvalues checked are every one that check (d) does not count as
     infinite.  First the finite ones, as ``spectrum.poles`` orders them; a
@@ -360,17 +356,20 @@ def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[co
         checked += [(1.0, mu, k) for i, (mu, k) in enumerate(excess) if mu.conjugate() not in [v for v, _ in excess[:i]]]
     size = np.hypot(np.abs(alpha), np.abs(beta))
     if np.any(size <= _PBH_BAR):
-        return [(a, b) for a, b, _ in checked] + [(lam, 1.0) for lam in _FIXED_PROBES]
+        return [(a, b) for a, b, _ in checked] + [(lam, 1.0) for lam in _FIXED_PROBES], {}
     cols = np.array([k for *_, k in checked], dtype=int)
     w = spectrum.vl[:, cols]
     reach = np.linalg.norm(w.conj().T @ p.B, axis=1)
-    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, frobenius_norm(p.B))
+    norm_b = frobenius_norm(p.B)
+    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, norm_b)
     # chordal distance of each checked pair to every pair, itself excluded
     ua, ub = alpha / size, beta / size
     chord = np.abs(np.outer(ua[cols], ub) - np.outer(ub[cols], ua))
     chord[np.arange(cols.size), cols] = np.inf
-    screened = (reach > bar) & (chord.min(axis=1) > _CLUSTER_CHORD)
-    return [(a, b) for (a, b, _), ok in zip(checked, screened) if not ok]
+    isolated = chord.min(axis=1) > _CLUSTER_CHORD
+    blind = isolated & (reach <= _PBH_BAR * norm_b)
+    probes = [(a, b) for (a, b, _), ok in zip(checked, (reach > bar) & isolated) if not ok]
+    return probes, {(a, b): float(wb) for (a, b, _), wb, bl in zip(checked, reach, blind) if bl}
 
 
 @serial_blas()
@@ -383,11 +382,12 @@ def validate_problem(p: Problem) -> ValidationReport:
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
     every open-loop eigenvalue that (d) does not count as infinite.  Check
     (e) is a screen, then probes.  One QZ call with left eigenvectors
-    (:func:`~schurpole.metrics.qz_spectrum`) gives every eigenvalue; one
+    (:func:`~schurpole.metrics.generalized_eig_oracle`) gives every eigenvalue; one
     that is isolated and whose left eigenvector sees B passes (the PBH
     test, ``_PBH_BAR``), and each other one is probed with a rank, in the
     order ``_check_e_probes`` gives, so the first failing
-    eigenvalue names the failure.  A conjugate couple is probed once, at
+    eigenvalue names the failure; an isolated one blind to B (``||w^H B||
+    <= sqrt(eps)*||B||_F``) fails there too.  A conjugate couple is probed once, at
     the member with positive imaginary part.  On a regular pencil the rank
     can drop only at an eigenvalue; on a singular one 8 fixed pseudo-random
     complex values are probed instead, with a warning, and on one within
@@ -430,19 +430,21 @@ def validate_problem(p: Problem) -> ValidationReport:
     )
 
     try:
-        spectrum = qz_spectrum(p.A, p.E, left=True)
+        spectrum = generalized_eig_oracle(p.A, p.E, left=True)
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
-        probes = [(lam, 1.0) for lam in _FIXED_PROBES]
+        probes, blind = [(lam, 1.0) for lam in _FIXED_PROBES], {}
     else:
-        probes = _check_e_probes(p, spectrum, n_inf.shape[1])
+        probes, blind = _check_e_probes(p, spectrum, n_inf.shape[1])
     ok = True
     detail = "full row rank at all probes"
     for a, b, rk in _probe_ranks(p, probes):
-        if rk != n:
+        if rk != n or (a, b) in blind:
             ok = False
             lam = f"{a / b:g}" if b else "inf"
             detail = f"rank([lambda*E - A, B])={rk} at lambda={lam}"
+            if rk == n:
+                detail = f"||w^H B||={blind[a, b]:.2g} <= sqrt(eps)*||B||_F at isolated lambda={lam}"
             break
     checks.append(CheckResult("finite-pole-controllability", ok, detail))
 

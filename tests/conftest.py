@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
+import pathlib
 import types
 
 import numpy as np
@@ -117,8 +119,24 @@ def unsolvable_instance():
     a = rng.standard_normal((100, 100))
     b = rng.standard_normal((100, 2))
     spectrum = generalized_eig_oracle(rng.standard_normal((62, 62)), rng.standard_normal((62, 62)))
-    finite = tuple(p for p in spectrum if not p.is_infinite)
-    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * 38 + finite, r=62)
+    return Problem(E=e, A=a, B=b, poles=(PolePair.infinite(),) * 38 + spectrum.poles, r=62)
+
+
+def oracle_pole_list(a, e):
+    """The oracle's spectrum of (A, E) as one pole list: its infinite poles
+    first, then its finite ones in the oracle's order."""
+    spectrum = generalized_eig_oracle(a, e)
+    return [PolePair.infinite()] * (spectrum.alpha.size - spectrum.finite.size) + list(spectrum.poles)
+
+
+def load_script(name):
+    """``scripts/<name>.py`` of the repository, loaded by path (scripts/ is
+    not a package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rng_matrix(seed, rows, cols, scale=1.0):

@@ -36,10 +36,10 @@ from schurpole import (
 )
 from schurpole.assign import _complex_pair_core
 from schurpole.cli import main as cli_main
-from schurpole.metrics import generalized_eig_oracle, verify_solution
+from schurpole.metrics import verify_solution
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import rank1_quadratic, solve_recording, unsolvable_instance
+from conftest import oracle_pole_list, rank1_quadratic, solve_recording, unsolvable_instance
 
 SMALL = [(6, rank_e, m) for rank_e in (2, 3, 5) for m in (2, 3, 4)]
 LARGE = [(30, rank_e, m) for rank_e in (2, 15, 29) for m in (2, 15, 28)]
@@ -400,7 +400,7 @@ def test_criterion_7_oracle_cross_validation():
     for n in sizes:
         a = rng.standard_normal((n, n))
         e = rng.standard_normal((n, n)) + (2.0 + n) * np.eye(n)
-        poles = generalized_eig_oracle(a, e)
+        poles = oracle_pole_list(a, e)
         got = expand_to_values(poles)
         want = list(np.linalg.eigvals(np.linalg.solve(e, a)))
         if len(got) != n or count_infinite(poles) != 0:
@@ -416,7 +416,7 @@ def test_criterion_7_oracle_cross_validation():
         for k in range(1, n + 1):
             diag_e = np.array([0.0] * k + list(rng.uniform(0.5, 2.0, n - k)))
             diag_a = rng.uniform(0.5, 2.0, n)
-            poles = generalized_eig_oracle(np.diag(diag_a), np.diag(diag_e))
+            poles = oracle_pole_list(np.diag(diag_a), np.diag(diag_e))
             if count_infinite(poles) != k or len(expand_to_values(poles)) != n - k:
                 inf_bad += 1
     # the same constructions at n = 45 and 100, hidden by orthogonal
@@ -427,7 +427,7 @@ def test_criterion_7_oracle_cross_validation():
             diag_a = rng.uniform(0.5, 2.0, n)
             u = np.linalg.qr(rng.standard_normal((n, n)))[0]
             v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            poles = generalized_eig_oracle(u @ np.diag(diag_a) @ v, u @ np.diag(diag_e) @ v)
+            poles = oracle_pole_list(u @ np.diag(diag_a) @ v, u @ np.diag(diag_e) @ v)
             got = sorted(expand_to_values(poles), key=lambda z: z.real)
             want = sorted(diag_a[k:] / diag_e[k:])
             if count_infinite(poles) != k or len(got) != n - k:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -13,6 +14,8 @@ from schurpole import BenchConfig, generate_random_instance, run_sweep, run_tria
 from schurpole.bench import CSV_COLUMNS
 from schurpole.linalg import numerical_rank
 from schurpole.poles import count_infinite
+
+from conftest import load_script
 
 
 def test_config_admissible_range():
@@ -122,3 +125,22 @@ def test_traced_functions_exist():
     # scripts/time_assign.py times the solver's null-space kernel by
     # rebinding it in schurpole.assign
     assert callable(getattr(importlib.import_module("schurpole.assign"), "orthonormal_null_basis", None))
+
+
+def test_digest_comparison_is_a_gate(tmp_path, monkeypatch):
+    # scripts/solver_digest.py --against exits 1 when any instance differs
+    # in any field or is in only one digest, 0 otherwise
+    digest_script = load_script("solver_digest")
+    cell = {"E": "3f1a", "validation": "q=6 r=4 checks: ...", "report.precs": "-13.2"}
+    new = {"suites": {"n6": {"a": cell, "b": cell}}}
+    monkeypatch.setattr(digest_script, "build_digest", lambda: new)
+
+    def status(old):
+        path = tmp_path / "before.json"
+        path.write_text(json.dumps(old))
+        return digest_script.main(["--against", str(path)])
+
+    assert status(new) == 0
+    assert status({"suites": {"n6": {"a": cell, "b": {**cell, "report.precs": "-13.1"}}}}) == 1
+    assert status({"suites": {"n6": {"a": cell}}}) == 1
+    assert status({"suites": {**new["suites"], "n100": {"c": cell}}}) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,8 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import schurpole.linalg as linalg_module
 import schurpole.metrics as metrics_module
-from schurpole import BenchConfig, PolePair, Problem, SingularPencilError, generate_random_instance, run_pipeline
+from schurpole import (
+    BenchConfig,
+    PolePair,
+    Problem,
+    SingularPencilError,
+    generate_random_instance,
+    run_pipeline,
+    validate_problem,
+)
 from schurpole.assign import d_delta_block
 from schurpole.metrics import (
     departure_measure,
@@ -27,7 +37,7 @@ from schurpole.metrics import (
 )
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import e_inside_the_input_range, make_instance
+from conftest import e_inside_the_input_range, make_instance, oracle_pole_list
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -43,7 +53,7 @@ def _sorted(vals):
 def test_oracle_diagonal_pencil_exact():
     a = np.diag([2.0, -3.0, 5.0])
     e = np.eye(3)
-    poles = generalized_eig_oracle(a, e)
+    poles = oracle_pole_list(a, e)
     vals = _sorted(expand_to_values(poles))
     assert np.allclose(vals, [-3.0, 2.0, 5.0], atol=1e-12)
     assert count_infinite(poles) == 0
@@ -52,7 +62,7 @@ def test_oracle_diagonal_pencil_exact():
 def test_oracle_counts_infinite_eigenvalues():
     a = np.diag([1.0, 2.0, 5.0, 3.0])
     e = np.diag([1.0, 1.0, 0.0, 0.0])
-    poles = generalized_eig_oracle(a, e)
+    poles = oracle_pole_list(a, e)
     assert count_infinite(poles) == 2
     vals = _sorted(expand_to_values(poles))
     assert np.allclose(vals, [1.0, 2.0], atol=1e-10)
@@ -61,7 +71,7 @@ def test_oracle_counts_infinite_eigenvalues():
 def test_oracle_complex_pair():
     a = np.array([[1.0, -2.0], [2.0, 1.0]])
     e = np.eye(2)
-    poles = generalized_eig_oracle(a, e)
+    poles = oracle_pole_list(a, e)
     assert len(poles) == 1  # conjugate pair stored once
     assert abs(poles[0].value - (1.0 + 2.0j)) <= 1e-10
 
@@ -69,7 +79,7 @@ def test_oracle_complex_pair():
 def test_oracle_multiple_root():
     a = np.diag([2.0, 2.0, 2.0])
     e = np.eye(3)
-    vals = expand_to_values(generalized_eig_oracle(a, e))
+    vals = expand_to_values(oracle_pole_list(a, e))
     assert len(vals) == 3
     assert np.allclose(vals, 2.0, atol=1e-7)
 
@@ -78,7 +88,7 @@ def test_oracle_wide_dynamic_range():
     # Eigenvalues six orders of magnitude apart stay finite and accurate.
     a = np.diag([1.0, 2.0, 3.0, 4.0])
     e = np.diag([1e-6, 1e-6, 1.0, 1.0])
-    vals = _sorted(expand_to_values(generalized_eig_oracle(a, e)))
+    vals = _sorted(expand_to_values(oracle_pole_list(a, e)))
     assert np.allclose(vals, [3.0, 4.0, 1e6, 2e6], rtol=1e-9)
 
 
@@ -90,7 +100,7 @@ def test_oracle_singular_pencil_raises():
 
 
 def test_oracle_zero_e_all_infinite():
-    poles = generalized_eig_oracle(np.diag([1.0, 2.0]), np.zeros((2, 2)))
+    poles = oracle_pole_list(np.diag([1.0, 2.0]), np.zeros((2, 2)))
     assert count_infinite(poles) == 2
 
 
@@ -100,7 +110,7 @@ def test_oracle_counts_every_pole_of_a_random_50x50_pencil():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((50, 50))
     e = rng.standard_normal((50, 50))
-    poles = generalized_eig_oracle(a, e)
+    poles = oracle_pole_list(a, e)
     assert len(expand_to_values(poles)) == 50
     assert count_infinite(poles) == 0
 
@@ -111,7 +121,7 @@ def test_oracle_matches_inverse_reduction(seed, n):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     e = rng.standard_normal((n, n)) + 3.0 * np.eye(n)  # comfortably invertible
-    got = _sorted(expand_to_values(generalized_eig_oracle(a, e)))
+    got = _sorted(expand_to_values(oracle_pole_list(a, e)))
     want = _sorted(list(np.linalg.eigvals(np.linalg.solve(e, a))))
     assert len(got) == n
     for g, w in zip(got, want):
@@ -151,11 +161,43 @@ def test_oracle_matches_the_scipy_eig_oracle_bit_for_bit(monkeypatch, vectors):
     for a_c, e_c in pencils:
         got = generalized_eig_oracle(a_c, e_c, vectors=vectors)
         want = _oracle_through_the_wrappers(monkeypatch, a_c, e_c, vectors)
-        if vectors:
-            (got, vecs), (want, want_vecs) = got, want
-            assert vecs.dtype == want_vecs.dtype and vecs.strides == want_vecs.strides
-            assert vecs.tobytes() == want_vecs.tobytes()
-        assert got == want
+        assert (got.vr is None) == (not vectors) and got.vl is None
+        for name, mine, theirs in zip(got._fields, got, want):
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.strides == theirs.strides, name
+                assert mine.tobytes() == theirs.tobytes(), name
+            else:
+                assert mine == theirs, name
+
+
+def test_every_qz_call_is_the_oracle_and_the_solver_makes_none(monkeypatch):
+    # one sweep-n30 op, generate -> validate -> run_pipeline -> verify, with
+    # the QZ kernel wrapped in every schurpole module that binds it
+    kernel = linalg_module.generalized_eig
+    callers = []
+
+    def recording(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        return kernel(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("schurpole") and getattr(module, "generalized_eig", None) is kernel:
+            monkeypatch.setattr(module, "generalized_eig", recording)
+    counts = []
+
+    def stage(fn, *args):
+        before = len(callers)
+        out = fn(*args)
+        counts.append(len(callers) - before)
+        return out
+
+    prob = stage(generate_random_instance, BenchConfig(n=30, rank_e=15, m=15, trials=1, seed=0), 17, 0)
+    assert stage(validate_problem, prob).passed
+    sol = stage(run_pipeline, prob)
+    assert stage(verify_solution, prob, sol).passed
+    assert counts == [1, 1, 0, 1]
+    assert set(callers) == {("schurpole.metrics", "generalized_eig_oracle")}
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +207,7 @@ def test_oracle_matches_the_scipy_eig_oracle_bit_for_bit(monkeypatch, vectors):
 def test_index_one_pencil_passes():
     rep = index_and_regularity_check(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0]))
     assert rep.regular and rep.index_le_1
-    assert len(expand_to_values(rep.poles)) == 2
+    assert len(expand_to_values(rep.spectrum.poles)) == 2
     assert rep.rank_e == 2
 
 
@@ -175,7 +217,7 @@ def test_index_two_chain_fails():
     rep = index_and_regularity_check(np.eye(2), e)
     assert rep.regular
     assert not rep.index_le_1
-    assert len(expand_to_values(rep.poles)) == 0 and rep.rank_e == 1
+    assert len(expand_to_values(rep.spectrum.poles)) == 0 and rep.rank_e == 1
 
 
 def test_index_singular_pencil_reported():
@@ -188,7 +230,7 @@ def test_index_singular_pencil_reported():
 def test_index_expected_count_mismatch():
     rep = index_and_regularity_check(np.diag([1.0, 2.0]), np.eye(2))
     assert rep.regular and rep.index_le_1
-    assert len(expand_to_values(rep.poles)) == 2
+    assert len(expand_to_values(rep.spectrum.poles)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +311,7 @@ def test_precs_matches_the_loop_on_the_sweep_n30_cells():
                 prob = generate_random_instance(cfg, r=r, trial=0)
                 sol = run_pipeline(prob)
                 idx = index_and_regularity_check(prob.A + prob.B @ sol.F, prob.E + prob.B @ sol.G)
-                req, comp = expand_to_values(prob.poles), expand_to_values(idx.poles)
+                req, comp = expand_to_values(prob.poles), expand_to_values(idx.spectrum.poles)
                 assert precs_metric(req, comp) == _precs_by_loop(req, comp) == verify_solution(prob, sol).precs
                 checked += 1
     assert checked == 144
@@ -354,7 +396,7 @@ def test_frobenius_condition_known_value():
 def _kappa_x(a, e):
     """kappaX of (A, E) as a verification computes it."""
     idx = index_and_regularity_check(a, e)
-    return eigenvector_condition(expand_to_values(idx.poles), idx.eigvecs, idx.null_e)
+    return eigenvector_condition(idx.spectrum, idx.null_e)
 
 
 def test_eigenvector_condition_identity_case():

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 import schurpole.problem as problem_module
 from schurpole import (
+    BenchConfig,
     ParseError,
     PolePair,
     Problem,
     SingularPencilError,
+    generate_random_instance,
     parse_problem,
     parse_solution,
     serialize_problem,
@@ -23,10 +25,9 @@ from schurpole import (
     validate_problem,
 )
 from schurpole.linalg import orthonormal_null_basis
-from schurpole.metrics import generalized_eig_oracle
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import make_instance
+from conftest import load_script, make_instance, oracle_pole_list
 
 
 def small_problem():
@@ -411,6 +412,20 @@ def test_validate_probes_a_double_eigenvalue_and_an_input_below_the_cutoff():
         assert check_e.detail == "rank([lambda*E - A, B])=1 at lambda=1+0j"
 
 
+def test_check_e_fails_an_isolated_mode_that_b_cannot_see():
+    # the uncontrollable cell n=30 rankE=2 m=28 r=27 of scripts/solver_digest.py:
+    # its injected couple 1.559 +- 0.132i is isolated and ||w^H B|| is
+    # 3.4e-12, yet [lambda*E - A, B] reads full rank at the computed lambda
+    # (sigma_min 2.6e-13 against the cutoff 1.7e-13)
+    cfg = BenchConfig(n=30, rank_e=2, m=28, trials=1, seed=0)
+    prob = load_script("solver_digest").inject_uncontrollable_mode(generate_random_instance(cfg, 27, 0), (2, 28, 27))
+    check_e = validate_problem(prob).checks[-1]
+    assert not check_e.passed
+    head, lam = check_e.detail.split(" at isolated lambda=")
+    assert head == "||w^H B||=3.4e-12 <= sqrt(eps)*||B||_F"
+    assert abs(complex(lam) - (1.5590 + 0.1319j)) <= 1e-4
+
+
 def _check_e_by_the_probe_loop(prob):
     """Check (e) as a rank probe at every eigenvalue decides it: the
     verdict, the detail and the singular-pencil warning.  The oracle's
@@ -420,11 +435,11 @@ def _check_e_by_the_probe_loop(prob):
     k_d = orthonormal_null_basis(prob.E).shape[1]
     probes, warnings = [], []
     try:
-        spectrum = generalized_eig_oracle(prob.A, prob.E)
+        spectrum = oracle_pole_list(prob.A, prob.E)
         probes += [(pole.value, 1.0) for pole in spectrum if not pole.is_infinite]
         k_inf = count_infinite(spectrum)
         if k_inf > k_d:
-            mus = sorted(expand_to_values(generalized_eig_oracle(prob.E, prob.A)), key=abs)[k_d:k_inf]
+            mus = sorted(expand_to_values(oracle_pole_list(prob.E, prob.A)), key=abs)[k_d:k_inf]
             probes += [(1.0, mu) for i, mu in enumerate(mus) if mu.conjugate() not in mus[:i]]
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
