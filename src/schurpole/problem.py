@@ -55,11 +55,12 @@ _FIXED_PROBES = tuple(complex(*z) for z in np.random.default_rng(0x5F0C8E).stand
 #   w is off by about eps/gap, so a w whose true w^H B is zero reads below
 #   the bar unless its gap is below about sqrt(eps): such an eigenvalue
 #   lies within the cluster tolerance, and it is probed.
-# * Blindness: an isolated eigenvalue with ||w^H B|| <= sqrt(eps)*||B||_F
-#   fails even where its probe, whose cutoff scales with ||[a*E - b*A, B]||,
-#   reads full rank: an n = 30 couple with ||w^H B|| = 3.4e-12 passed the
-#   probe, and the solver's closed loop was not regular.  Relative to ||B||
-#   alone, the bar does not move when A and E are rescaled.
+# * Blindness: an isolated eigenvalue left to the probes fails when
+#   ||w^H Q|| <= sqrt(eps), Q an orthonormal basis of range(B), even where
+#   its probe reads full rank (an n = 30 couple with ||w^H B|| = 3.4e-12
+#   did; its closed loop was not regular).  Like controllability, the rule
+#   sees range(B) alone, not an input's units (B -> B*T) or A and E's
+#   scale.  A blind w is below the bar: ||w^H B|| <= ||w^H Q||*||B||_2.
 # * Clusters: a semisimple multiple eigenvalue has a left eigenspace, not
 #   a single vector, and one w^H B far from zero says nothing about the
 #   others; so every eigenvalue with a neighbour within 1e-6, its
@@ -317,23 +318,23 @@ def serialize_solution(f, g) -> str:
 
 
 def _probe_ranks(p: Problem, probes):
-    """Yield (a, b, rank([a*E - b*A, B])) for each probe, homogeneously
-    scaled so that huge eigenvalues do not drown B under the rank cutoff.
-    A real probe is built in real arithmetic."""
-    for a, b in probes:
+    """Yield (a, b, blind, rank([a*E - b*A, B])) for each probe (a, b,
+    blind), homogeneously scaled so that huge eigenvalues do not drown B
+    under the rank cutoff.  A real probe is built in real arithmetic."""
+    for a, b, blind in probes:
         scale = np.hypot(abs(a), abs(b))
         ca, cb = a / scale, b / scale
         if not (complex(ca).imag or complex(cb).imag):
             ca, cb = ca.real, cb.real
-        yield a, b, numerical_rank(np.hstack([p.E * ca - cb * p.A, p.B]))
+        yield a, b, blind, numerical_rank(np.hstack([p.E * ca - cb * p.A, p.B]))
 
 
-def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> tuple[list[tuple[complex, complex]], dict]:
-    """The probes (a, b), lambda = a/b, of check (e) at the open-loop
+def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[complex, complex, float | None]]:
+    """The probes (a, b, blind), lambda = a/b, of check (e) at the open-loop
     eigenvalues that the PBH screen cannot pass, in the order they are
     probed; on a pencil within about sqrt(eps) of a singular one, at every
-    eigenvalue and then at the 8 fixed values.  Beside them, ||w^H B|| of
-    each probe at an isolated eigenvalue blind to B, which fails anyway.
+    eigenvalue and then at the 8 fixed values.  ``blind`` is ||w^H Q|| where
+    an isolated eigenvalue's w is blind to range(B) (it fails anyway), else None.
 
     The eigenvalues checked are every one that check (d) does not count as
     infinite.  First the finite ones, as ``spectrum.poles`` orders them; a
@@ -356,20 +357,21 @@ def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> tuple[list[tu
         checked += [(1.0, mu, k) for i, (mu, k) in enumerate(excess) if mu.conjugate() not in [v for v, _ in excess[:i]]]
     size = np.hypot(np.abs(alpha), np.abs(beta))
     if np.any(size <= _PBH_BAR):
-        return [(a, b) for a, b, _ in checked] + [(lam, 1.0) for lam in _FIXED_PROBES], {}
+        return [(a, b, None) for a, b, _ in checked] + [(lam, 1.0, None) for lam in _FIXED_PROBES]
     cols = np.array([k for *_, k in checked], dtype=int)
     w = spectrum.vl[:, cols]
     reach = np.linalg.norm(w.conj().T @ p.B, axis=1)
-    norm_b = frobenius_norm(p.B)
-    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, norm_b)
+    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, frobenius_norm(p.B))
     # chordal distance of each checked pair to every pair, itself excluded
     ua, ub = alpha / size, beta / size
     chord = np.abs(np.outer(ua[cols], ub) - np.outer(ub[cols], ua))
     chord[np.arange(cols.size), cols] = np.inf
     isolated = chord.min(axis=1) > _CLUSTER_CHORD
-    blind = isolated & (reach <= _PBH_BAR * norm_b)
-    probes = [(a, b) for (a, b, _), ok in zip(checked, (reach > bar) & isolated) if not ok]
-    return probes, {(a, b): float(wb) for (a, b, _), wb, bl in zip(checked, reach, blind) if bl}
+    passed = isolated & (reach > bar)
+    sight, suspect = np.full(cols.size, np.inf), isolated & ~passed
+    if suspect.any():  # ||w^H Q|| at the isolated eigenvalues left to the probes
+        sight[suspect] = np.linalg.norm(w[:, suspect].conj().T @ np.linalg.qr(p.B)[0], axis=1)
+    return [(a, b, float(s) if s <= _PBH_BAR else None) for (a, b, _), s, ok in zip(checked, sight, passed) if not ok]
 
 
 @serial_blas()
@@ -382,21 +384,20 @@ def validate_problem(p: Problem) -> ValidationReport:
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
     every open-loop eigenvalue that (d) does not count as infinite.  Check
     (e) is a screen, then probes.  One QZ call with left eigenvectors
-    (:func:`~schurpole.metrics.generalized_eig_oracle`) gives every eigenvalue; one
-    that is isolated and whose left eigenvector sees B passes (the PBH
-    test, ``_PBH_BAR``), and each other one is probed with a rank, in the
-    order ``_check_e_probes`` gives, so the first failing
-    eigenvalue names the failure; an isolated one blind to B (``||w^H B||
-    <= sqrt(eps)*||B||_F``) fails there too.  A conjugate couple is probed once, at
-    the member with positive imaginary part.  On a regular pencil the rank
-    can drop only at an eigenvalue; on a singular one 8 fixed pseudo-random
+    (:func:`~schurpole.metrics.generalized_eig_oracle`) gives every
+    eigenvalue; one that is isolated and whose left eigenvector sees B
+    passes (the PBH test, ``_PBH_BAR``), and each other one is probed with
+    a rank, in the order ``_check_e_probes`` gives, so the first failing
+    eigenvalue names the failure; an isolated one whose left eigenvector is
+    blind to range(B) fails there too.  On a regular pencil the rank can
+    drop only at an eigenvalue; on a singular one 8 fixed pseudo-random
     complex values are probed instead, with a warning, and on one within
-    about sqrt(eps) of singular that QZ does not flag, every eigenvalue
-    and then those 8 values, without the screen.  Each rank is
-    certified full from one QR where it can be, and counted by an SVD
-    otherwise (:func:`numerical_rank`).  Every repeated requested pole is
-    recorded as a warning naming its multiplicity k and the accuracy of a
-    defective eigenvalue, about eps**(1/k).  Runs on one BLAS thread
+    about sqrt(eps) of singular that QZ does not flag, every eigenvalue and
+    then those 8 values, without the screen.  Each rank is certified full
+    from one QR where it can be, and counted by an SVD otherwise
+    (:func:`numerical_rank`).  Every repeated requested pole is recorded as
+    a warning naming its multiplicity k and the accuracy of a defective
+    eigenvalue, about eps**(1/k).  Runs on one BLAS thread
     (:func:`~schurpole.linalg.serial_blas`).
     """
     n, m, r = p.n, p.m, p.r
@@ -433,18 +434,19 @@ def validate_problem(p: Problem) -> ValidationReport:
         spectrum = generalized_eig_oracle(p.A, p.E, left=True)
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
-        probes, blind = [(lam, 1.0) for lam in _FIXED_PROBES], {}
+        probes = [(lam, 1.0, None) for lam in _FIXED_PROBES]
     else:
-        probes, blind = _check_e_probes(p, spectrum, n_inf.shape[1])
+        probes = _check_e_probes(p, spectrum, n_inf.shape[1])
     ok = True
     detail = "full row rank at all probes"
-    for a, b, rk in _probe_ranks(p, probes):
-        if rk != n or (a, b) in blind:
+    for a, b, blind, rk in _probe_ranks(p, probes):
+        if rk != n or blind is not None:
             ok = False
             lam = f"{a / b:g}" if b else "inf"
-            detail = f"rank([lambda*E - A, B])={rk} at lambda={lam}"
-            if rk == n:
-                detail = f"||w^H B||={blind[a, b]:.2g} <= sqrt(eps)*||B||_F at isolated lambda={lam}"
+            if rk != n:
+                detail = f"rank([lambda*E - A, B])={rk} at lambda={lam}"
+            else:
+                detail = f"left eigenvector blind to range(B): ||w^H Q||={blind:.2g} <= sqrt(eps) at isolated lambda={lam}"
             break
     checks.append(CheckResult("finite-pole-controllability", ok, detail))
 

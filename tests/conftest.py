@@ -129,11 +129,12 @@ def oracle_pole_list(a, e):
     return [PolePair.infinite()] * (spectrum.alpha.size - spectrum.finite.size) + list(spectrum.poles)
 
 
-def load_script(name):
-    """``scripts/<name>.py`` of the repository, loaded by path (scripts/ is
-    not a package)."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"scripts_{name}", path)
+def load_by_path(relative):
+    """The module at a repository-relative path such as
+    ``scripts/solver_digest.py``, loaded by path (``scripts/`` and
+    ``perfbench/`` are not packages)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(relative.removesuffix(".py").replace("/", "_"), path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

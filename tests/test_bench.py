@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from schurpole.bench import CSV_COLUMNS
 from schurpole.linalg import numerical_rank
 from schurpole.poles import count_infinite
 
-from conftest import load_script
+from conftest import load_by_path
 
 
 def test_config_admissible_range():
@@ -115,10 +113,7 @@ def test_invalid_r_rejected():
 def test_traced_functions_exist():
     # perfbench/tracing.py looks up every (module, name) of TRACED with
     # getattr when a traced run starts; a renamed function would crash it.
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_by_path("perfbench/tracing.py")
     assert tracing.TRACED
     for module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(f"schurpole.{module}"), name, None)), f"{module}.{name}"
@@ -130,7 +125,7 @@ def test_traced_functions_exist():
 def test_digest_comparison_is_a_gate(tmp_path, monkeypatch):
     # scripts/solver_digest.py --against exits 1 when any instance differs
     # in any field or is in only one digest, 0 otherwise
-    digest_script = load_script("solver_digest")
+    digest_script = load_by_path("scripts/solver_digest.py")
     cell = {"E": "3f1a", "validation": "q=6 r=4 checks: ...", "report.precs": "-13.2"}
     new = {"suites": {"n6": {"a": cell, "b": cell}}}
     monkeypatch.setattr(digest_script, "build_digest", lambda: new)

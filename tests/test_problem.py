@@ -27,7 +27,7 @@ from schurpole import (
 from schurpole.linalg import orthonormal_null_basis
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import load_script, make_instance, oracle_pole_list
+from conftest import load_by_path, make_instance, oracle_pole_list
 
 
 def small_problem():
@@ -412,24 +412,47 @@ def test_validate_probes_a_double_eigenvalue_and_an_input_below_the_cutoff():
         assert check_e.detail == "rank([lambda*E - A, B])=1 at lambda=1+0j"
 
 
-def test_check_e_fails_an_isolated_mode_that_b_cannot_see():
-    # the uncontrollable cell n=30 rankE=2 m=28 r=27 of scripts/solver_digest.py:
-    # its injected couple 1.559 +- 0.132i is isolated and ||w^H B|| is
-    # 3.4e-12, yet [lambda*E - A, B] reads full rank at the computed lambda
-    # (sigma_min 2.6e-13 against the cutoff 1.7e-13)
+def _uncontrollable_n30_cell():
+    """The uncontrollable cell n=30 rankE=2 m=28 r=27 of scripts/solver_digest.py."""
     cfg = BenchConfig(n=30, rank_e=2, m=28, trials=1, seed=0)
-    prob = load_script("solver_digest").inject_uncontrollable_mode(generate_random_instance(cfg, 27, 0), (2, 28, 27))
-    check_e = validate_problem(prob).checks[-1]
+    inject = load_by_path("scripts/solver_digest.py").inject_uncontrollable_mode
+    return inject(generate_random_instance(cfg, 27, 0), (2, 28, 27))
+
+
+def test_check_e_fails_an_isolated_mode_that_b_cannot_see():
+    # the digest cell's injected couple 1.559 +- 0.132i is isolated and
+    # ||w^H B|| is 3.4e-12, yet [lambda*E - A, B] reads full rank at the
+    # computed lambda (sigma_min 2.6e-13 against the cutoff 1.7e-13)
+    check_e = validate_problem(_uncontrollable_n30_cell()).checks[-1]
     assert not check_e.passed
     head, lam = check_e.detail.split(" at isolated lambda=")
-    assert head == "||w^H B||=3.4e-12 <= sqrt(eps)*||B||_F"
+    assert head == "left eigenvector blind to range(B): ||w^H Q||=7.1e-13 <= sqrt(eps)"
     assert abs(complex(lam) - (1.5590 + 0.1319j)) <= 1e-4
 
 
+def test_check_e_blindness_does_not_depend_on_the_units_of_b():
+    # controllability depends on range(B) alone: each mode of diag(1, 2)
+    # has an input of its own, however differently the two are scaled
+    poles = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
+    prob = Problem(E=np.eye(2), A=np.diag([1.0, 2.0]), B=np.diag([1.0, 1e9]), poles=poles, r=2)
+    rep = validate_problem(prob)
+    assert rep.passed, rep.failures()
+    assert rep.checks[-1].detail == "full row rank at all probes"
+    # and the digest cell stays uncontrollable, at the same couple, with
+    # its inputs rescaled over nine decades
+    cell = _uncontrollable_n30_cell()
+    scaled = Problem(E=cell.E, A=cell.A, B=cell.B * np.logspace(0, 9, cell.m), poles=cell.poles, r=cell.r)
+    check_e = validate_problem(scaled).checks[-1]
+    assert not check_e.passed
+    assert abs(complex(check_e.detail.rsplit("lambda=", 1)[1]) - (1.5590 + 0.1319j)) <= 1e-4
+
+
 def _check_e_by_the_probe_loop(prob):
-    """Check (e) as a rank probe at every eigenvalue decides it: the
-    verdict, the detail and the singular-pencil warning.  The oracle's
-    finite eigenvalues, then the excess infinite-counted ones as
+    """Check (e)'s rank verdict as a rank probe at every eigenvalue decides
+    it: the verdict, the detail and the singular-pencil warning.  The
+    blindness rule, which fails an isolated eigenvalue whose left
+    eigenvector misses range(B) even at full rank, is not modelled.  The
+    oracle's finite eigenvalues, then the excess infinite-counted ones as
     reciprocals of the reversed pencil's eigenvalues (each couple once),
     then 8 fixed values."""
     k_d = orthonormal_null_basis(prob.E).shape[1]
@@ -444,7 +467,7 @@ def _check_e_by_the_probe_loop(prob):
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
     probes += [(lam, 1.0) for lam in problem_module._FIXED_PROBES]
-    for a, b, rk in problem_module._probe_ranks(prob, probes):
+    for a, b, _, rk in problem_module._probe_ranks(prob, [(a, b, None) for a, b in probes]):
         if rk != prob.n:
             return False, f"rank([lambda*E - A, B])={rk} at lambda={a / b:g}", warnings
     return True, "full row rank at all probes", warnings
@@ -487,7 +510,9 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     # and infinite ones, and one or two injected blocks of one kind, each
     # with B blind to it or not.  Eigenvalues on a grid of quarters either
     # coincide or are well apart.  The screen may spare probes, never
-    # change the verdict, the first failing eigenvalue or the warning.
+    # change the verdict, the first failing eigenvalue or the warning.  The
+    # reference models the rank verdict only: here each blind block is
+    # exactly blind, so its rank drops too, and the blindness rule agrees.
     rng = np.random.default_rng(seed)
     blocks = [(*_block(k, v, w), False) for k, v, w in base]
     blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
