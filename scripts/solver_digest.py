@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint the answers of all four stages on four fixed suites; compare two runs.
+"""Fingerprint the answers of all four stages on five fixed suites; compare two runs.
 
 Every instance goes through the stages of a sweep op: it is drawn by
 ``generate_random_instance`` (seed 0), checked by ``validate_problem``,
@@ -24,7 +24,10 @@ suites:
   injected (``inject_uncontrollable_mode``), a real one in the cells of
   even r and a conjugate couple in the others, so every instance fails
   check (e) of ``validate_problem``, the path the three suites above, all
-  feasible, never reach.
+  feasible, never reach;
+* ``m1``: n = 6 with a single input, rank E in {2, 3, 5}, every
+  admissible r, trials 0-9: the only suite whose complex steps take the
+  rank-1 branch of the pair choice.
 
 ``--against FILE`` compares the new digest with an earlier one and prints,
 per suite, how many instances differ in each field: the bit-identity check
@@ -92,6 +95,11 @@ def suite_cells():
             cfg = BenchConfig(n=30, rank_e=rank_e, m=m, trials=1, seed=0)
             for r in cfg.r_values:
                 yield "uncontrollable", cfg, r, 0
+    for rank_e in (2, 3, 5):
+        cfg = BenchConfig(n=6, rank_e=rank_e, m=1, trials=10, seed=0)
+        for r in cfg.r_values:
+            for trial in range(10):
+                yield "m1", cfg, r, trial
 
 
 def inject_uncontrollable_mode(problem: Problem, seed) -> Problem:

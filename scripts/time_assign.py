@@ -1,26 +1,38 @@
 #!/usr/bin/env python3
 """Time the four stages of one assignment as n grows; write JSON.
 
-For every n in ``--sizes`` one instance family is drawn with
-``generate_random_instance``: rank E = n/2, m = n/10, r = rank E + m (the
-largest admissible pole count), trials 0 .. draws-1 of ``--seed``.  Each
-draw goes once through the four stages of ``schurpole bench``:
-``generate_random_instance``, ``validate_problem``, ``run_pipeline`` and
-``verify_solution``, and the median wall time of each stage is recorded.
-So is the median time ``run_pipeline`` spends in the solver's null-space
-kernel (``orthonormal_null_basis`` as the solver calls it), so the file
-shows where that cost dominates.  One more, untimed ``run_pipeline`` call
-per draw runs under ``tracemalloc``, and the median of its peak traced
-allocation is recorded: the memory a solve holds at once, its returned
-``Solution`` included.  A least-squares line through (log n, log median)
-gives the growth exponent of each stage.  The numpy/scipy versions, their
-BLAS build, the BLAS thread variables, the thread count of each OpenBLAS
-that numpy and scipy bundle, and the CPU count are recorded with the
-timings.  ``validate_problem``, ``run_pipeline`` and ``verify_solution``
-run on one BLAS thread whatever those counts are; generation uses them.
+Two instance families are drawn with ``generate_random_instance``, each at
+the largest admissible pole count r = rank([E B]):
+
+* ``few-inputs``: rank E = n/2, m = n/10, so r = rank E + m;
+* ``many-inputs``: rank E = 0.4 n, m = 0.6 n, so r = n, the family of the
+  slowest cell of the benchmark's ``assign-n100`` workload.
+
+For every n of a family (``--sizes``, or the family's own sizes) trials
+0 .. draws-1 of ``--seed`` go once each through the four stages of
+``schurpole bench``: ``generate_random_instance``, ``validate_problem``,
+``run_pipeline`` and ``verify_solution``, and the median wall time of each
+stage is recorded.  So are the median times ``run_pipeline`` spends in two
+parts of the solver, so the file shows where each cost dominates: the
+steps' null-space kernel (``_step_null_basis``) and the choice of
+directions from its basis (``sym_eig`` on a real step, the pair choice
+``_complex_pair_core``, whose SVD of Z1 dominates it, and, where the solver
+has it, the tie rule ``_tied_coefficients``).  One more, untimed
+``run_pipeline`` call per draw runs under ``tracemalloc``, and the median
+of its peak traced allocation is recorded: the memory a solve holds at
+once, its returned ``Solution`` included.  A least-squares line through
+(log n, log median) gives the growth exponent of each stage.  The
+numpy/scipy versions, their BLAS build, the BLAS thread variables, the
+thread count of each OpenBLAS that numpy and scipy bundle, and the CPU
+count are recorded with the timings.  ``validate_problem``,
+``run_pipeline`` and ``verify_solution`` run on one BLAS thread whatever
+those counts are; generation uses them.  ``--before FILE`` copies the
+families of an earlier output (say, of the parent commit) into the new
+one under ``before``, so that one file holds both sides of a change.
 
 Example (the committed file was written with the default BLAS threads):
-    PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
+    PYTHONPATH=src python3 scripts/time_assign.py --out before.json   # on the old code
+    PYTHONPATH=src python3 scripts/time_assign.py --before before.json --out BENCH_assign_scaling.json
 """
 
 from __future__ import annotations
@@ -43,13 +55,27 @@ from schurpole import BenchConfig, generate_random_instance, validate_problem, v
 from schurpole.linalg import openblas_threads
 
 STAGES = ("generate_random_instance", "validate_problem", "run_pipeline", "verify_solution")
+#: family name -> ((rank E, m) of n, default sizes, description)
+FAMILIES = {
+    "few-inputs": (
+        lambda n: (n // 2, max(n // 10, 1)),
+        (30, 60, 100, 150, 200, 300),
+        "rank E = n/2, m = n/10, r = rank E + m",
+    ),
+    "many-inputs": (lambda n: (2 * n // 5, 3 * n // 5), (100, 200, 300), "rank E = 0.4 n, m = 0.6 n, r = n"),
+}
+#: the solver's parts that are clocked: the step null-space kernel, and
+#: the direction choice (a part the solver does not have is skipped)
+KERNEL = ("_step_null_basis",)
+DIRECTIONS = ("sym_eig", "_complex_pair_core", "_tied_coefficients")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=[30, 60, 100, 150, 200, 300], help="state dimensions n")
+    ap.add_argument("--sizes", type=int, nargs="+", help="state dimensions n (default: each family's own)")
     ap.add_argument("--draws", type=int, default=3, help="instances per n (default: 3)")
     ap.add_argument("--seed", type=int, default=0, help="base seed of the draws (default: 0)")
+    ap.add_argument("--before", type=pathlib.Path, help="an earlier output whose families are kept under 'before'")
     ap.add_argument(
         "--out",
         type=pathlib.Path,
@@ -59,19 +85,26 @@ def parse_args(argv=None) -> argparse.Namespace:
     return ap.parse_args(argv)
 
 
-class _KernelClock:
-    """Accumulates the wall time of the solver's null-space calls."""
+class _Clock:
+    """Accumulates the wall time of the solver functions it rebinds in
+    ``schurpole.assign``; the parts clocked are never nested."""
 
-    def __init__(self, fn):
-        self.fn = fn
+    def __init__(self, names):
         self.seconds = 0.0
+        for name in names:
+            fn = getattr(assign, name, None)
+            if fn is not None:
+                setattr(assign, name, self._timed(fn))
 
-    def __call__(self, *args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return self.fn(*args, **kwargs)
-        finally:
-            self.seconds += time.perf_counter() - t0
+    def _timed(self, fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - t0
+
+        return timed
 
 
 def alloc_peak_mb(prob) -> float:
@@ -84,12 +117,13 @@ def alloc_peak_mb(prob) -> float:
         tracemalloc.stop()
 
 
-def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
-    rank_e, m = n // 2, max(n // 10, 1)
+def time_size(family: str, n: int, draws: int, seed: int, kernel: _Clock, directions: _Clock) -> dict:
+    rank_e, m = FAMILIES[family][0](n)
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=draws, seed=seed)
     r = cfg.r_values[-1]
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    kernel, peaks = [], []
+    parts: dict[str, list[float]] = {"null_basis": [], "directions": []}
+    peaks = []
 
     def timed(stage, fn, *args):
         t0 = time.perf_counter()
@@ -100,24 +134,26 @@ def time_size(n: int, draws: int, seed: int, clock: _KernelClock) -> dict:
     for trial in range(draws):
         prob = timed("generate_random_instance", generate_random_instance, cfg, r, trial)
         timed("validate_problem", validate_problem, prob)
-        clock.seconds = 0.0
+        kernel.seconds = directions.seconds = 0.0
         sol = timed("run_pipeline", assign.run_pipeline, prob)
-        kernel.append(clock.seconds)
+        parts["null_basis"].append(kernel.seconds)
+        parts["directions"].append(directions.seconds)
         timed("verify_solution", verify_solution, prob, sol)
         peaks.append(alloc_peak_mb(prob))
     solve = statistics.median(times["run_pipeline"])
-    med_kernel = statistics.median(kernel)
-    return {
+    row = {
         "n": n,
         "rank_e": rank_e,
         "m": m,
         "r": r,
         "stages": {stage: {"s": ts, "median_s": statistics.median(ts)} for stage, ts in times.items()},
-        "null_basis_median_s": med_kernel,
-        "null_basis_share": med_kernel / solve,
-        "alloc_peak_mb": peaks,
-        "alloc_peak_median_mb": statistics.median(peaks),
     }
+    for part, ts in parts.items():
+        row[f"{part}_median_s"] = statistics.median(ts)
+        row[f"{part}_share"] = statistics.median(ts) / solve
+    row["alloc_peak_mb"] = peaks
+    row["alloc_peak_median_mb"] = statistics.median(peaks)
+    return row
 
 
 def growth_exponent(rows: list[dict], stage: str) -> float | None:
@@ -147,31 +183,32 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    clock = _KernelClock(assign.orthonormal_null_basis)
-    assign.orthonormal_null_basis = clock
-    # one untimed solve so that first-call costs stay out of the table
-    time_size(min(args.sizes), 1, args.seed, clock)
-    rows = []
-    for n in args.sizes:
-        row = time_size(n, args.draws, args.seed, clock)
-        rows.append(row)
-        medians = "  ".join(f"{stage} {row['stages'][stage]['median_s']:.3f} s" for stage in STAGES)
-        print(
-            f"n={n:4d}  {medians}  "
-            f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} % of the solve)  "
-            f"alloc peak {row['alloc_peak_median_mb']:.1f} MB"
+    kernel, directions = _Clock(KERNEL), _Clock(DIRECTIONS)
+    families = []
+    for family in FAMILIES:
+        sizes = args.sizes or FAMILIES[family][1]
+        # one untimed solve so that first-call costs stay out of the table
+        time_size(family, min(sizes), 1, args.seed, kernel, directions)
+        rows = []
+        for n in sizes:
+            row = time_size(family, n, args.draws, args.seed, kernel, directions)
+            rows.append(row)
+            medians = "  ".join(f"{stage} {row['stages'][stage]['median_s']:.3f} s" for stage in STAGES)
+            print(
+                f"{family} n={n:4d} m={row['m']:3d}  {medians}  "
+                f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)  "
+                f"directions {row['directions_median_s']:.3f} s ({100 * row['directions_share']:.0f} % of the solve)  "
+                f"alloc peak {row['alloc_peak_median_mb']:.1f} MB"
+            )
+        exponents = {stage: growth_exponent(rows, stage) for stage in STAGES}
+        if len(rows) > 1:
+            print(f"{family} growth exponents: " + ", ".join(f"{stage} {x:.2f}" for stage, x in exponents.items()))
+        families.append(
+            {"name": family, "family": FAMILIES[family][2], "sizes": rows, "growth_exponents": exponents}
         )
-    exponents = {stage: growth_exponent(rows, stage) for stage in STAGES}
-    if len(rows) > 1:
-        print("growth exponents: " + ", ".join(f"{stage} {x:.2f}" for stage, x in exponents.items()))
-    result = {
-        "family": "generate_random_instance, rank E = n/2, m = n/10, r = rank E + m",
-        "seed": args.seed,
-        "draws": args.draws,
-        "sizes": rows,
-        "growth_exponents": exponents,
-        "environment": environment(),
-    }
+    result = {"seed": args.seed, "draws": args.draws, "families": families, "environment": environment()}
+    if args.before is not None:
+        result["before"] = json.loads(args.before.read_text())["families"]
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

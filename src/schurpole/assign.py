@@ -21,7 +21,14 @@ the j solutions with p = 0 that the coefficients add are written down in
 closed form.
 The free coefficients are chosen to keep the off-diagonal mass of (S, T)
 small, so the closed-loop pencil stays close to a normal pair and the
-assigned spectrum is insensitive to perturbations.  A real pole is the
+assigned spectrum is insensitive to perturbations.  A step with fewer
+prior columns j than mapped directions d is tied: its optimum, P-share 1
+with no coupling at all, is reached on the whole null space of the
+basis's j x d block of u-rows.  A real step tied (j < d) takes the first
+column of that null space's Householder basis, and a pair tied
+(j + 2 <= d) its first two, so neither factorizes the d mapped
+directions; the other steps choose from an eigen- or singular value
+decomposition of them.  A real pole is the
 1x1 case and a conjugate pair the 2x2 case of one step: both shift the
 pencil in ``_shifted`` and write their columns in ``_write_step``.  Once
 all n columns exist, X is completed from the null space of Xi, taken by
@@ -93,7 +100,10 @@ class StepRecord:
     ones (m + j generically; on the infinite block, the dimension of
     null(Q2^T E)).  ``p_share`` is the P-component share of the chosen
     direction: the top eigenvalue of Z1^T Z1 on a real step, nu1^2 on a
-    complex step.  A complex step also
+    complex step.  ``tied`` says that the step had more mapped directions
+    d than prior columns plus its width, so that it took its direction(s)
+    of P-share 1 and no coupling from the null space of its u-rows without
+    a choice by an eigensolver (see the module docstring).  A complex step also
     records its ``branch`` ("rank1", "hamiltonian" or "jacobi"), Z1's second
     singular value ``nu2``, and the objectives ``rho1``, ``rho2`` of the
     single- and two-direction choices (None on the rank-1 branch).  The
@@ -108,6 +118,7 @@ class StepRecord:
     nu2: float | None = None
     rho1: float | None = None
     rho2: float | None = None
+    tied: bool = False
 
 
 @dataclass(eq=False)
@@ -317,10 +328,11 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
     * (0, c_t w / c, -c_s w / c) for every w in C^j, the j directions of
       :func:`_free_directions`, which need no factorization.
 
-    Returns (Y, V): Y holds the y-rows and V the stacked (v_s; v_t) rows of
-    the first part's d orthonormal columns.  P_perp is an isometry, so
-    (P_perp Y; V) is orthonormal, and with the free directions it spans the
-    null space of the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
+    Returns (Y, U): the y-rows and the u-rows of the first part's d
+    orthonormal columns; :func:`_mapped_coefficients` turns U into their
+    stacked (v_s; v_t) rows V.  P_perp is an isometry, so (P_perp Y; V) is
+    orthonormal, and with the free directions it spans the null space of
+    the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
     """
     # The null space has dimension m + j generically; it is larger when
     # [kp, c Xi] is rank deficient, which only adds freedom.  A smaller
@@ -340,11 +352,34 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
             null_dim=z.shape[1] + j,
             needed=m + j,
         )
-    u = z[k:]
-    v = np.empty((2 * j, z.shape[1]), dtype=z.dtype)
+    return z[:k], z[k:]
+
+
+def _mapped_coefficients(u, c_s, c_t) -> np.ndarray:
+    """The stacked (v_s; v_t) rows (conj(c_s) u; conj(c_t) u) / c of the
+    mapped columns whose u-rows are ``u`` (see :func:`_step_null_basis`)."""
+    j = u.shape[0]
+    c = math.hypot(abs(c_s), abs(c_t))
+    v = np.empty((2 * j, u.shape[1]), dtype=u.dtype)
     np.multiply(u, np.conj(c_s) / c, out=v[:j])
     np.multiply(u, np.conj(c_t) / c, out=v[j:])
-    return z[:k], v
+    return v
+
+
+def _tied_coefficients(u, count: int) -> np.ndarray:
+    """Coefficients N of ``count`` orthonormal combinations of a tied
+    step's d mapped columns with P-share 1 and no coupling: the first
+    ``count`` columns of the Householder null basis of their j x d u-rows
+    U, which has d - j >= ``count`` columns when the step is tied.
+
+    A unit combination w of the mapped columns has P-share ||Y w||^2 =
+    1 - ||U w||^2, so the optimum 1 is reached exactly on null(U), where
+    the coupling U w vanishes too.  Taking N from
+    :func:`orthonormal_null_basis` makes the choice a function of the
+    step's data instead of an eigensolver's pick inside a degenerate
+    eigenspace.
+    """
+    return orthonormal_null_basis(u)[:, :count]
 
 
 def _free_directions(c_s, c_t, j) -> np.ndarray:
@@ -409,19 +444,28 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     eps2 = 1.0 / h
     s_dom = abs(eps1) >= abs(eps2)
     kp, c_s, c_t = _shifted(state, eps2 / eps1 if s_dom else eps1 / eps2, s_dom)
-    y, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
+    y, u = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
-    # reached on the d mapped columns alone.
-    w_eig, v_eig = sym_eig(y.T @ y)
-    share = float(w_eig[0])
+    # reached on the d mapped columns alone.  With fewer prior columns than
+    # mapped ones that maximum is 1, reached without coupling.
+    tied = state.j < y.shape[1]
+    if tied:
+        uvec = _tied_coefficients(u, 1)[:, 0]
+        yu = y @ uvec
+        share = float(yu @ yu)
+    else:
+        w_eig, v_eig = sym_eig(y.T @ y)
+        share = float(w_eig[0])
+        uvec = v_eig[:, 0]
+        yu = y @ uvec
     if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
-    uvec = v_eig[:, 0]
-    pt = state.P_perp @ (y @ uvec)
+    pt = state.P_perp @ yu
     scale = euclidean_norm(pt)
-    rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share)
-    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, rec)
+    vcol = _mapped_coefficients(u, c_s, c_t) @ uvec
+    rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share, tied=tied)
+    return _write_step(state, [pt / scale], [vcol / scale], [[eps1]], [[eps2]], s_dom, rec)
 
 
 def _symplectic(x: np.ndarray) -> np.ndarray:
@@ -636,9 +680,16 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     alpha_dom = mag >= 1.0
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
     kp, c_s, c_t = _shifted(state, gamma, alpha_dom)
-    y, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
-
-    choice = _complex_pair_core(y, v, c_s, c_t, gamma.imag)
+    y, u = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
+    z1, zv = y, _mapped_coefficients(u, c_s, c_t)
+    # With two prior columns fewer than mapped ones, two orthonormal
+    # combinations have P-share 1 and no coupling: the core sees them alone,
+    # with nu1 = nu2 = 1.
+    tied = state.j + 2 <= y.shape[1]
+    if tied:
+        coef = _tied_coefficients(u, 2)
+        z1, zv = z1 @ coef, zv @ coef
+    choice = _complex_pair_core(z1, zv, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
     vs1 = euclidean_norm(pc.real)
     vs2 = euclidean_norm(pc.imag)
@@ -655,6 +706,7 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
         nu2=choice.nu2,
         rho1=choice.rho1,
         rho2=choice.rho2,
+        tied=tied,
     )
     cols = [pc.real / vs1, pc.imag / vs2]
     vcols = [choice.v.real / vs1, choice.v.imag / vs2]

@@ -120,7 +120,8 @@ def _reference_kq(prob, q2, c_s, c_t):
 
 
 def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, state, out, extra=0):
-    y, v = out
+    y, u = out
+    v = assign_module._mapped_coefficients(u, c_s, c_t)
     p_mat, p_perp, m = state.P, state.P_perp, state.m
     n, j = p_mat.shape
     # the state's complement basis is orthonormal and orthogonal to P
@@ -584,27 +585,43 @@ def test_step_records_cover_all_columns():
 def test_step_records_hold_scalars_measured_from_the_step():
     # A Solution keeps F, G, P, S, T, X and scalar step records, never a
     # step's null-space basis; null_dim is the width of the basis the step
-    # used and p_share its P-component share of the chosen direction.
-    for prob in (make_instance(30, 15, 3, 18), make_instance(100, 50, 10, 60)):
+    # used, p_share its P-component share of the chosen direction and tied
+    # whether the step had more mapped directions than prior columns plus
+    # its width, so that it took P-share-1 directions without coupling.
+    # The n = 30 instance with m = 28 ties its real steps and its pairs; the
+    # n = 6 one has a pair with one direction of P-share 1 (j + 1 = d),
+    # which is not tied.
+    kinds, tied_kinds = set(), set()
+    cases = ((30, 15, 3, 18), (100, 50, 10, 60), (30, 15, 28, 30), (6, 5, 3, 6))
+    for prob in (make_instance(*case) for case in cases):
         sol, calls = solve_recording(prob, "_step_null_basis")
         arrays = {f.name for f in dataclasses.fields(sol) if isinstance(getattr(sol, f.name), np.ndarray)}
         assert arrays == {"F", "G", "P", "S", "T", "X"}
         for step in sol.steps:
             for f in dataclasses.fields(step):
-                assert type(getattr(step, f.name)) in (int, float, str, type(None)), (step.kind, f.name)
+                assert type(getattr(step, f.name)) in (bool, int, float, str, type(None)), (step.kind, f.name)
         finite_steps = sol.steps[1:]
-        assert {s.kind for s in finite_steps} == {"real", "complex"}
+        kinds |= {s.kind for s in finite_steps}
         assert len(calls) == len(finite_steps)
-        for step, (args, (y, v)) in zip(finite_steps, calls):
+        for step, (args, (y, u)) in zip(finite_steps, calls):
             p_perp = args[0].P_perp
             j = step.j_before
+            width = 1 if step.kind == "real" else 2
             # the Householder-updated complement stays orthonormal and
             # orthogonal to P over every step of an n = 100 solve
             assert np.linalg.norm(p_perp.T @ p_perp - np.eye(prob.n - j)) <= 1e-13
             assert np.linalg.norm(sol.P[:, :j].T @ p_perp) <= 1e-13
             # d mapped columns plus the j free directions
             assert step.null_dim == y.shape[1] + j
-            assert v.shape == (2 * j, y.shape[1])
+            assert u.shape == (j, y.shape[1])
+            assert step.tied == (j + width <= y.shape[1])
+            if step.tied:
+                tied_kinds.add(step.kind)
+                # its directions have P-share 1, and the step's columns of
+                # S and T gain nothing above the diagonal but rounding
+                assert step.p_share == pytest.approx(1.0, rel=1e-12)
+                added = np.linalg.norm(sol.S[:j, j : j + width]) + np.linalg.norm(sol.T[:j, j : j + width])
+                assert added <= 1e-12
             if step.kind == "real":
                 # the unit column [p; v_s; v_t] * scale has P-component scale
                 added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
@@ -616,3 +633,4 @@ def test_step_records_hold_scalars_measured_from_the_step():
                 assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
                 assert step.nu2 == pytest.approx(nus[1], rel=1e-8, abs=1e-14)
                 assert step.branch in ("rank1", "hamiltonian", "jacobi")
+    assert kinds == tied_kinds == {"real", "complex"}

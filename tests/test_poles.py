@@ -61,6 +61,7 @@ def test_make_zero_pair_rejected():
 
 
 @example(a=2.2250738585e-313, b=1.0, c=0.25)  # c*a rounds in the subnormal range
+@example(a=5e-324, b=1.0, c=0.5)  # c*a underflows to exactly zero
 @given(finite_floats, nonzero_floats, nonzero_floats)
 def test_make_is_scale_invariant(a, b, c):
     p = PolePair.make(a, b)
@@ -68,9 +69,13 @@ def test_make_is_scale_invariant(a, b, c):
     # Rounding in (c*a)/(c*b) can differ from a/b by an ulp, so equality of
     # the canonical pairs is only approximate; homogeneous equivalence holds.
     # A subnormal c*a already carries an absolute rounding of up to 2**-1074.
+    # A c*a that underflows to zero has lost all of its value to that
+    # rounding, relative to the exact product |c|*|a|.
     rtol = 1e-12
     if 0.0 < abs(c * a) < sys.float_info.min:
         rtol += 2.0**-1074 / abs(c * a)
+    elif c * a == 0.0 and a != 0.0:
+        rtol += 2.0**-1074 / abs(a) / abs(c)
     assert p.kind is q.kind
     assert _equivalent(p, q, rtol=rtol)
 

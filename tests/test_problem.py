@@ -447,14 +447,15 @@ def test_check_e_blindness_does_not_depend_on_the_units_of_b():
     assert abs(complex(check_e.detail.rsplit("lambda=", 1)[1]) - (1.5590 + 0.1319j)) <= 1e-4
 
 
-def _check_e_by_the_probe_loop(prob):
-    """Check (e)'s rank verdict as a rank probe at every eigenvalue decides
-    it: the verdict, the detail and the singular-pencil warning.  The
-    blindness rule, which fails an isolated eigenvalue whose left
-    eigenvector misses range(B) even at full rank, is not modelled.  The
-    oracle's finite eigenvalues, then the excess infinite-counted ones as
+def _check_e_by_the_probe_loop(prob, blind=()):
+    """Check (e)'s verdict as a rank probe at every eigenvalue decides it:
+    the verdict, the detail and the singular-pencil warning.  The oracle's
+    finite eigenvalues, then the excess infinite-counted ones as
     reciprocals of the reversed pencil's eigenvalues (each couple once),
-    then 8 fixed values."""
+    then 8 fixed values.  ``blind`` lists, as homogeneous pairs (a, b), the
+    isolated eigenvalues whose left eigenvectors miss range(B) exactly: a
+    probe within chordal distance 1e-6 of one fails by the blindness rule
+    where its rank reads full."""
     k_d = orthonormal_null_basis(prob.E).shape[1]
     probes, warnings = [], []
     try:
@@ -470,7 +471,31 @@ def _check_e_by_the_probe_loop(prob):
     for a, b, _, rk in problem_module._probe_ranks(prob, [(a, b, None) for a, b in probes]):
         if rk != prob.n:
             return False, f"rank([lambda*E - A, B])={rk} at lambda={a / b:g}", warnings
+        if any(abs(a * d - b * c) <= 1e-6 * abs(complex(a, b)) * abs(complex(c, d)) for c, d in blind):
+            return False, f"left eigenvector blind to range(B) at isolated lambda={a / b:g}", warnings
     return True, "full row rank at all probes", warnings
+
+
+def _block_modes(kind, value, omega):
+    """The eigenvalues of a real or couple block of ``_block`` as
+    homogeneous pairs; none for the other kinds."""
+    if kind == "real":
+        return [(value, 1.0)]
+    if kind == "couple":
+        return [(complex(value, abs(omega)), 1.0), (complex(value, -abs(omega)), 1.0)]
+    return []
+
+
+def _blind_isolated_modes(base, kind, injected):
+    """The eigenvalues of the injected blind blocks that no other block
+    shares: their left eigenvectors miss B exactly, and they are isolated.
+    Only real and couple blocks are modelled: a double or Jordan block is
+    a cluster, and the huge eigenvalue 1e10 lies within the 1e-6 chord of
+    an infinite one, so the rule leaves those to their rank."""
+    modes = [mode for k, v, w in base for mode in _block_modes(k, v, w)]
+    modes += [mode for v, w, _ in injected for mode in _block_modes(kind, v, w)]
+    blind = [mode for v, w, is_blind in injected if is_blind for mode in _block_modes(kind, v, w)]
+    return [mode for mode in blind if modes.count(mode) == 1]
 
 
 def _block(kind, value, omega):
@@ -498,6 +523,9 @@ _parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid
 # an exactly singular pencil that QZ does not flag: lambda = 0 has a left
 # null space of dimension 2 and m = 1, while each computed w sees B
 @example(0, [("infinite", 0.0, 0.25), ("real", 0.0, 0.25), ("real", 0.5, 0.25)], "singular", [(0.0, 0.25, False)], 1)
+# a blind real mode at -0.75 whose probe at the computed lambda reads full
+# rank: the blindness rule fails it (||w^H Q|| = 5.5e-18)
+@example(4000, [("couple", -0.5, 0.25)], "real", [(-0.75, 0.25, True)], 1)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.lists(_parts, min_size=1, max_size=5),
@@ -510,9 +538,10 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     # and infinite ones, and one or two injected blocks of one kind, each
     # with B blind to it or not.  Eigenvalues on a grid of quarters either
     # coincide or are well apart.  The screen may spare probes, never
-    # change the verdict, the first failing eigenvalue or the warning.  The
-    # reference models the rank verdict only: here each blind block is
-    # exactly blind, so its rank drops too, and the blindness rule agrees.
+    # change the verdict, the first failing eigenvalue or the warning.  Each
+    # blind block is exactly blind: where its eigenvalue is isolated the
+    # reference fails it by the blindness rule, even where the probe at the
+    # computed eigenvalue reads full rank, and otherwise by its rank.
     rng = np.random.default_rng(seed)
     blocks = [(*_block(k, v, w), False) for k, v, w in base]
     blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
@@ -530,7 +559,7 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     prob = Problem(E=u @ e @ v.T, A=u @ a @ v.T, B=u @ b, poles=(PolePair.infinite(),) * n, r=0)
     rep = validate_problem(prob)
     check_e = rep.checks[-1]
-    want_ok, want_detail, want_warnings = _check_e_by_the_probe_loop(prob)
+    want_ok, want_detail, want_warnings = _check_e_by_the_probe_loop(prob, _blind_isolated_modes(base, kind, injected))
     assert check_e.passed == want_ok
     assert [w for w in rep.warnings if "singular" in w] == want_warnings
     if want_ok or want_warnings:
@@ -541,21 +570,25 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
         # then arbitrary, and a QZ call with eigenvectors returns others
         # than one without, so the first failing one may differ
         return
-    # the same rank at the same eigenvalue.  Its printed 6 digits may differ
-    # at an eigenvalue near 0, and where QZ counts it as infinite: 1/lambda
-    # = beta/alpha is then known to an absolute n*eps, about 1e-6 relative
-    # at lambda = 1e10, from either QZ call.
+    # the same rank, or the blindness rule, at the same eigenvalue.  Its
+    # printed 6 digits may differ at an eigenvalue near 0, and where QZ
+    # counts it as infinite: 1/lambda = beta/alpha is then known to an
+    # absolute n*eps, about 1e-6 relative at lambda = 1e10, from either QZ
+    # call.
     (rank, lam), (want_rank, want_lam) = (_probe_failure(d) for d in (check_e.detail, want_detail))
     assert rank == want_rank
     assert abs(lam - want_lam) <= 1e-5 * max(1.0, abs(want_lam))
 
 
 def _probe_failure(detail):
-    """(rank, lambda) of a failing check (e) detail."""
-    head, lam = detail.split(" at lambda=")
+    """(rank, lambda) of a failing check (e) detail; the rank is None where
+    the blindness rule failed it."""
+    head, lam = detail.rsplit("lambda=", 1)
+    if head.startswith("left eigenvector blind to range(B)"):
+        return None, complex(lam)
     prefix = "rank([lambda*E - A, B])="
     assert head.startswith(prefix), detail
-    return int(head[len(prefix) :]), complex(lam)
+    return int(head[len(prefix) :].removesuffix(" at ")), complex(lam)
 
 
 def test_validate_multiplicity_warning():
