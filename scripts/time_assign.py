@@ -14,25 +14,22 @@ For every n of a family (``--sizes``, or the family's own sizes) trials
 ``run_pipeline`` and ``verify_solution``, and the median wall time of each
 stage is recorded.  So are the median times ``run_pipeline`` spends in two
 parts of the solver, so the file shows where each cost dominates: the
-steps' null-space kernel (``_step_null_basis``) and the choice of
-directions from its basis (``sym_eig`` on a real step, the pair choice
-``_complex_pair_core``, whose SVD of Z1 dominates it, and, where the solver
-has it, the tie rule ``_tied_coefficients``).  One more, untimed
-``run_pipeline`` call per draw runs under ``tracemalloc``, and the median
-of its peak traced allocation is recorded: the memory a solve holds at
-once, its returned ``Solution`` included.  A least-squares line through
+null-space kernel (``orthonormal_null_basis`` as the solver calls it, the
+tied steps' null space of their u-rows included) and the choice of
+directions from a step's basis (``sym_eig`` on a real step and the pair
+choice ``_complex_pair_core``, whose SVD of Z1 dominates it).  One more,
+untimed ``run_pipeline`` call per draw runs under ``tracemalloc``, and the
+median of its peak traced allocation is recorded: the memory a solve holds
+at once, its returned ``Solution`` included.  A least-squares line through
 (log n, log median) gives the growth exponent of each stage.  The
 numpy/scipy versions, their BLAS build, the BLAS thread variables, the
 thread count of each OpenBLAS that numpy and scipy bundle, and the CPU
 count are recorded with the timings.  ``validate_problem``,
 ``run_pipeline`` and ``verify_solution`` run on one BLAS thread whatever
-those counts are; generation uses them.  ``--before FILE`` copies the
-families of an earlier output (say, of the parent commit) into the new
-one under ``before``, so that one file holds both sides of a change.
+those counts are; generation uses them.
 
 Example (the committed file was written with the default BLAS threads):
-    PYTHONPATH=src python3 scripts/time_assign.py --out before.json   # on the old code
-    PYTHONPATH=src python3 scripts/time_assign.py --before before.json --out BENCH_assign_scaling.json
+    PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
 """
 
 from __future__ import annotations
@@ -64,10 +61,10 @@ FAMILIES = {
     ),
     "many-inputs": (lambda n: (2 * n // 5, 3 * n // 5), (100, 200, 300), "rank E = 0.4 n, m = 0.6 n, r = n"),
 }
-#: the solver's parts that are clocked: the step null-space kernel, and
-#: the direction choice (a part the solver does not have is skipped)
-KERNEL = ("_step_null_basis",)
-DIRECTIONS = ("sym_eig", "_complex_pair_core", "_tied_coefficients")
+#: the solver's parts that are clocked: the null-space kernel, and the
+#: direction choice
+KERNEL = ("orthonormal_null_basis",)
+DIRECTIONS = ("sym_eig", "_complex_pair_core")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -75,7 +72,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--sizes", type=int, nargs="+", help="state dimensions n (default: each family's own)")
     ap.add_argument("--draws", type=int, default=3, help="instances per n (default: 3)")
     ap.add_argument("--seed", type=int, default=0, help="base seed of the draws (default: 0)")
-    ap.add_argument("--before", type=pathlib.Path, help="an earlier output whose families are kept under 'before'")
     ap.add_argument(
         "--out",
         type=pathlib.Path,
@@ -92,9 +88,7 @@ class _Clock:
     def __init__(self, names):
         self.seconds = 0.0
         for name in names:
-            fn = getattr(assign, name, None)
-            if fn is not None:
-                setattr(assign, name, self._timed(fn))
+            setattr(assign, name, self._timed(getattr(assign, name)))
 
     def _timed(self, fn):
         def timed(*args, **kwargs):
@@ -207,8 +201,6 @@ def main(argv=None) -> int:
             {"name": family, "family": FAMILIES[family][2], "sizes": rows, "growth_exponents": exponents}
         )
     result = {"seed": args.seed, "draws": args.draws, "families": families, "environment": environment()}
-    if args.before is not None:
-        result["before"] = json.loads(args.before.read_text())["families"]
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

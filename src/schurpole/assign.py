@@ -328,11 +328,13 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
     * (0, c_t w / c, -c_s w / c) for every w in C^j, the j directions of
       :func:`_free_directions`, which need no factorization.
 
-    Returns (Y, U): the y-rows and the u-rows of the first part's d
-    orthonormal columns; :func:`_mapped_coefficients` turns U into their
-    stacked (v_s; v_t) rows V.  P_perp is an isometry, so (P_perp Y; V) is
-    orthonormal, and with the free directions it spans the null space of
-    the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
+    Returns (Y, U, V): the y-rows, the u-rows and the stacked (v_s; v_t)
+    rows of the first part's d orthonormal columns.  P_perp is an isometry,
+    so (P_perp Y; V) is orthonormal, and with the free directions it spans
+    the null space of the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
+    A unit combination w of the d columns has P-share ||Y w||^2 =
+    1 - ||U w||^2, so its optimum 1 is reached, with no coupling V w at
+    all, exactly on null(U) when U has fewer rows j than columns d.
     """
     # The null space has dimension m + j generically; it is larger when
     # [kp, c Xi] is rank deficient, which only adds freedom.  A smaller
@@ -352,34 +354,11 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
             null_dim=z.shape[1] + j,
             needed=m + j,
         )
-    return z[:k], z[k:]
-
-
-def _mapped_coefficients(u, c_s, c_t) -> np.ndarray:
-    """The stacked (v_s; v_t) rows (conj(c_s) u; conj(c_t) u) / c of the
-    mapped columns whose u-rows are ``u`` (see :func:`_step_null_basis`)."""
-    j = u.shape[0]
-    c = math.hypot(abs(c_s), abs(c_t))
-    v = np.empty((2 * j, u.shape[1]), dtype=u.dtype)
+    u = z[k:]
+    v = np.empty((2 * j, z.shape[1]), dtype=z.dtype)
     np.multiply(u, np.conj(c_s) / c, out=v[:j])
     np.multiply(u, np.conj(c_t) / c, out=v[j:])
-    return v
-
-
-def _tied_coefficients(u, count: int) -> np.ndarray:
-    """Coefficients N of ``count`` orthonormal combinations of a tied
-    step's d mapped columns with P-share 1 and no coupling: the first
-    ``count`` columns of the Householder null basis of their j x d u-rows
-    U, which has d - j >= ``count`` columns when the step is tied.
-
-    A unit combination w of the mapped columns has P-share ||Y w||^2 =
-    1 - ||U w||^2, so the optimum 1 is reached exactly on null(U), where
-    the coupling U w vanishes too.  Taking N from
-    :func:`orthonormal_null_basis` makes the choice a function of the
-    step's data instead of an eigensolver's pick inside a degenerate
-    eigenspace.
-    """
-    return orthonormal_null_basis(u)[:, :count]
+    return z[:k], u, v
 
 
 def _free_directions(c_s, c_t, j) -> np.ndarray:
@@ -444,14 +423,16 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     eps2 = 1.0 / h
     s_dom = abs(eps1) >= abs(eps2)
     kp, c_s, c_t = _shifted(state, eps2 / eps1 if s_dom else eps1 / eps2, s_dom)
-    y, u = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
+    y, u, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
     # reached on the d mapped columns alone.  With fewer prior columns than
-    # mapped ones that maximum is 1, reached without coupling.
+    # mapped ones that maximum is 1 on null(U), where the step takes the
+    # first column of the Householder basis instead of an eigenvector of a
+    # degenerate eigenspace.
     tied = state.j < y.shape[1]
     if tied:
-        uvec = _tied_coefficients(u, 1)[:, 0]
+        uvec = orthonormal_null_basis(u)[:, 0]
         yu = y @ uvec
         share = float(yu @ yu)
     else:
@@ -463,9 +444,8 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     pt = state.P_perp @ yu
     scale = euclidean_norm(pt)
-    vcol = _mapped_coefficients(u, c_s, c_t) @ uvec
     rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share, tied=tied)
-    return _write_step(state, [pt / scale], [vcol / scale], [[eps1]], [[eps2]], s_dom, rec)
+    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, rec)
 
 
 def _symplectic(x: np.ndarray) -> np.ndarray:
@@ -680,15 +660,15 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     alpha_dom = mag >= 1.0
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
     kp, c_s, c_t = _shifted(state, gamma, alpha_dom)
-    y, u = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
-    z1, zv = y, _mapped_coefficients(u, c_s, c_t)
-    # With two prior columns fewer than mapped ones, two orthonormal
-    # combinations have P-share 1 and no coupling: the core sees them alone,
-    # with nu1 = nu2 = 1.
+    y, u, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
+    # With two prior columns fewer than mapped ones, the first two columns
+    # of null(U)'s Householder basis have P-share 1 and no coupling: the
+    # core sees them alone, with nu1 = nu2 = 1.
+    z1, zv = y, v
     tied = state.j + 2 <= y.shape[1]
     if tied:
-        coef = _tied_coefficients(u, 2)
-        z1, zv = z1 @ coef, zv @ coef
+        coef = orthonormal_null_basis(u)[:, :2]
+        z1, zv = y @ coef, v @ coef
     choice = _complex_pair_core(z1, zv, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
     vs1 = euclidean_norm(pc.real)

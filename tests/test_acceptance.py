@@ -103,7 +103,7 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
     assert len(bases) == len(finite_steps)
     # Its basis is the d mapped columns (P-part P_perp Y) and the j free
     # directions, whose P-part is zero.
-    for step, (args, (y, _)) in zip(finite_steps, bases):
+    for step, (args, (y, _, _)) in zip(finite_steps, bases):
         p_perp = args[0].P_perp
         j = step.j_before
         width = y.shape[1] + j

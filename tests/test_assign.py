@@ -120,8 +120,10 @@ def _reference_kq(prob, q2, c_s, c_t):
 
 
 def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, state, out, extra=0):
-    y, u = out
-    v = assign_module._mapped_coefficients(u, c_s, c_t)
+    y, u, v = out
+    # V holds the u-rows rotated back into (v_s; v_t)
+    c = np.hypot(abs(c_s), abs(c_t))
+    assert np.allclose(v, np.vstack([np.conj(c_s) * u, np.conj(c_t) * u]) / c, rtol=0, atol=1e-15)
     p_mat, p_perp, m = state.P, state.P_perp, state.m
     n, j = p_mat.shape
     # the state's complement basis is orthonormal and orthogonal to P
@@ -589,11 +591,17 @@ def test_step_records_hold_scalars_measured_from_the_step():
     # whether the step had more mapped directions than prior columns plus
     # its width, so that it took P-share-1 directions without coupling.
     # The n = 30 instance with m = 28 ties its real steps and its pairs; the
-    # n = 6 one has a pair with one direction of P-share 1 (j + 1 = d),
-    # which is not tied.
-    kinds, tied_kinds = set(), set()
-    cases = ((30, 15, 3, 18), (100, 50, 10, 60), (30, 15, 28, 30), (6, 5, 3, 6))
-    for prob in (make_instance(*case) for case in cases):
+    # n = 6 one has only pairs, one of them with one direction of P-share 1
+    # (j + 1 = d), which is not tied.
+    tied_kinds, untied_kinds = set(), set()
+    cases = {
+        (30, 15, 3, 18): {"real", "complex"},
+        (100, 50, 10, 60): {"real", "complex"},
+        (30, 15, 28, 30): {"real", "complex"},
+        (6, 5, 3, 6): {"complex"},
+    }
+    for case, kinds in cases.items():
+        prob = make_instance(*case)
         sol, calls = solve_recording(prob, "_step_null_basis")
         arrays = {f.name for f in dataclasses.fields(sol) if isinstance(getattr(sol, f.name), np.ndarray)}
         assert arrays == {"F", "G", "P", "S", "T", "X"}
@@ -601,9 +609,9 @@ def test_step_records_hold_scalars_measured_from_the_step():
             for f in dataclasses.fields(step):
                 assert type(getattr(step, f.name)) in (bool, int, float, str, type(None)), (step.kind, f.name)
         finite_steps = sol.steps[1:]
-        kinds |= {s.kind for s in finite_steps}
+        assert {s.kind for s in finite_steps} == kinds, case
         assert len(calls) == len(finite_steps)
-        for step, (args, (y, u)) in zip(finite_steps, calls):
+        for step, (args, (y, u, _)) in zip(finite_steps, calls):
             p_perp = args[0].P_perp
             j = step.j_before
             width = 1 if step.kind == "real" else 2
@@ -615,8 +623,8 @@ def test_step_records_hold_scalars_measured_from_the_step():
             assert step.null_dim == y.shape[1] + j
             assert u.shape == (j, y.shape[1])
             assert step.tied == (j + width <= y.shape[1])
+            (tied_kinds if step.tied else untied_kinds).add(step.kind)
             if step.tied:
-                tied_kinds.add(step.kind)
                 # its directions have P-share 1, and the step's columns of
                 # S and T gain nothing above the diagonal but rounding
                 assert step.p_share == pytest.approx(1.0, rel=1e-12)
@@ -633,4 +641,5 @@ def test_step_records_hold_scalars_measured_from_the_step():
                 assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
                 assert step.nu2 == pytest.approx(nus[1], rel=1e-8, abs=1e-14)
                 assert step.branch in ("rank1", "hamiltonian", "jacobi")
-    assert kinds == tied_kinds == {"real", "complex"}
+    # both kinds of step take both paths: the tie rule and the eigensolver
+    assert tied_kinds == untied_kinds == {"real", "complex"}
