@@ -24,7 +24,10 @@ suites:
   injected (``inject_uncontrollable_mode``), a real one in the cells of
   even r and a conjugate couple in the others, so every instance fails
   check (e) of ``validate_problem``, the path the three suites above, all
-  feasible, never reach;
+  feasible, never reach.  Each injected mode is isolated, so check (e)
+  fails it by its left eigenvector's blindness to range(B), without a
+  rank probe; this is the only suite on which validation forms a basis
+  of range(B);
 * ``m1``: n = 6 with a single input, rank E in {2, 3, 5}, every
   admissible r, trials 0-9: the only suite whose complex steps take the
   rank-1 branch of the pair choice.

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ParseError, SingularPencilError
 from .linalg import numerical_rank, orthonormal_null_basis, serial_blas
@@ -37,42 +38,39 @@ __all__ = [
     "validate_problem",
 ]
 
-# The 8 fixed pseudo-random finite-lambda probes of the controllability
-# check on a singular or near-singular pencil, drawn once from a fixed
-# stream so validation is reproducible.
-_FIXED_PROBES = tuple(complex(*z) for z in np.random.default_rng(0x5F0C8E).standard_normal((8, 2)))
+# The fixed pseudo-random finite-lambda probe of the controllability check
+# on a singular or near-singular pencil, drawn once from a fixed stream so
+# validation is reproducible.  There [lambda*E - A, B] loses rank either
+# at finitely many lambda, which no fixed probe can find, or at every
+# lambda, which one generic value shows.
+_FIXED_PROBES = (complex(*np.random.default_rng(0x5F0C8E).standard_normal(2)),)
 
-# The PBH screen of check (e) (Hautus, Proc. KNAW A 72, 1969): at a simple
-# eigenvalue lambda with unit left eigenvector w, [lambda*E - A, B] loses
-# rank exactly when w^H B = 0.  An eigenvalue passes unprobed when
-# ||w^H B|| > sqrt(eps) * ||[E, A, B]||_F and no other eigenvalue lies
-# within chordal distance 1e-6 of it.
-# * sqrt(eps): the probe counts singular values above (n+m)*eps*sigma_max
-#   of [a*E - b*A, B], |a|^2 + |b|^2 = 1, and sigma_max <= ||[E, A, B]||_F,
-#   so the screen's bar lies about 7e7/(n+m) above the probe's cutoff.  The
-#   bound also covers a B much smaller than A or E, which the probe's
-#   cutoff drowns however large w^H B is relative to ||B||.  The computed
-#   w is off by about eps/gap, so a w whose true w^H B is zero reads below
-#   the bar unless its gap is below about sqrt(eps): such an eigenvalue
-#   lies within the cluster tolerance, and it is probed.
-# * Blindness: an isolated eigenvalue left to the probes fails when
-#   ||w^H Q|| <= sqrt(eps), Q an orthonormal basis of range(B), even where
-#   its probe reads full rank (an n = 30 couple with ||w^H B|| = 3.4e-12
-#   did; its closed loop was not regular).  Like controllability, the rule
-#   sees range(B) alone, not an input's units (B -> B*T) or A and E's
-#   scale.  A blind w is below the bar: ||w^H B|| <= ||w^H Q||*||B||_2.
+# Check (e) at the open-loop eigenvalues (the PBH test; Hautus, Proc. KNAW
+# A 72, 1969): at a simple eigenvalue lambda with unit left eigenvector w,
+# [lambda*E - A, B] loses rank exactly when w^H B = 0.
+# * Isolated eigenvalues, with no other within chordal distance 1e-6, fail
+#   exactly when ||w^H Q|| <= sqrt(eps), Q an orthonormal basis of range(B)
+#   at check (a)'s numerical rank; no rank is probed.  Like
+#   controllability, the rule sees range(B) alone, not an input's units
+#   (B -> B*T) or A and E's scale, whereas a probe's cutoff scales with A
+#   and E, and a probe at the computed lambda read full rank at a blind w
+#   (an n = 30 couple, ||w^H B|| = 3.4e-12, whose closed loop was not
+#   regular).  The computed w is off by about eps/gap, so a w whose true
+#   w^H Q is zero reads below sqrt(eps) unless its gap is below about
+#   sqrt(eps), within the cluster chord.  Since ||w^H B|| <= ||w^H Q||*||B||_2,
+#   ||w^H B|| > sqrt(eps)*||B||_F passes an eigenvalue without forming Q.
 # * Clusters: a semisimple multiple eigenvalue has a left eigenspace, not
-#   a single vector, and one w^H B far from zero says nothing about the
-#   others; so every eigenvalue with a neighbour within 1e-6, its
-#   conjugate included, is probed.
+#   a single vector, and one w that sees B says nothing about the others;
+#   so every eigenvalue with a neighbour within 1e-6, its conjugate
+#   included, is probed with a rank.
 # * Near-singular pencils: in a singular pencil every lambda is an
 #   eigenvalue, the left null space of lambda*E - A may have any dimension,
 #   and QZ's eigenvalues are arbitrary.  A pair with |alpha|^2 + |beta|^2 <=
 #   eps on the unit-norm scaled pencil puts it within about sqrt(eps) of a
 #   singular one, which the oracle's singular cutoff (100*n*eps) need not
-#   flag.  There the screen is not used: every eigenvalue is probed, and the
-#   8 fixed values after them.
-_PBH_BAR = math.sqrt(float(np.finfo(np.float64).eps))
+#   flag.  There w is not read: every eigenvalue is probed, and the fixed
+#   value after them.
+_SQRT_EPS = math.sqrt(float(np.finfo(np.float64).eps))
 _CLUSTER_CHORD = 1e-6
 
 
@@ -317,24 +315,28 @@ def serialize_solution(f, g) -> str:
     return "\n".join(out) + "\n"
 
 
-def _probe_ranks(p: Problem, probes):
-    """Yield (a, b, blind, rank([a*E - b*A, B])) for each probe (a, b,
-    blind), homogeneously scaled so that huge eigenvalues do not drown B
-    under the rank cutoff.  A real probe is built in real arithmetic."""
-    for a, b, blind in probes:
+def _rank_failure(p: Problem, probes) -> str | None:
+    """The detail of the first probe (a, b), lambda = a/b, where
+    [lambda*E - A, B] loses rank, or None.  Each probe is homogeneously
+    scaled, [a*E - b*A, B] with |a|^2 + |b|^2 = 1, so that huge eigenvalues
+    do not drown B under the rank cutoff; a real one is built in real
+    arithmetic."""
+    for a, b in probes:
         scale = np.hypot(abs(a), abs(b))
         ca, cb = a / scale, b / scale
         if not (complex(ca).imag or complex(cb).imag):
             ca, cb = ca.real, cb.real
-        yield a, b, blind, numerical_rank(np.hstack([p.E * ca - cb * p.A, p.B]))
+        rank = numerical_rank(np.hstack([p.E * ca - cb * p.A, p.B]))
+        if rank != p.n:
+            lam = f"{a / b:g}" if b else "inf"
+            return f"rank([lambda*E - A, B])={rank} at lambda={lam}"
+    return None
 
 
-def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[complex, complex, float | None]]:
-    """The probes (a, b, blind), lambda = a/b, of check (e) at the open-loop
-    eigenvalues that the PBH screen cannot pass, in the order they are
-    probed; on a pencil within about sqrt(eps) of a singular one, at every
-    eigenvalue and then at the 8 fixed values.  ``blind`` is ||w^H Q|| where
-    an isolated eigenvalue's w is blind to range(B) (it fails anyway), else None.
+def _check_e_failure(p: Problem, spectrum: QZSpectrum | None, k_d: int, b_rank: int) -> str | None:
+    """The detail of check (e) at its first failing eigenvalue, or None
+    where every one passes.  ``spectrum`` is None on a singular pencil,
+    which is probed at the fixed value alone.
 
     The eigenvalues checked are every one that check (d) does not count as
     infinite.  First the finite ones, as ``spectrum.poles`` orders them; a
@@ -342,9 +344,11 @@ def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[co
     part, since conj(M) has the rank of M.  The oracle counts a pole above
     about 1e8*||A||/||E|| in modulus as infinite, although (d) covers only
     k_d = n - rank(E) null directions; the excess ones follow, by
-    increasing mu = 1/lambda after the first k_d, each couple once, probed
-    at (1, mu).
+    increasing mu = 1/lambda after the first k_d, each couple once, at
+    (1, mu).
     """
+    if spectrum is None:
+        return _rank_failure(p, [(lam, 1.0) for lam in _FIXED_PROBES])
     alpha, beta = spectrum.alpha, spectrum.beta
     checked = [(pole.value, 1.0, k) for pole, k in zip(spectrum.poles, spectrum.columns)]
     if alpha.size - spectrum.finite.size > k_d:
@@ -356,22 +360,29 @@ def _check_e_probes(p: Problem, spectrum: QZSpectrum, k_d: int) -> list[tuple[co
         excess = [(complex(mus[i]), infinite[i]) for i in order[k_d:]]
         checked += [(1.0, mu, k) for i, (mu, k) in enumerate(excess) if mu.conjugate() not in [v for v, _ in excess[:i]]]
     size = np.hypot(np.abs(alpha), np.abs(beta))
-    if np.any(size <= _PBH_BAR):
-        return [(a, b, None) for a, b, _ in checked] + [(lam, 1.0, None) for lam in _FIXED_PROBES]
+    if np.any(size <= _SQRT_EPS):
+        return _rank_failure(p, [(a, b) for a, b, _ in checked] + [(lam, 1.0) for lam in _FIXED_PROBES])
     cols = np.array([k for *_, k in checked], dtype=int)
     w = spectrum.vl[:, cols]
-    reach = np.linalg.norm(w.conj().T @ p.B, axis=1)
-    bar = _PBH_BAR * math.hypot(spectrum.norm_a, spectrum.norm_e, frobenius_norm(p.B))
     # chordal distance of each checked pair to every pair, itself excluded
     ua, ub = alpha / size, beta / size
     chord = np.abs(np.outer(ua[cols], ub) - np.outer(ub[cols], ua))
     chord[np.arange(cols.size), cols] = np.inf
     isolated = chord.min(axis=1) > _CLUSTER_CHORD
-    passed = isolated & (reach > bar)
-    sight, suspect = np.full(cols.size, np.inf), isolated & ~passed
-    if suspect.any():  # ||w^H Q|| at the isolated eigenvalues left to the probes
-        sight[suspect] = np.linalg.norm(w[:, suspect].conj().T @ np.linalg.qr(p.B)[0], axis=1)
-    return [(a, b, float(s) if s <= _PBH_BAR else None) for (a, b, _), s, ok in zip(checked, sight, passed) if not ok]
+    # Q: the leading b_rank columns of a column-pivoted QR of B, which rounds
+    # each column relative to its own norm, so that units do not move Q
+    sight = np.linalg.norm(w.conj().T @ (p.B / (frobenius_norm(p.B) or 1.0)), axis=1)
+    unsure = isolated & (sight <= _SQRT_EPS)
+    if unsure.any():
+        q = scipy.linalg.qr(p.B, mode="economic", pivoting=True)[0][:, :b_rank]
+        sight[unsure] = np.linalg.norm(w[:, unsure].conj().T @ q, axis=1)
+    for (a, b, _), alone, s in zip(checked, isolated, sight):
+        if alone and s <= _SQRT_EPS:
+            lam = f"{a / b:g}" if b else "inf"
+            return f"left eigenvector blind to range(B): ||w^H Q||={s:.2g} <= sqrt(eps) at isolated lambda={lam}"
+        if not alone and (detail := _rank_failure(p, [(a, b)])):
+            return detail
+    return None
 
 
 @serial_blas()
@@ -382,19 +393,18 @@ def validate_problem(p: Problem) -> ValidationReport:
     (a) B has full column rank; (b/c) the finite pole count r lies in
     [q - m, q] where q = rank([E B]); (d) [E, A*Ninf, B] has full row rank
     for a null basis Ninf of E; (e) [lambda*E - A, B] has full row rank at
-    every open-loop eigenvalue that (d) does not count as infinite.  Check
-    (e) is a screen, then probes.  One QZ call with left eigenvectors
+    every open-loop eigenvalue that (d) does not count as infinite.  One QZ
+    call with left eigenvectors
     (:func:`~schurpole.metrics.generalized_eig_oracle`) gives every
-    eigenvalue; one that is isolated and whose left eigenvector sees B
-    passes (the PBH test, ``_PBH_BAR``), and each other one is probed with
-    a rank, in the order ``_check_e_probes`` gives, so the first failing
-    eigenvalue names the failure; an isolated one whose left eigenvector is
-    blind to range(B) fails there too.  On a regular pencil the rank can
-    drop only at an eigenvalue; on a singular one 8 fixed pseudo-random
-    complex values are probed instead, with a warning, and on one within
-    about sqrt(eps) of singular that QZ does not flag, every eigenvalue and
-    then those 8 values, without the screen.  Each rank is certified full
-    from one QR where it can be, and counted by an SVD otherwise
+    eigenvalue.  An isolated one fails exactly when its left eigenvector is
+    blind to range(B) (the PBH test; comment above ``_SQRT_EPS``), and any
+    other one is probed with a rank; the first failing eigenvalue in the
+    order ``_check_e_failure`` gives names the failure.  On a regular pencil
+    the rank can drop only at an eigenvalue; on a singular one a fixed
+    pseudo-random complex value is probed instead, with a warning, and on
+    one within about sqrt(eps) of singular that QZ does not flag, every
+    eigenvalue and then that value.  Each rank is certified full from one
+    QR where it can be, and counted by an SVD otherwise
     (:func:`numerical_rank`).  Every repeated requested pole is recorded as
     a warning naming its multiplicity k and the accuracy of a defective
     eigenvalue, about eps**(1/k).  Runs on one BLAS thread
@@ -434,21 +444,9 @@ def validate_problem(p: Problem) -> ValidationReport:
         spectrum = generalized_eig_oracle(p.A, p.E, left=True)
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
-        probes = [(lam, 1.0, None) for lam in _FIXED_PROBES]
-    else:
-        probes = _check_e_probes(p, spectrum, n_inf.shape[1])
-    ok = True
-    detail = "full row rank at all probes"
-    for a, b, blind, rk in _probe_ranks(p, probes):
-        if rk != n or blind is not None:
-            ok = False
-            lam = f"{a / b:g}" if b else "inf"
-            if rk != n:
-                detail = f"rank([lambda*E - A, B])={rk} at lambda={lam}"
-            else:
-                detail = f"left eigenvector blind to range(B): ||w^H Q||={blind:.2g} <= sqrt(eps) at isolated lambda={lam}"
-            break
-    checks.append(CheckResult("finite-pole-controllability", ok, detail))
+        spectrum = None
+    failure = _check_e_failure(p, spectrum, n_inf.shape[1], b_rank)
+    checks.append(CheckResult("finite-pole-controllability", failure is None, failure or "full row rank at all probes"))
 
     vals = np.array([pole.value for pole in p.finite_poles])
     # close[i, j]: requested pole j coincides with pole i (a couple counts once)

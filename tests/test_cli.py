@@ -92,6 +92,22 @@ def test_assign_infeasible_bound(capsys, tmp_path):
     assert "finite-pole-count-bound" in err
 
 
+def test_assign_accepts_an_input_far_below_a_and_e(capsys, tmp_path):
+    # B = 1e-17 [1; 1] sees both modes of diag(1, 2): controllability does
+    # not depend on the input's units, however small beside A and E
+    prob = Problem(
+        E=np.eye(2),
+        A=np.diag([1.0, 2.0]),
+        B=np.full((2, 1), 1e-17),
+        poles=(PolePair.from_value(-1.0), PolePair.from_value(-2.0)),
+        r=2,
+    )
+    path = tmp_path / "small_input.txt"
+    path.write_text(serialize_problem(prob))
+    rc, _, err = run_cli(capsys, "assign", str(path))
+    assert rc == 0, err
+
+
 def test_assign_degenerate_order_exit_code(capsys, tmp_path):
     # A validated instance the solver cannot finish: assignment refused.
     path = tmp_path / "unsolvable.txt"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -301,11 +302,12 @@ def test_validate_uncontrollable_finite_mode():
     overflow = Problem(
         E=np.eye(2), A=np.diag([1e200, 2e200]), B=np.array([[1.0], [0.0]]), poles=poles, r=2
     )
-    # the first failing probe and its detail string are part of the verdict
+    # the first failing eigenvalue and its detail string are part of the
+    # verdict; each mode is isolated, so the blindness rule decides it
     for prob, lam in ((small, "2+0j"), (huge, "1e+10+0j"), (overflow, "2e+200+0j")):
         rep = validate_problem(prob)
         assert [c.name for c in rep.failures()] == ["finite-pole-controllability"]
-        assert rep.failures()[0].detail == f"rank([lambda*E - A, B])=1 at lambda={lam}"
+        assert rep.failures()[0].detail == f"left eigenvector blind to range(B): ||w^H Q||=0 <= sqrt(eps) at isolated lambda={lam}"
 
 
 def test_validate_uncontrollable_at_infinity():
@@ -366,11 +368,27 @@ def _five_state_plant(blind_rows=()):
     )
 
 
-def test_validate_probes_only_the_eigenvalues_the_pbh_screen_cannot_pass(monkeypatch):
-    # Checks (a), (b/c) and (d) take one rank each; check (e) probes only an
-    # eigenvalue whose left eigenvector w has w^H B near zero, a couple once
-    # at its member with positive imaginary part, a real one in real
-    # arithmetic.  A regular pencil takes no fixed probe.
+_POLES_2 = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
+
+
+def _double_eigenvalue_plant():
+    # E = I, A = I, B = [1; 1]: every vector is a left eigenvector at
+    # lambda = 1, and the one QZ returns may well see B
+    return Problem(E=np.eye(2), A=np.eye(2), B=np.ones((2, 1)), poles=_POLES_2, r=2)
+
+
+def test_validate_probes_a_double_eigenvalue():
+    # only the cluster rule sends the double eigenvalue to the probe
+    check_e = validate_problem(_double_eigenvalue_plant()).checks[-1]
+    assert not check_e.passed
+    assert check_e.detail == "rank([lambda*E - A, B])=1 at lambda=1+0j"
+
+
+def test_validate_probes_only_clusters_and_singular_pencils(monkeypatch):
+    # Checks (a), (b/c) and (d) take one rank each.  Check (e) decides an
+    # isolated eigenvalue by its left eigenvector alone, and probes with a
+    # rank only a cluster, in real arithmetic at a real eigenvalue, and the
+    # one fixed value of a singular pencil.
     seen = []
     original = problem_module.numerical_rank
 
@@ -379,37 +397,37 @@ def test_validate_probes_only_the_eigenvalues_the_pbh_screen_cannot_pass(monkeyp
         return original(m)
 
     monkeypatch.setattr(problem_module, "numerical_rank", recording)
-    cases = (
-        ((), "full row rank at all probes", []),
-        ((0, 1), "rank([lambda*E - A, B])=4 at lambda=1+2j", ["c"]),
-        ((4,), "rank([lambda*E - A, B])=4 at lambda=3+0j", ["f"]),
+    for blind_rows, lam in (((), None), ((0, 1), "1+2j"), ((4,), "3+0j"), ((0, 1, 4), "1+2j")):
+        seen.clear()
+        check_e = validate_problem(_five_state_plant(blind_rows)).checks[-1]
+        assert seen[3:] == []
+        if lam is None:
+            assert check_e.passed and check_e.detail == "full row rank at all probes"
+            continue
+        head, tail = check_e.detail.split("=", 1)
+        sight, at = tail.split(" <= sqrt(eps) at isolated lambda=")
+        assert not check_e.passed and head == "left eigenvector blind to range(B): ||w^H Q||"
+        assert float(sight) <= 1.5e-8 and at == lam
+
+    # a cluster takes one probe, a double couple once at its member with
+    # positive imaginary part; E = A = diag(1, 0) is singular, and
+    # [lambda*E - A, e1] has rank 1 at every lambda
+    couple = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    double_couple = Problem(
+        E=np.eye(4), A=scipy.linalg.block_diag(couple, couple), B=np.eye(4)[:, :1], poles=(*_POLES_2, *_POLES_2), r=4
     )
-    for blind_rows, detail, kinds in cases:
-        prob = _five_state_plant(blind_rows)
+    singular = Problem(E=np.diag([1.0, 0.0]), A=np.diag([1.0, 0.0]), B=np.eye(2)[:, :1], poles=_POLES_2, r=2)
+    (fixed,) = problem_module._FIXED_PROBES
+    for prob, kind, detail in (
+        (_double_eigenvalue_plant(), "f", "rank([lambda*E - A, B])=1 at lambda=1+0j"),
+        (double_couple, "c", "rank([lambda*E - A, B])=3 at lambda=1+2j"),
+        (singular, "c", f"rank([lambda*E - A, B])=1 at lambda={fixed:g}"),
+    ):
         seen.clear()
         check_e = validate_problem(prob).checks[-1]
-        assert (check_e.passed, check_e.detail) == (not blind_rows, detail)
-        probes = seen[3:]
-        assert [probe.dtype.kind for probe in probes] == kinds
-        for probe in probes:
-            # a*I - b*A is singular at the eigenvalue, beside B
-            assert abs(np.linalg.det(probe[:, :5])) <= 1e-12
-            assert np.array_equal(probe[:, 5:], prob.B)
-        if kinds == ["c"]:
-            assert probes[0][0, 0].imag > 0
-
-
-def test_validate_probes_a_double_eigenvalue_and_an_input_below_the_cutoff():
-    # E = I, A = I, B = [1; 1]: every vector is a left eigenvector at
-    # lambda = 1, and the one QZ returns may well see B; only the cluster
-    # rule sends the double eigenvalue to the probe.  B = 1e-17 [1; 1] has
-    # w^H B far from zero relative to ||B||, but lies below the probe's
-    # cutoff beside A and E.
-    poles = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
-    for a, b in ((np.eye(2), np.ones((2, 1))), (np.diag([1.0, 2.0]), np.full((2, 1), 1e-17))):
-        check_e = validate_problem(Problem(E=np.eye(2), A=a, B=b, poles=poles, r=2)).checks[-1]
-        assert not check_e.passed
-        assert check_e.detail == "rank([lambda*E - A, B])=1 at lambda=1+0j"
+        assert (check_e.passed, check_e.detail) == (False, detail)
+        assert [probe.dtype.kind for probe in seen[3:]] == [kind]
+        assert np.array_equal(seen[3][:, prob.n :], prob.B)
 
 
 def _uncontrollable_n30_cell():
@@ -421,8 +439,9 @@ def _uncontrollable_n30_cell():
 
 def test_check_e_fails_an_isolated_mode_that_b_cannot_see():
     # the digest cell's injected couple 1.559 +- 0.132i is isolated and
-    # ||w^H B|| is 3.4e-12, yet [lambda*E - A, B] reads full rank at the
-    # computed lambda (sigma_min 2.6e-13 against the cutoff 1.7e-13)
+    # ||w^H B|| is 3.4e-12, yet a rank probe of [lambda*E - A, B] would read
+    # full rank at the computed lambda (sigma_min 2.6e-13 against the
+    # cutoff 1.7e-13)
     check_e = validate_problem(_uncontrollable_n30_cell()).checks[-1]
     assert not check_e.passed
     head, lam = check_e.detail.split(" at isolated lambda=")
@@ -432,12 +451,12 @@ def test_check_e_fails_an_isolated_mode_that_b_cannot_see():
 
 def test_check_e_blindness_does_not_depend_on_the_units_of_b():
     # controllability depends on range(B) alone: each mode of diag(1, 2)
-    # has an input of its own, however differently the two are scaled
-    poles = (PolePair.from_value(-1.0), PolePair.from_value(-2.0))
-    prob = Problem(E=np.eye(2), A=np.diag([1.0, 2.0]), B=np.diag([1.0, 1e9]), poles=poles, r=2)
-    rep = validate_problem(prob)
-    assert rep.passed, rep.failures()
-    assert rep.checks[-1].detail == "full row rank at all probes"
+    # has an input of its own, however differently the two are scaled, and
+    # one input sees both modes however small it is beside A and E
+    for b in (np.diag([1.0, 1e9]), np.full((2, 1), 1e-17)):
+        rep = validate_problem(Problem(E=np.eye(2), A=np.diag([1.0, 2.0]), B=b, poles=_POLES_2, r=2))
+        assert rep.passed, rep.failures()
+        assert rep.checks[-1].detail == "full row rank at all probes"
     # and the digest cell stays uncontrollable, at the same couple, with
     # its inputs rescaled over nine decades
     cell = _uncontrollable_n30_cell()
@@ -447,31 +466,44 @@ def test_check_e_blindness_does_not_depend_on_the_units_of_b():
     assert abs(complex(check_e.detail.rsplit("lambda=", 1)[1]) - (1.5590 + 0.1319j)) <= 1e-4
 
 
+def _chord(x, y, scale):
+    """Chordal distance of the homogeneous pairs x and y once lambda = a/b
+    is scaled by ``scale``, as check (e) reads it on the norm-scaled pencil."""
+    (a, b), (c, d) = x, y
+    return abs(a * d - b * c) * scale / (math.hypot(abs(a) * scale, abs(b)) * math.hypot(abs(c) * scale, abs(d)))
+
+
 def _check_e_by_the_probe_loop(prob, blind=()):
     """Check (e)'s verdict as a rank probe at every eigenvalue decides it:
     the verdict, the detail and the singular-pencil warning.  The oracle's
     finite eigenvalues, then the excess infinite-counted ones as
     reciprocals of the reversed pencil's eigenvalues (each couple once),
-    then 8 fixed values.  ``blind`` lists, as homogeneous pairs (a, b), the
+    then the fixed value.  ``blind`` lists, as homogeneous pairs (a, b), the
     isolated eigenvalues whose left eigenvectors miss range(B) exactly: a
-    probe within chordal distance 1e-6 of one fails by the blindness rule
-    where its rank reads full."""
+    probe within chordal distance 1e-6 of one fails where its rank reads
+    full.  A failing eigenvalue with no other within chordal distance 1e-6
+    fails by the blindness rule, any other probe by its rank."""
     k_d = orthonormal_null_basis(prob.E).shape[1]
-    probes, warnings = [], []
+    scale = (np.linalg.norm(prob.E) or 1.0) / (np.linalg.norm(prob.A) or 1.0)
+    probes, eigenvalues, warnings = [], [], []
     try:
         spectrum = oracle_pole_list(prob.A, prob.E)
         probes += [(pole.value, 1.0) for pole in spectrum if not pole.is_infinite]
         k_inf = count_infinite(spectrum)
+        mus = [0.0] * k_inf
         if k_inf > k_d:
-            mus = sorted(expand_to_values(oracle_pole_list(prob.E, prob.A)), key=abs)[k_d:k_inf]
-            probes += [(1.0, mu) for i, mu in enumerate(mus) if mu.conjugate() not in mus[:i]]
+            mus = sorted(expand_to_values(oracle_pole_list(prob.E, prob.A)), key=abs)[:k_inf]
+            probes += [(1.0, mu) for i, mu in enumerate(mus) if i >= k_d and mu.conjugate() not in mus[k_d:i]]
+        eigenvalues = [(v, 1.0) for v in expand_to_values(spectrum)] + [(1.0, mu) for mu in mus]
     except SingularPencilError:
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
     probes += [(lam, 1.0) for lam in problem_module._FIXED_PROBES]
-    for a, b, _, rk in problem_module._probe_ranks(prob, [(a, b, None) for a, b in probes]):
-        if rk != prob.n:
-            return False, f"rank([lambda*E - A, B])={rk} at lambda={a / b:g}", warnings
-        if any(abs(a * d - b * c) <= 1e-6 * abs(complex(a, b)) * abs(complex(c, d)) for c, d in blind):
+    for a, b in probes:
+        rank_detail = problem_module._rank_failure(prob, [(a, b)])
+        isolated = sum(_chord((a, b), x, scale) <= 1e-6 for x in eigenvalues) == 1
+        if rank_detail and not isolated:
+            return False, rank_detail, warnings
+        if rank_detail or any(_chord((a, b), x, 1.0) <= 1e-6 for x in blind):
             return False, f"left eigenvector blind to range(B) at isolated lambda={a / b:g}", warnings
     return True, "full row rank at all probes", warnings
 
@@ -490,8 +522,7 @@ def _blind_isolated_modes(base, kind, injected):
     """The eigenvalues of the injected blind blocks that no other block
     shares: their left eigenvectors miss B exactly, and they are isolated.
     Only real and couple blocks are modelled: a double or Jordan block is
-    a cluster, and the huge eigenvalue 1e10 lies within the 1e-6 chord of
-    an infinite one, so the rule leaves those to their rank."""
+    a cluster, and the huge eigenvalue 1e10 is left to its rank."""
     modes = [mode for k, v, w in base for mode in _block_modes(k, v, w)]
     modes += [mode for v, w, _ in injected for mode in _block_modes(kind, v, w)]
     blind = [mode for v, w, is_blind in injected if is_blind for mode in _block_modes(kind, v, w)]
@@ -526,6 +557,9 @@ _parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid
 # a blind real mode at -0.75 whose probe at the computed lambda reads full
 # rank: the blindness rule fails it (||w^H Q|| = 5.5e-18)
 @example(4000, [("couple", -0.5, 0.25)], "real", [(-0.75, 0.25, True)], 1)
+# B is 2 x 2 of rank 1: a Q from a plain QR of B spans the whole space and
+# sees the blind mode at 0.25, one at check (a)'s rank does not
+@example(0, [("real", 0.0, 0.25)], "real", [(0.25, 0.25, True)], 2)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.lists(_parts, min_size=1, max_size=5),
@@ -537,11 +571,12 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     # U blockdiag V^T plants: a controllable base of real modes, couples
     # and infinite ones, and one or two injected blocks of one kind, each
     # with B blind to it or not.  Eigenvalues on a grid of quarters either
-    # coincide or are well apart.  The screen may spare probes, never
-    # change the verdict, the first failing eigenvalue or the warning.  Each
-    # blind block is exactly blind: where its eigenvalue is isolated the
-    # reference fails it by the blindness rule, even where the probe at the
-    # computed eigenvalue reads full rank, and otherwise by its rank.
+    # coincide or are well apart.  Deciding isolated eigenvalues by their
+    # left eigenvectors may spare probes, never change the verdict, the
+    # first failing eigenvalue or the warning.  Each blind block is exactly
+    # blind: where its eigenvalue is isolated the reference fails it by the
+    # blindness rule, even where the probe at the computed eigenvalue reads
+    # full rank, and otherwise by its rank.
     rng = np.random.default_rng(seed)
     blocks = [(*_block(k, v, w), False) for k, v, w in base]
     blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
