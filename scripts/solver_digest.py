@@ -36,7 +36,13 @@ suites:
 per suite, how many instances differ in each field: the bit-identity check
 for a change that should not move any stage's answers.  It exits with
 status 1 when any instance differs in any field or is in only one of the
-two digests, and 0 otherwise, so it can serve as a gate.  Compare only
+two digests, and 0 otherwise, so it can serve as a gate.  For a change
+that moves answers on purpose it also prints, per suite, how the
+instances whose factors differ fare on each side: how many went from
+passing verification (``report.failure`` None) to failing it, and back
+(an instance without a report counts as failing); each side's worst
+``report.precs``; and the paired median change of log10
+``report.kappa_eigvec``, with how many went down.  Compare only
 digests made by the same version of this script.  Everything runs on
 one BLAS thread, so a digest does not depend on the thread settings.
 
@@ -51,7 +57,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
+import statistics
 import sys
 
 import numpy as np
@@ -166,9 +174,44 @@ def build_digest() -> dict:
     return {"suites": suites}
 
 
+def _number(cell: dict, name: str) -> float:
+    """A float field of a digest cell (its repr), NaN where it is absent."""
+    try:
+        return float(cell[name])
+    except (KeyError, ValueError):
+        return math.nan
+
+
+def moved_answers(cells: dict, before: dict, keys: list[str]) -> str:
+    """How the instances ``keys``, whose factors differ, fare in the new
+    digest ``cells`` against the old one ``before``."""
+    failed = [[cell[k].get("report.failure") != "None" for k in keys] for cell in (before, cells)]
+    gained = sum(new and not old for old, new in zip(*failed))
+    lost = sum(old and not new for old, new in zip(*failed))
+    worst = [
+        max((x for k in keys if not math.isnan(x := _number(cell[k], "report.precs"))), default=math.nan)
+        for cell in (before, cells)
+    ]
+    shifts = [
+        math.log10(new) - math.log10(old)
+        for k in keys
+        if 0.0 < (old := _number(before[k], "report.kappa_eigvec")) < math.inf
+        and 0.0 < (new := _number(cells[k], "report.kappa_eigvec")) < math.inf
+    ]
+    kappa = "n/a"
+    if shifts:
+        kappa = f"{statistics.median(shifts):+.3f} over {len(shifts)}, down on {sum(x < 0 for x in shifts)}"
+    return (
+        f"{len(keys)} with differing factors: report.failure None->fail {gained}, fail->None {lost}; "
+        f"worst report.precs {worst[0]:.3g} -> {worst[1]:.3g}; "
+        f"paired median dlog10 report.kappa_eigvec {kappa}"
+    )
+
+
 def compare(new: dict, old: dict) -> tuple[list[str], int]:
     """One line per suite (instance count, then the count differing per
-    field), and the number of instances that differ or are unmatched."""
+    field), followed by ``moved_answers`` where factors differ, and the
+    number of instances that differ or are unmatched."""
     lines, mismatched = [], 0
     for suite in dict.fromkeys([*new["suites"], *old["suites"]]):
         cells, before = new["suites"].get(suite, {}), old["suites"].get(suite, {})
@@ -178,6 +221,9 @@ def compare(new: dict, old: dict) -> tuple[list[str], int]:
         mismatched += unmatched + sum(cells[k] != before[k] for k in shared)
         counts = ", ".join(f"{name} {count}" for name, count in diffs.items())
         lines.append(f"{suite}: {len(shared)} instances, differing: {counts}; unmatched {unmatched}")
+        moved = [k for k in shared if any(cells[k].get(name) != before[k].get(name) for name in FACTORS)]
+        if moved:
+            lines.append(f"{suite}: {moved_answers(cells, before, moved)}")
     return lines, mismatched
 
 

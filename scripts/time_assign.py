@@ -15,18 +15,19 @@ For every n of a family (``--sizes``, or the family's own sizes) trials
 stage is recorded.  So are the median times ``run_pipeline`` spends in two
 parts of the solver, so the file shows where each cost dominates: the
 null-space kernel (``orthonormal_null_basis`` as the solver calls it, the
-tied steps' null space of their u-rows included) and the choice of
-directions from a step's basis (``sym_eig`` on a real step and the pair
-choice ``_complex_pair_core``, whose SVD of Z1 dominates it).  One more,
+tied steps' null space of their u-rows included) and the untied pairs'
+choice of directions (``_complex_pair_core``, whose SVD of Z1 dominates
+it).  The direction clock no longer covers the real steps' choice, one
+SVD of Y inline in ``assign_real_pole`` on an untied step, nor the tied
+steps' closed form, which takes no factorization.  One more,
 untimed ``run_pipeline`` call per draw runs under ``tracemalloc``, and the
 median of its peak traced allocation is recorded: the memory a solve holds
 at once, its returned ``Solution`` included.  A least-squares line through
 (log n, log median) gives the growth exponent of each stage.  The
 numpy/scipy versions, their BLAS build, the BLAS thread variables, the
 thread count of each OpenBLAS that numpy and scipy bundle, and the CPU
-count are recorded with the timings.  ``validate_problem``,
-``run_pipeline`` and ``verify_solution`` run on one BLAS thread whatever
-those counts are; generation uses them.
+count are recorded with the timings.  All four stages run on one BLAS
+thread whatever those counts are.
 
 Example (the committed file was written with the default BLAS threads):
     PYTHONPATH=src python3 scripts/time_assign.py --out BENCH_assign_scaling.json
@@ -64,7 +65,7 @@ FAMILIES = {
 #: the solver's parts that are clocked: the null-space kernel, and the
 #: direction choice
 KERNEL = ("orthonormal_null_basis",)
-DIRECTIONS = ("sym_eig", "_complex_pair_core")
+DIRECTIONS = ("_complex_pair_core",)
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -24,11 +24,16 @@ small, so the closed-loop pencil stays close to a normal pair and the
 assigned spectrum is insensitive to perturbations.  A step with fewer
 prior columns j than mapped directions d is tied: its optimum, P-share 1
 with no coupling at all, is reached on the whole null space of the
-basis's j x d block of u-rows.  A real step tied (j < d) takes the first
-column of that null space's Householder basis, and a pair tied
-(j + 2 <= d) its first two, so neither factorizes the d mapped
-directions; the other steps choose from an eigen- or singular value
-decomposition of them.  A real pole is the
+basis's j x d block of u-rows, and every direction there is optimal.  A
+tied step takes its direction in closed form from that null space's
+Householder basis and writes exact zeros above its diagonal block, as the
+infinite block does.  A real step tied (j < d) takes the basis's first
+column.  A pair tied (j + 2 <= d) takes the combination p of its first
+two columns with p^T p = 0 (``_isotropic_coefficients``): Re p and Im p
+are orthogonal with equal norms, so delta = 1 and the pair's 2x2 block is
+normal.  The untied steps choose from a singular value decomposition of
+their d mapped directions: a real step takes the top right singular
+vector, a pair the choice of ``_complex_pair_core``.  A real pole is the
 1x1 case and a conjugate pair the 2x2 case of one step: both shift the
 pencil in ``_shifted`` and write their columns in ``_write_step``.  Once
 all n columns exist, X is completed from the null space of Xi, taken by
@@ -59,6 +64,7 @@ exactly when S[k+1, k] or T[k+1, k] is nonzero: that entry is D's
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -72,7 +78,6 @@ from .linalg import (
     orthonormal_null_basis,
     qr_decompose,
     serial_blas,
-    sym_eig,
 )
 from .poles import PoleKind, PolePair
 
@@ -99,15 +104,17 @@ class StepRecord:
     the null space the step chose from, d mapped directions plus j free
     ones (m + j generically; on the infinite block, the dimension of
     null(Q2^T E)).  ``p_share`` is the P-component share of the chosen
-    direction: the top eigenvalue of Z1^T Z1 on a real step, nu1^2 on a
-    complex step.  ``tied`` says that the step had more mapped directions
-    d than prior columns plus its width, so that it took its direction(s)
-    of P-share 1 and no coupling from the null space of its u-rows without
-    a choice by an eigensolver (see the module docstring).  A complex step also
-    records its ``branch`` ("rank1", "hamiltonian" or "jacobi"), Z1's second
-    singular value ``nu2``, and the objectives ``rho1``, ``rho2`` of the
-    single- and two-direction choices (None on the rank-1 branch).  The
-    off-diagonal mass a step adds is its column of the returned S and T.
+    direction: ||Z1 u||^2 for the chosen unit u on a real step, nu1^2 on a
+    complex step.
+    ``tied`` says that the step had more mapped directions d than prior
+    columns plus its width, so that it took its direction(s) of P-share 1
+    and no coupling in closed form (see the module docstring).  An untied
+    complex step also records the ``branch`` of its choice ("rank1",
+    "hamiltonian" or "jacobi"), Z1's second singular value ``nu2``, and
+    the objectives ``rho1``, ``rho2`` of the single- and two-direction
+    choices (None on the rank-1 branch); a tied one, which makes no
+    choice, records None for all four.  The off-diagonal mass a step adds
+    is its column of the returned S and T.
     """
 
     kind: str
@@ -426,26 +433,21 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     y, u, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
 
     # The free directions have no P-component, so the P-share's maximum is
-    # reached on the d mapped columns alone.  With fewer prior columns than
-    # mapped ones that maximum is 1 on null(U), where the step takes the
-    # first column of the Householder basis instead of an eigenvector of a
-    # degenerate eigenspace.
+    # reached on the d mapped columns alone: at Y's top right singular
+    # vector, or, with fewer prior columns than mapped ones, at 1 with no
+    # coupling on null(U), where the step takes the first column of the
+    # Householder basis.
     tied = state.j < y.shape[1]
-    if tied:
-        uvec = orthonormal_null_basis(u)[:, 0]
-        yu = y @ uvec
-        share = float(yu @ yu)
-    else:
-        w_eig, v_eig = sym_eig(y.T @ y)
-        share = float(w_eig[0])
-        uvec = v_eig[:, 0]
-        yu = y @ uvec
+    uvec = orthonormal_null_basis(u)[:, 0] if tied else np.linalg.svd(y, full_matrices=False)[2][0]
+    yu = y @ uvec
+    share = float(yu @ yu)
     if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
     pt = state.P_perp @ yu
     scale = euclidean_norm(pt)
+    vcol = np.zeros(2 * state.j) if tied else (v @ uvec) / scale
     rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share, tied=tied)
-    return _write_step(state, [pt / scale], [(v @ uvec) / scale], [[eps1]], [[eps2]], s_dom, rec)
+    return _write_step(state, [pt / scale], [vcol], [[eps1]], [[eps2]], s_dom, rec)
 
 
 def _symplectic(x: np.ndarray) -> np.ndarray:
@@ -527,19 +529,44 @@ def _psi_rotation(psi1: np.ndarray):
 
 
 class _PairChoice(NamedTuple):
-    """A complex step's chosen column and the scalars behind the choice."""
+    """A complex step's chosen column and the scalars behind the choice
+    (None for the scalars of a choice that a tied pair does not make)."""
 
     p: np.ndarray  # complex p-coordinates, unnormalized
     v: np.ndarray  # the matching stacked (v_s; v_t) column
     nu1: float
-    nu2: float
-    branch: str
-    rho1: float | None
-    rho2: float | None
+    nu2: float | None = None
+    branch: str | None = None
+    rho1: float | None = None
+    rho2: float | None = None
+
+
+def _isotropic_coefficients(w: np.ndarray) -> np.ndarray:
+    """Coefficients g of the combination p = W g of the two columns of
+    ``w`` with p^T p = 0 (plain transpose).
+
+    With [[a, b], [b, c]] = W^T W, g = (1, t) for the smaller-modulus root
+    t of c t^2 + 2 b t + a = 0, taken as a / q with q = -(b + s) and the
+    square root s of b^2 - a c signed so that q does not cancel; g = (0, 1)
+    when a != 0 = b = c, and (1, 0) when a = q = 0.  Since p^T p =
+    ||Re p||^2 - ||Im p||^2 + 2i Re p . Im p, the real and imaginary parts
+    of p are then orthogonal with equal norms.  t is the root nearer 0, so
+    the combination moves with W continuously wherever the two roots'
+    moduli differ.
+    """
+    (a, b), (_, c) = w.T @ w
+    s = cmath.sqrt(b * b - a * c)
+    if (b.conjugate() * s).real < 0.0:
+        s = -s
+    q = -(b + s)
+    if q != 0:
+        return np.array([1.0, a / q])
+    return np.array([0.0, 1.0] if a != 0 else [1.0, 0.0], dtype=complex)
 
 
 def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
-    """Pick the complex combination of null-basis columns for one pair.
+    """Pick the complex combination of null-basis columns for one untied
+    pair.
 
     The candidate columns are orthonormal: d columns with P-part ``z1`` and
     stacked (v_s; v_t) part ``zv`` (2j rows), followed by the j free
@@ -550,9 +577,9 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
     new P columns), the matching stacked v-column, Z1's two leading
     singular values, the branch taken and the objectives rho1, rho2 of the
     single- and two-direction choices (None on the rank-1 branch).  ``z1``
-    may be given in any real orthonormal coordinates of the p-space, and p
-    comes back in the same coordinates: z1 enters only through inner
-    products of real and imaginary parts, which a real isometry keeps.
+    comes in the step's P_perp coordinates, and p goes back in them: z1
+    enters only through inner products of real and imaginary parts, which
+    the real isometry P_perp keeps.
     """
     # Every coefficient direction of z1 is used, so V_d must be square; U is
     # read only in its first two columns and stays thin whenever it can.
@@ -661,15 +688,17 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
     kp, c_s, c_t = _shifted(state, gamma, alpha_dom)
     y, u, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
-    # With two prior columns fewer than mapped ones, the first two columns
-    # of null(U)'s Householder basis have P-share 1 and no coupling: the
-    # core sees them alone, with nu1 = nu2 = 1.
-    z1, zv = y, v
+    # With two prior columns fewer than mapped ones, every combination of
+    # the first two columns of null(U)'s Householder basis has P-share 1
+    # and no coupling; the isotropic one makes delta = 1.
     tied = state.j + 2 <= y.shape[1]
     if tied:
-        coef = orthonormal_null_basis(u)[:, :2]
-        z1, zv = y @ coef, v @ coef
-    choice = _complex_pair_core(z1, zv, c_s, c_t, gamma.imag)
+        w = y @ orthonormal_null_basis(u)[:, :2]
+        g = _isotropic_coefficients(w)
+        p = w @ g
+        choice = _PairChoice(p, np.zeros(2 * state.j), euclidean_norm(p) / euclidean_norm(g))
+    else:
+        choice = _complex_pair_core(y, v, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
     vs1 = euclidean_norm(pc.real)
     vs2 = euclidean_norm(pc.imag)

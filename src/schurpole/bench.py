@@ -100,6 +100,7 @@ def _rng(cfg: BenchConfig, r: int, trial: int, attempt: int) -> np.random.Genera
     return np.random.Generator(np.random.PCG64(ss))
 
 
+@serial_blas()
 def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
     """Draw one well-posed random instance for pole count ``r``.
 
@@ -107,7 +108,9 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
     block of an orthogonal-similarity QR factor; the requested finite
     poles are the spectrum of an independent random r x r pencil.  Draws
     failing the rank or spectrum-count requirements are retried with a
-    fresh attempt-indexed stream.
+    fresh attempt-indexed stream.  The draw runs on one BLAS thread
+    (:func:`~schurpole.linalg.serial_blas`), so it does not depend on the
+    caller's thread counts.
     """
     n, m = cfg.n, cfg.m
     admissible = tuple(cfg.r_values)
@@ -127,10 +130,7 @@ def generate_random_instance(cfg: BenchConfig, r: int, trial: int) -> Problem:
         k = n - cfg.rank_e
         re_[:k, :k] = 0.0
         e = qe @ re_ @ qe.T
-        # numerical_rank works in scipy's OpenBLAS; run it on one thread so
-        # its worker threads do not spin against numpy's on the same cores
-        with serial_blas():
-            ranks = (numerical_rank(e), numerical_rank(b), numerical_rank(np.hstack([e, b])))
+        ranks = (numerical_rank(e), numerical_rank(b), numerical_rank(np.hstack([e, b])))
         if ranks != (cfg.rank_e, m, cfg.q):
             continue
         try:

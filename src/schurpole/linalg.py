@@ -5,8 +5,6 @@ BLAS.  Conventions that the underlying library leaves open are pinned here
 so downstream computations are reproducible run to run:
 
 * ``qr_decompose``: the triangular factor has a nonnegative diagonal.
-* ``sym_eig``: eigenvalues descending, first nonzero component of every
-  eigenvector positive.
 * ``numerical_rank``: a full-rank certificate from one Householder QR and
   a triangular inverse runs first; where it does not hold, the input's
   singular values are counted.
@@ -25,15 +23,14 @@ so downstream computations are reproducible run to run:
 The small-matrix routines of the solver and of verification run hundreds
 of times per solve, so the wrappers' own work would cost more than LAPACK
 does.  scipy's LAPACK routines ``?geqrf``, ``?trtri``, ``?lantr``,
-``?ormqr``/``?unmqr``, ``?syevd`` and ``?ggev`` are therefore called
-directly, each through one handle per dtype looked up once (``_lapack``),
-with the arguments and workspace sizes that scipy's own wrappers
-(``scipy.linalg.eigh(driver="evd")``, ``scipy.linalg.eig``) would pass, so
-every answer is the wrappers' answer bit for bit.  A workspace size
-decides which blocked path LAPACK takes, and so how it rounds, but a
-workspace query reads only the order of the matrix, never its entries:
-``?syevd`` and ``?ggev`` are asked once per order (``_syevd_workspace``,
-``_ggev_workspace``) and get that size on every call.  ``?geqrf`` gets
+``?ormqr``/``?unmqr`` and ``?ggev`` are therefore called directly, each
+through one handle per dtype looked up once (``_lapack``), with the
+arguments and workspace sizes that scipy's own wrapper
+(``scipy.linalg.eig``) would pass, so every answer is the wrapper's
+answer bit for bit.  A workspace size decides which blocked path LAPACK
+takes, and so how it rounds, but a workspace query reads only the order
+of the matrix, never its entries: ``?ggev`` is asked once per order
+(``_ggev_workspace``) and gets that size on every call.  ``?geqrf`` gets
 its block size without a query (``_GEQRF_BLOCK``).  numpy's own linalg
 (``svd``, ``eigh``, ``qr``, ``solve``) is left where it computes: numpy
 bundles another OpenBLAS than scipy, which rounds differently.
@@ -67,7 +64,6 @@ __all__ = [
     "numerical_rank",
     "openblas_threads",
     "serial_blas",
-    "sym_eig",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -306,48 +302,6 @@ def serial_blas():
     finally:
         for (_, _, set_), count in zip(controls, saved):
             set_(count)
-
-
-@functools.cache
-def _syevd_workspace(n: int) -> tuple[int, int]:
-    """(lwork, liwork) of ``?syevd`` with eigenvectors at order n, as
-    ``scipy.linalg.eigh(driver="evd")`` queries them."""
-    lwork, liwork, info = _lapack("syevd_lwork", np.dtype(np.float64))(n, compute_v=1, lower=1)
-    if info != 0:
-        raise ValueError(f"LAPACK ?syevd workspace query failed (info={info})")
-    return int(lwork), int(liwork)
-
-
-def sym_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix.
-
-    Eigenvalues are returned in descending order.  Each eigenvector is
-    scaled so its first nonzero component is positive.  Inputs may deviate
-    from exact symmetry by at most 1e-12 relative to their norm; larger
-    asymmetry is an error.
-    """
-    a = _as_matrix(h)
-    if np.iscomplexobj(a):
-        raise ValueError("sym_eig expects a real symmetric matrix")
-    rows, cols = a.shape
-    if rows != cols:
-        raise ValueError(f"sym_eig expects a square matrix, got {a.shape}")
-    scale = euclidean_norm(a)
-    if scale > 0 and euclidean_norm(a - a.T) > 1e-12 * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    if cols == 0:
-        return np.empty(0), np.empty((0, 0))
-    # LAPACK's divide-and-conquer driver, called as scipy.linalg.eigh(...,
-    # driver="evd") calls it: numpy's eigh wakes the OpenBLAS worker
-    # threads and can stall for milliseconds on small matrices.
-    lwork, liwork = _syevd_workspace(cols)
-    w, v, info = _lapack("syevd", a.dtype)(0.5 * (a + a.T), compute_v=1, lower=1, lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK ?syevd failed (info={info})")
-    v = v[:, ::-1]
-    # the sign of each column's first nonzero entry (row 0 of a zero column)
-    first = v[np.argmax(v != 0.0, axis=0), np.arange(cols)]
-    return w[::-1].copy(), np.where(first < 0.0, -v, v)
 
 
 @functools.cache

@@ -62,7 +62,11 @@ _FIXED_PROBES = (complex(*np.random.default_rng(0x5F0C8E).standard_normal(2)),)
 # * Clusters: a semisimple multiple eigenvalue has a left eigenspace, not
 #   a single vector, and one w that sees B says nothing about the others;
 #   so every eigenvalue with a neighbour within 1e-6, its conjugate
-#   included, is probed with a rank.
+#   included, is probed with a rank.  A defective eigenvalue splits into
+#   computed ones about eps**(1/k) apart, at each of which the rank can
+#   read full, while their mean is much nearer the true value; so a
+#   cluster is probed at its member, then at the mean of the members
+#   within 1e-6 of it.
 # * Near-singular pencils: in a singular pencil every lambda is an
 #   eigenvalue, the left null space of lambda*E - A may have any dimension,
 #   and QZ's eigenvalues are arbitrary.  A pair with |alpha|^2 + |beta|^2 <=
@@ -345,7 +349,8 @@ def _check_e_failure(p: Problem, spectrum: QZSpectrum | None, k_d: int, b_rank: 
     about 1e8*||A||/||E|| in modulus as infinite, although (d) covers only
     k_d = n - rank(E) null directions; the excess ones follow, by
     increasing mu = 1/lambda after the first k_d, each couple once, at
-    (1, mu).
+    (1, mu).  An eigenvalue in a cluster is probed at itself and then at
+    the cluster's mean (comment above ``_SQRT_EPS``).
     """
     if spectrum is None:
         return _rank_failure(p, [(lam, 1.0) for lam in _FIXED_PROBES])
@@ -376,12 +381,17 @@ def _check_e_failure(p: Problem, spectrum: QZSpectrum | None, k_d: int, b_rank: 
     if unsure.any():
         q = scipy.linalg.qr(p.B, mode="economic", pivoting=True)[0][:, :b_rank]
         sight[unsure] = np.linalg.norm(w[:, unsure].conj().T @ q, axis=1)
-    for (a, b, _), alone, s in zip(checked, isolated, sight):
+    for i, ((a, b, _), alone, s) in enumerate(zip(checked, isolated, sight)):
         if alone and s <= _SQRT_EPS:
             lam = f"{a / b:g}" if b else "inf"
             return f"left eigenvector blind to range(B): ||w^H Q||={s:.2g} <= sqrt(eps) at isolated lambda={lam}"
-        if not alone and (detail := _rank_failure(p, [(a, b)])):
-            return detail
+        if not alone:
+            # the cluster's mean: the sum of the pairs within the chord of
+            # this one, itself included, on the unscaled pencil
+            near = (chord[i] <= _CLUSTER_CHORD) | (np.arange(alpha.size) == cols[i])
+            mean = (alpha[near].sum() * spectrum.norm_a, beta[near].sum() * spectrum.norm_e)
+            if detail := _rank_failure(p, [(a, b), mean]):
+                return detail
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -23,6 +24,7 @@ from schurpole import (
 )
 from schurpole.assign import (
     _complex_pair_core,
+    _isotropic_coefficients,
     _psi_rotation,
     assign_infinite_block,
     assign_real_pole,
@@ -589,7 +591,8 @@ def test_step_records_hold_scalars_measured_from_the_step():
     # step's null-space basis; null_dim is the width of the basis the step
     # used, p_share its P-component share of the chosen direction and tied
     # whether the step had more mapped directions than prior columns plus
-    # its width, so that it took P-share-1 directions without coupling.
+    # its width, so that it took P-share-1 directions without coupling,
+    # and without the pair choice.
     # The n = 30 instance with m = 28 ties its real steps and its pairs; the
     # n = 6 one has only pairs, one of them with one direction of P-share 1
     # (j + 1 = d), which is not tied.
@@ -603,6 +606,10 @@ def test_step_records_hold_scalars_measured_from_the_step():
     for case, kinds in cases.items():
         prob = make_instance(*case)
         sol, calls = solve_recording(prob, "_step_null_basis")
+        # the pair choice runs once per untied pair, on its d mapped columns
+        _, choices = solve_recording(prob, "_complex_pair_core")
+        untied_pairs = [s for s in sol.steps if s.kind == "complex" and not s.tied]
+        assert [args[0].shape[1] for args, _ in choices] == [s.null_dim - s.j_before for s in untied_pairs]
         arrays = {f.name for f in dataclasses.fields(sol) if isinstance(getattr(sol, f.name), np.ndarray)}
         assert arrays == {"F", "G", "P", "S", "T", "X"}
         for step in sol.steps:
@@ -626,20 +633,58 @@ def test_step_records_hold_scalars_measured_from_the_step():
             (tied_kinds if step.tied else untied_kinds).add(step.kind)
             if step.tied:
                 # its directions have P-share 1, and the step's columns of
-                # S and T gain nothing above the diagonal but rounding
+                # S and T gain nothing above the diagonal
                 assert step.p_share == pytest.approx(1.0, rel=1e-12)
-                added = np.linalg.norm(sol.S[:j, j : j + width]) + np.linalg.norm(sol.T[:j, j : j + width])
-                assert added <= 1e-12
+                assert not sol.S[:j, j : j + width].any() and not sol.T[:j, j : j + width].any()
             if step.kind == "real":
                 # the unit column [p; v_s; v_t] * scale has P-component scale
                 added = np.linalg.norm(sol.S[:j, j]) ** 2 + np.linalg.norm(sol.T[:j, j]) ** 2
                 assert step.p_share == pytest.approx(1.0 / (1.0 + added), rel=1e-10)
                 assert step.branch is None and step.rho2 is None
+                continue
+            # Z1 = [P_perp Y, 0] has the singular values of P_perp Y
+            nus = np.linalg.svd(p_perp @ y, compute_uv=False)
+            assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
+            if step.tied:
+                # no choice made, and a normal 2x2 block: delta = 1 in the
+                # D = [[sigma, delta*tau], [-tau/delta, sigma]] of S or T
+                assert (step.branch, step.nu2, step.rho1, step.rho2) == (None, None, None, None)
+                block = sol.S[j : j + 2, j : j + 2]
+                if np.array_equal(block, np.eye(2)):
+                    block = sol.T[j : j + 2, j : j + 2]
+                assert math.sqrt(-block[0, 1] / block[1, 0]) == pytest.approx(1.0, abs=1e-12)
             else:
-                # Z1 = [P_perp Y, 0] has the singular values of P_perp Y
-                nus = np.linalg.svd(p_perp @ y, compute_uv=False)
-                assert step.p_share == pytest.approx(nus[0] ** 2, rel=1e-10)
                 assert step.nu2 == pytest.approx(nus[1], rel=1e-8, abs=1e-14)
                 assert step.branch in ("rank1", "hamiltonian", "jacobi")
-    # both kinds of step take both paths: the tie rule and the eigensolver
+    # both kinds of step take both paths: the tie rule and the choice from
+    # an SVD
     assert tied_kinds == untied_kinds == {"real", "complex"}
+
+
+def test_tied_pair_combination_is_isotropic_and_continuous():
+    # The tied pairs' two-column blocks W of an n = 30 and an n = 100 solve:
+    # under a 1e-15 relative perturbation of W, the combination p = W g
+    # stays isotropic (p^T p = 0 to rounding) and span(Re p, Im p) moves by
+    # rounding, not by an arbitrary pick within the tie.
+    rng = np.random.default_rng(24)
+    blocks = []
+    for case in ((30, 15, 28, 30), (100, 40, 60, 100)):
+        _, calls = solve_recording(make_instance(*case), "_isotropic_coefficients")
+        blocks += [args[0] for args, _ in calls]
+    assert len(blocks) >= 20
+
+    def plane(w):
+        p = w @ _isotropic_coefficients(w)
+        assert abs(p @ p) <= 1e-14 * np.vdot(p, p).real
+        basis = np.linalg.qr(np.column_stack([p.real, p.imag]))[0]
+        return basis @ basis.T
+
+    for w in blocks:
+        noise = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
+        assert np.linalg.norm(plane(w * (1.0 + 1e-15 * noise)) - plane(w), 2) <= 1e-12
+
+    # the degenerate forms: W^T W = 0, where W's first column is taken,
+    # and a != 0 = b = c, where its second is
+    w1, w2, e1 = np.array([1.0, 1j, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, 1j]), np.eye(4)[:, 0]
+    assert np.array_equal(_isotropic_coefficients(np.column_stack([w1, w2])), [1.0, 0.0])
+    assert np.array_equal(_isotropic_coefficients(np.column_stack([e1, w2])), [0.0, 1.0])

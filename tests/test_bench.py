@@ -139,3 +139,25 @@ def test_digest_comparison_is_a_gate(tmp_path, monkeypatch):
     assert status({"suites": {"n6": {"a": cell, "b": {**cell, "report.precs": "-13.1"}}}}) == 1
     assert status({"suites": {"n6": {"a": cell}}}) == 1
     assert status({"suites": {**new["suites"], "n100": {"c": cell}}}) == 1
+
+
+def test_digest_comparison_says_how_moved_answers_fare():
+    # where factors differ, the comparison also counts the instances that
+    # start and stop failing verification (one that raised has no report
+    # and counts as failing), and gives each side's worst precs and the
+    # paired median change of log10 kappa_eigvec
+    digest_script = load_by_path("scripts/solver_digest.py")
+
+    def cell(f, failure, precs, kappa):
+        return {"F": f, "report.failure": failure, "report.precs": precs, "report.kappa_eigvec": kappa}
+
+    same = cell("3", "None", "-14.0", "5.0")
+    old = {"a": cell("1", "None", "-12.0", "100.0"), "b": cell("2", "'precs'", "-7.0", "10.0"), "c": same, "d": same}
+    new = {"a": cell("4", "'precs'", "-6.0", "1000.0"), "b": cell("5", "None", "-9.0", "1.0"), "c": same}
+    new["d"] = {"error": "DegenerateStepError: Z1 vanishes"}
+    lines, mismatched = digest_script.compare({"suites": {"n6": new}}, {"suites": {"n6": old}})
+    assert mismatched == 3
+    assert lines[1] == (
+        "n6: 3 with differing factors: report.failure None->fail 2, fail->None 1; "
+        "worst report.precs -7 -> -6; paired median dlog10 report.kappa_eigvec +0.000 over 2, down on 1"
+    )

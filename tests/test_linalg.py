@@ -18,7 +18,6 @@ from schurpole.linalg import (
     orthonormal_null_basis,
     qr_decompose,
     serial_blas,
-    sym_eig,
 )
 
 from conftest import make_instance, rng_matrix
@@ -34,23 +33,6 @@ def _same_bits(x, y) -> bool:
     x, y = np.asarray(x), np.asarray(y)
     same_layout = x.shape == y.shape and x.strides == y.strides
     return x.dtype == y.dtype and same_layout and x.tobytes(order="A") == y.tobytes(order="A")
-
-
-def _char_poly_coeffs(a):
-    """Characteristic polynomial of a small matrix by trace recursion.
-
-    Faddeev-LeVerrier: independent of any eigenvalue routine, exact up to
-    rounding for the n <= 4 matrices it is used on here.
-    """
-    n = a.shape[0]
-    coeffs = [1.0]
-    mk = np.eye(n)
-    for k in range(1, n + 1):
-        am = a @ mk
-        c = -np.trace(am) / k
-        coeffs.append(c)
-        mk = am + c * np.eye(n)
-    return np.array(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,85 +282,6 @@ def test_null_basis_on_alternating_wide_shapes_and_dtypes():
 
 
 # ---------------------------------------------------------------------------
-# sym_eig
-
-
-@given(seeds, st.integers(min_value=1, max_value=4))
-def test_sym_eig_matches_characteristic_polynomial(seed, n):
-    g = rng_matrix(seed, n, n)
-    a = g + g.T
-    w, v = sym_eig(a)
-    # Independent eigenvalue oracle: roots of the characteristic polynomial.
-    ref = np.sort(np.roots(_char_poly_coeffs(a)).real)[::-1]
-    assert np.allclose(w, ref, atol=1e-8 * max(1.0, np.abs(ref).max()))
-    # Decomposition properties.
-    assert np.all(np.diff(w) <= 1e-12 * max(1.0, np.abs(w).max()))
-    assert np.allclose(a @ v, v @ np.diag(w), atol=1e-10 * max(1.0, np.abs(w).max()))
-    assert np.allclose(v.T @ v, np.eye(n), atol=1e-12)
-    for k in range(n):
-        nz = np.nonzero(v[:, k])[0]
-        assert v[nz[0], k] > 0
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@pytest.mark.parametrize("perm", [(0, 1, 2, 3), (3, 2, 1, 0), (1, 3, 0, 2)])
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_sym_eig_sign_skips_leading_zeros(perm, sign):
-    # Eigenvectors with exact zeros in front: a diagonal entry on its own
-    # and a 2 x 2 block [[1, s], [s, 1]], in several row orders.  The first
-    # nonzero component of every column is positive, and the columns are
-    # the exact eigenvectors up to that sign.
-    base = np.zeros((4, 4))
-    base[0, 0], base[1, 1] = 5.0, 3.0
-    base[2:, 2:] = [[1.0, sign], [sign, 1.0]]
-    idx = np.array(perm)
-    a = base[np.ix_(idx, idx)]
-    w, v = sym_eig(a)
-    assert np.allclose(w, [5.0, 3.0, 2.0, 0.0])
-    for k in range(4):
-        nz = np.flatnonzero(v[:, k])
-        assert nz.size and v[nz[0], k] > 0.0
-    assert np.allclose(a @ v, v * w, atol=1e-14)
-    assert np.array_equal(np.abs(v[:, :2]), np.eye(4)[:, idx.argsort()[:2]])
-
-
-def _sym_eig_by_scipy(a):
-    """sym_eig through scipy.linalg.eigh(driver="evd"), the wrapper its
-    direct ?syevd call replaces."""
-    w, v = scipy.linalg.eigh(0.5 * (a + a.T), driver="evd")
-    if a.shape[0] == 0:
-        return w, v
-    v = v[:, ::-1]
-    first = v[np.argmax(v != 0.0, axis=0), np.arange(a.shape[0])]
-    return w[::-1].copy(), np.where(first < 0.0, -v, v)
-
-
-def test_sym_eig_matches_scipy_eigh_bit_for_bit():
-    # orders 0 to 40: random symmetric input, the same with a rounding-level
-    # asymmetry (the symmetrized copy is what LAPACK sees), and a matrix
-    # whose eigenvalues are 1 and 2, repeated, where the eigenvector basis
-    # is freest
-    for n in range(41):
-        g = rng_matrix(n, n, n)
-        q = np.linalg.qr(g)[0] if n else g
-        cases = [g + g.T, g + g.T + 1e-15 * rng_matrix(n + 50, n, n), (q * np.resize([1.0, 2.0], n)) @ q.T]
-        for a in cases:
-            w, v = sym_eig(a)
-            w_ref, v_ref = _sym_eig_by_scipy(a)
-            assert _same_bits(w, w_ref) and _same_bits(v, v_ref), n
-
-
-def test_sym_eig_known_values():
-    w, v = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(w, [3.0, 1.0])
-    assert np.allclose(v[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
-
-
-# ---------------------------------------------------------------------------
 # generalized_eig and euclidean_norm
 
 
@@ -502,13 +405,15 @@ def test_serial_blas_restores_counts_nested_too(two_blas_threads):
 
 
 def test_entry_points_restore_blas_threads_and_solve_bit_identically(two_blas_threads):
-    # The solver runs on one thread whatever the caller's count, so its
-    # answer cannot move with how a threaded BLAS splits its sums.  At
-    # n = 100 OpenBLAS splits products over threads: solved on 2 threads
-    # without serial_blas, an entry of this instance's F moves by 0.2
-    # from its 1-thread value.
-    prob = make_instance(100, 50, 10, 60)
+    # The generator and the solver run on one thread whatever the caller's
+    # count, so their answers cannot move with how a threaded BLAS splits
+    # its sums.  At n = 100 OpenBLAS splits products over threads: drawn on
+    # 2 threads without serial_blas, this instance's E differs in its last
+    # bits from its 1-thread draw, and solved on 2 threads without
+    # serial_blas, an entry of its F moves by 0.2 from its 1-thread value.
     before = openblas_threads()
+    prob = make_instance(100, 50, 10, 60)
+    assert openblas_threads() == before
     sol = run_pipeline(prob)
     assert openblas_threads() == before
     assert validate_problem(prob).passed
@@ -516,5 +421,8 @@ def test_entry_points_restore_blas_threads_and_solve_bit_identically(two_blas_th
     assert verify_solution(prob, sol).passed
     assert openblas_threads() == before
     _set_openblas_threads(1)
-    serial = run_pipeline(prob)
+    drawn = make_instance(100, 50, 10, 60)
+    assert all(np.array_equal(getattr(prob, k), getattr(drawn, k)) for k in ("E", "A", "B"))
+    assert drawn.poles == prob.poles
+    serial = run_pipeline(drawn)
     assert np.array_equal(sol.F, serial.F) and np.array_equal(sol.G, serial.G)

@@ -482,7 +482,9 @@ def _check_e_by_the_probe_loop(prob, blind=()):
     isolated eigenvalues whose left eigenvectors miss range(B) exactly: a
     probe within chordal distance 1e-6 of one fails where its rank reads
     full.  A failing eigenvalue with no other within chordal distance 1e-6
-    fails by the blindness rule, any other probe by its rank."""
+    fails by the blindness rule, any other probe by its rank; an
+    eigenvalue with others that near is probed at itself and then at the
+    mean of them all, as the sum of their pairs."""
     k_d = orthonormal_null_basis(prob.E).shape[1]
     scale = (np.linalg.norm(prob.E) or 1.0) / (np.linalg.norm(prob.A) or 1.0)
     probes, eigenvalues, warnings = [], [], []
@@ -499,8 +501,10 @@ def _check_e_by_the_probe_loop(prob, blind=()):
         warnings.append("open-loop pencil is singular; eigenvalue probes skipped")
     probes += [(lam, 1.0) for lam in problem_module._FIXED_PROBES]
     for a, b in probes:
-        rank_detail = problem_module._rank_failure(prob, [(a, b)])
-        isolated = sum(_chord((a, b), x, scale) <= 1e-6 for x in eigenvalues) == 1
+        near = [x for x in eigenvalues if _chord((a, b), x, scale) <= 1e-6]
+        isolated = len(near) == 1
+        mean = [(sum(x for x, _ in near), sum(y for _, y in near))] if len(near) > 1 else []
+        rank_detail = problem_module._rank_failure(prob, [(a, b), *mean])
         if rank_detail and not isolated:
             return False, rank_detail, warnings
         if rank_detail or any(_chord((a, b), x, 1.0) <= 1e-6 for x in blind):
@@ -560,6 +564,12 @@ _parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid
 # B is 2 x 2 of rank 1: a Q from a plain QR of B spans the whole space and
 # sees the blind mode at 0.25, one at check (a)'s rank does not
 @example(0, [("real", 0.0, 0.25)], "real", [(0.25, 0.25, True)], 2)
+# a Jordan block and a simple mode at 1.75 with m = 1: rank [1.75 E - A, B]
+# = n - 1, yet the probes at the three computed eigenvalues 1.75 and
+# 1.75 +- 1.4e-9i read full rank; the probe at their mean does not
+@example(
+    1331817640, [("couple", -1.25, -0.75), ("real", 0.0, 2.0), ("real", 1.75, -2.0)], "jordan", [(1.75, -1.0, False)], 1
+)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.lists(_parts, min_size=1, max_size=5),
