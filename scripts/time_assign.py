@@ -12,14 +12,15 @@ For every n of a family (``--sizes``, or the family's own sizes) trials
 0 .. draws-1 of ``--seed`` go once each through the four stages of
 ``schurpole bench``: ``generate_random_instance``, ``validate_problem``,
 ``run_pipeline`` and ``verify_solution``, and the median wall time of each
-stage is recorded.  So are the median times ``run_pipeline`` spends in two
-parts of the solver, so the file shows where each cost dominates: the
-null-space kernel (``orthonormal_null_basis`` as the solver calls it, the
-tied steps' null space of their u-rows included) and the untied pairs'
-choice of directions (``_complex_pair_core``, whose SVD of Z1 dominates
-it).  The direction clock no longer covers the real steps' choice, one
-SVD of Y inline in ``assign_real_pole`` on an untied step, nor the tied
-steps' closed form, which takes no factorization.  One more,
+stage is recorded.  So are the median times ``run_pipeline`` spends in
+three parts of the solver, so the file shows where each cost dominates:
+the factorization kernel (every ``orthonormal_null_basis`` call of the
+solver: each step's unreached rows, and a tied step's null space of X_s),
+the direction choice (``_mapped_directions``, the untied steps' small SVD
+of X_s, and ``_complex_pair_core``, the untied pairs' choice from it), and
+the kept-factor updates (``_complement_after``, P_perp's reflection from
+the right, and ``_reflect_xi`` and ``_extend_xit``, Xi's factor from the
+left, once per new column).  One more,
 untimed ``run_pipeline`` call per draw runs under ``tracemalloc``, and the
 median of its peak traced allocation is recorded: the memory a solve holds
 at once, its returned ``Solution`` included.  A least-squares line through
@@ -57,15 +58,18 @@ STAGES = ("generate_random_instance", "validate_problem", "run_pipeline", "verif
 FAMILIES = {
     "few-inputs": (
         lambda n: (n // 2, max(n // 10, 1)),
-        (30, 60, 100, 150, 200, 300),
+        (30, 60, 100, 150, 200, 300, 500, 1000),
         "rank E = n/2, m = n/10, r = rank E + m",
     ),
     "many-inputs": (lambda n: (2 * n // 5, 3 * n // 5), (100, 200, 300), "rank E = 0.4 n, m = 0.6 n, r = n"),
 }
-#: the solver's parts that are clocked: the null-space kernel, and the
-#: direction choice
-KERNEL = ("orthonormal_null_basis",)
-DIRECTIONS = ("_complex_pair_core",)
+#: the solver's parts that are clocked: the factorization kernel, the
+#: direction choice and the kept-factor updates
+PARTS = {
+    "null_basis": ("orthonormal_null_basis",),
+    "directions": ("_mapped_directions", "_complex_pair_core"),
+    "factor_updates": ("_complement_after", "_reflect_xi", "_extend_xit"),
+}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -112,12 +116,12 @@ def alloc_peak_mb(prob) -> float:
         tracemalloc.stop()
 
 
-def time_size(family: str, n: int, draws: int, seed: int, kernel: _Clock, directions: _Clock) -> dict:
+def time_size(family: str, n: int, draws: int, seed: int, clocks: dict[str, _Clock]) -> dict:
     rank_e, m = FAMILIES[family][0](n)
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=draws, seed=seed)
     r = cfg.r_values[-1]
     times: dict[str, list[float]] = {stage: [] for stage in STAGES}
-    parts: dict[str, list[float]] = {"null_basis": [], "directions": []}
+    parts: dict[str, list[float]] = {part: [] for part in clocks}
     peaks = []
 
     def timed(stage, fn, *args):
@@ -129,10 +133,11 @@ def time_size(family: str, n: int, draws: int, seed: int, kernel: _Clock, direct
     for trial in range(draws):
         prob = timed("generate_random_instance", generate_random_instance, cfg, r, trial)
         timed("validate_problem", validate_problem, prob)
-        kernel.seconds = directions.seconds = 0.0
+        for clock in clocks.values():
+            clock.seconds = 0.0
         sol = timed("run_pipeline", assign.run_pipeline, prob)
-        parts["null_basis"].append(kernel.seconds)
-        parts["directions"].append(directions.seconds)
+        for part, clock in clocks.items():
+            parts[part].append(clock.seconds)
         timed("verify_solution", verify_solution, prob, sol)
         peaks.append(alloc_peak_mb(prob))
     solve = statistics.median(times["run_pipeline"])
@@ -178,21 +183,23 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    kernel, directions = _Clock(KERNEL), _Clock(DIRECTIONS)
+    clocks = {part: _Clock(names) for part, names in PARTS.items()}
     families = []
     for family in FAMILIES:
         sizes = args.sizes or FAMILIES[family][1]
         # one untimed solve so that first-call costs stay out of the table
-        time_size(family, min(sizes), 1, args.seed, kernel, directions)
+        time_size(family, min(sizes), 1, args.seed, clocks)
         rows = []
         for n in sizes:
-            row = time_size(family, n, args.draws, args.seed, kernel, directions)
+            row = time_size(family, n, args.draws, args.seed, clocks)
             rows.append(row)
             medians = "  ".join(f"{stage} {row['stages'][stage]['median_s']:.3f} s" for stage in STAGES)
             print(
                 f"{family} n={n:4d} m={row['m']:3d}  {medians}  "
                 f"null basis {row['null_basis_median_s']:.3f} s ({100 * row['null_basis_share']:.0f} %)  "
-                f"directions {row['directions_median_s']:.3f} s ({100 * row['directions_share']:.0f} % of the solve)  "
+                f"directions {row['directions_median_s']:.3f} s ({100 * row['directions_share']:.0f} %)  "
+                f"factor updates {row['factor_updates_median_s']:.3f} s "
+                f"({100 * row['factor_updates_share']:.0f} % of the solve)  "
                 f"alloc peak {row['alloc_peak_median_mb']:.1f} MB"
             )
         exponents = {stage: growth_exponent(rows, stage) for stage in STAGES}

@@ -15,37 +15,46 @@ at a time.  Each step solves a structured null-space problem in the
 orthogonal complement of the columns accepted so far: the new column p
 and the coefficient columns (v_s, v_t) it adds to (S, T) satisfy
 Q2^T K p + Xi (c_s v_s + c_t v_t) = 0 for the pencil K shifted to the
-pole.  Only an (n-m) x n matrix is factorized per step, formed in
-O(n (n-j)) from Q2^T E P_perp and Q2^T A P_perp, which the state keeps;
-the j solutions with p = 0 that the coefficients add are written down in
-closed form.
+pole.  The state keeps both sides of that constraint deflated: an
+orthonormal basis P_perp of the complement of range(P) on the right, and
+on the left a Q2 rotated so that Xi is upper triangular (Xi = [R_Xi; 0]
+while j <= n-m), with Q2^T E P_perp and Q2^T A P_perp in the same
+bases.  Then only the n-m-j rows of Q2^T K P_perp that Xi does not reach
+constrain p: a step factorizes that (n-m-j) x (n-j) block alone, and the
+coupling of each of its null directions is the minimum-norm solution
+X_s = -Xi^+ (reached rows) N / c, a triangular solve with R_Xi.  Once
+j > n-m every row is reached, and Xi^+ and null(Xi) come from a QR
+factor of Xi^T that the state extends by one row per new column.  One
+SVD of the small j x d block X_s = U Sigma W^H then gives the step's
+mapped directions (N w, X_s w) with P-shares 1 / (1 + sigma^2), largest
+for the smallest sigma; the j solutions with p = 0 that the
+coefficients add, and null(Xi)'s, are written down in closed form.
 The free coefficients are chosen to keep the off-diagonal mass of (S, T)
 small, so the closed-loop pencil stays close to a normal pair and the
 assigned spectrum is insensitive to perturbations.  A step with fewer
 prior columns j than mapped directions d is tied: its optimum, P-share 1
-with no coupling at all, is reached on the whole null space of the
-basis's j x d block of u-rows, and every direction there is optimal.  A
-tied step takes its direction in closed form from that null space's
-Householder basis and writes exact zeros above its diagonal block, as the
-infinite block does.  A real step tied (j < d) takes the basis's first
-column.  A pair tied (j + 2 <= d) takes the combination p of its first
-two columns with p^T p = 0 (``_isotropic_coefficients``): Re p and Im p
-are orthogonal with equal norms, so delta = 1 and the pair's 2x2 block is
-normal.  The untied steps choose from a singular value decomposition of
-their d mapped directions: a real step takes the top right singular
-vector, a pair the choice of ``_complex_pair_core``.  A real pole is the
-1x1 case and a conjugate pair the 2x2 case of one step: both shift the
-pencil in ``_shifted`` and write their columns in ``_write_step``.  Once
-all n columns exist, X is completed from the null space of Xi, taken by
-the steps' own kernel, and (F, G) are read off.  ``AssignState`` owns the
-plant and the factors: A, E and B's factors Q1, Q2, R, taken once when
-the infinite block opens the state, and buffers of the factors' final
-size.  Every later stage reads the plant from the state: a step is
-``step(state, pole)``, fills its one or two columns of P, Xi, S and T and
-updates the complement stack in place, and ``run_pipeline`` returns the
-filled buffers.  A step's null-space basis is scratch: it is used once,
-and each step leaves only a ``StepRecord`` of scalars (null dimension,
-P-share, branch).
+with no coupling at all, is reached on the whole null space of X_s, and
+every direction there is optimal.  A tied step takes its direction in
+closed form from that null space's Householder basis and writes exact
+zeros above its diagonal block, as the infinite block does.  A real step
+tied (j < d) takes the basis's first column.  A pair tied (j + 2 <= d)
+takes the combination p of its first two columns with p^T p = 0
+(``_isotropic_coefficients``): Re p and Im p are orthogonal with equal
+norms, so delta = 1 and the pair's 2x2 block is normal.  An untied real
+step takes the direction of the smallest sigma, an untied pair the
+choice of ``_complex_pair_core``.  A real pole is the 1x1 case and a
+conjugate pair the 2x2 case of one step: both shift the pencil in
+``_shifted``, take their basis from ``_step_basis`` and write their
+columns in ``_write_step``.  Once all n columns exist, X is completed
+from the null space of Xi, read off the kept factor of Xi^T, and (F, G)
+are read off.  ``AssignState`` owns the plant and the factors: A, E and
+B's factors Q1, Q2, R, taken once when the infinite block opens the
+state, and buffers of the factors' final size.  Every later stage reads
+the plant from the state: a step is ``step(state, pole)``, fills its one
+or two columns of P, Xi, S and T and updates the kept factors in place,
+and ``run_pipeline`` returns the filled buffers.  A step's basis is
+scratch: it is used once, and each step leaves only a ``StepRecord`` of
+scalars (null dimension, P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -73,6 +82,8 @@ import numpy as np
 
 from .errors import DegenerateStepError
 from .linalg import (
+    _blas,
+    _lapack,
     euclidean_norm,
     numerical_rank,
     orthonormal_null_basis,
@@ -80,6 +91,8 @@ from .linalg import (
     serial_blas,
 )
 from .poles import PoleKind, PolePair
+
+_EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
     "StepRecord",
@@ -101,11 +114,12 @@ class StepRecord:
 
     ``kind`` is "infinite-block", "real" or "complex"; ``j_before`` counts
     the columns of P before the step.  ``null_dim`` is the dimension of
-    the null space the step chose from, d mapped directions plus j free
-    ones (m + j generically; on the infinite block, the dimension of
-    null(Q2^T E)).  ``p_share`` is the P-component share of the chosen
-    direction: ||Z1 u||^2 for the chosen unit u on a real step, nu1^2 on a
-    complex step.
+    the null space the step chose from, d directions (the mapped ones and,
+    once j > n - m, null(Xi)'s) plus j free ones (m + j generically; on
+    the infinite block, the dimension of null(Q2^T E)).  ``p_share`` is the
+    P-component share of the chosen direction, 1 / (1 + ||X_s w||^2) for
+    its coefficients w on a real step, nu1^2, the largest squared singular
+    value of the candidates' P-part Z1, on a complex step.
     ``tied`` says that the step had more mapped directions d than prior
     columns plus its width, so that it took its direction(s) of P-share 1
     and no coupling in closed form (see the module docstring).  An untied
@@ -135,14 +149,23 @@ class AssignState:
 
     The state owns the plant, A, E and the factors of B = [Q1 Q2] [R; 0],
     and buffers of the factors' final size: n x n for P, S and T,
-    (n-m) x n for Xi, and (n + 2(n-m)) x n for the complement stack and for
-    the scratch of its update.  A step writes its new columns into them
+    (n-m) x n for Xi, and (n + 2(n-m)) x n for the complement stack.  A
+    step writes its new columns into them
     and raises ``j``; the properties are views of what is filled.  The last
     n - j columns of the stack hold an orthonormal basis P_perp of the
     complement of range(P) over Q2^T E P_perp and Q2^T A P_perp, kept up
-    to date in place by one Householder reflection per new column.  S and
-    T are zero outside their filled blocks.  A step that raises leaves the
-    state unusable.
+    to date in place by one Householder reflection per new column from the
+    right.  Q2 rotates as Xi grows: one Householder reflection per new
+    column, acting on rows j .. n-m-1 of the Q2 basis, zeroes Xi's new
+    column below row j and rotates Q2's columns and the stack's Q2^T E
+    P_perp and Q2^T A P_perp rows with it, so Xi is upper triangular,
+    [R_Xi; 0] while j <= n-m.  Q2 stays an orthonormal basis of
+    range(B)^perp and X = Q1 Y + Q2 Xi is unchanged.  Once j > n-m, Xi^T =
+    [Z_1 Z_2] [T; 0] is kept as well, extended by one row per new column:
+    ``xit_range`` holds Z_1 (j x (n-m)), ``xit_null`` Z_2, whose
+    j - (n-m) columns span null(Xi), and ``xit_r`` the triangle T.  Their
+    rows past j are zero.  S and T are zero outside their filled blocks.
+    A step that raises leaves the state unusable.
     """
 
     a: np.ndarray
@@ -156,7 +179,9 @@ class AssignState:
     s_buf: np.ndarray = field(init=False, repr=False)
     t_buf: np.ndarray = field(init=False, repr=False)
     perp_buf: np.ndarray = field(init=False, repr=False)
-    scratch: np.ndarray = field(init=False, repr=False)
+    xit_range: np.ndarray = field(init=False, repr=False)
+    xit_null: np.ndarray = field(init=False, repr=False)
+    xit_r: np.ndarray = field(init=False, repr=False)
     steps: list[StepRecord] = field(default_factory=list)
 
     def __post_init__(self):
@@ -165,8 +190,14 @@ class AssignState:
         self.xi_buf = np.empty((n - m, n))
         self.s_buf = np.zeros((n, n))
         self.t_buf = np.zeros((n, n))
-        self.perp_buf = np.empty((3 * n - 2 * m, n))
-        self.scratch = np.empty(self.perp_buf.size)
+        # zeros: the left reflections of Xi's factor sweep whole rows of
+        # the stack, the columns of P's past complements included
+        self.perp_buf = np.zeros((3 * n - 2 * m, n))
+        # Fortran order: LAPACK updates the factor of Xi^T in place.  With
+        # m = n, Xi has no rows: Xi^+ = 0 and null(Xi) is everything.
+        self.xit_range = np.zeros((n, n - m), order="F")
+        self.xit_null = np.eye(n, order="F") if m == n else np.zeros((n, m), order="F")
+        self.xit_r = np.zeros((n - m, n - m), order="F")
 
     @property
     def n(self) -> int:
@@ -243,27 +274,151 @@ def _orthonormal_against(p_prev: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return v / nrm
 
 
-def _complement_after(perp: np.ndarray, n: int, p: np.ndarray, scratch: np.ndarray) -> None:
-    """Update the complement stack ``perp`` in place once the unit column
-    p, taken from the range of P_perp = perp[:n], has joined P; afterwards
-    ``perp[:, 1:]`` is the stack of the new complement.
+def _complement_after(stack: np.ndarray, i: int, n: int, p: np.ndarray) -> None:
+    """Update the complement stack in place once the unit column p, taken
+    from the range of P_perp = stack[:n, i:], has joined P as column i;
+    afterwards ``stack[:, i+1:]`` is the stack of the new complement.
 
     The Householder reflection H that maps p's coordinates y = P_perp^T p
     onto the first axis makes P_perp H = [+-p, rest]; ``rest`` spans what
-    is left, and the same columns of perp H carry Q2^T E rest and
-    Q2^T A rest.  That costs O(n (n - j)), against a complete QR of P and
-    two products with P_perp per step.  The rank-1 term of the reflection
-    is formed in the flat buffer ``scratch`` (at least perp's size) and
-    subtracted in place, so nothing is allocated but vectors.
+    is left, and the same columns of the stack times H carry Q2^T E rest
+    and Q2^T A rest.  That costs O(n (n - j)), against a complete QR of P
+    and two products with P_perp per step.  The rank-1 term of the
+    reflection is subtracted in place by BLAS ``?ger`` over the stack's
+    whole rows, which are contiguous, with zero weight on P's columns,
+    which no step reads again.
     """
-    if perp.shape[1] == 1:
+    if i == n - 1:
         return  # p was the last column; no complement is left
+    perp = stack[:, i:]
     v = perp[:n].T @ p
     v[0] += math.copysign(euclidean_norm(v), v[0])
-    rest = perp[:, 1:]
-    term = scratch[: rest.size].reshape(rest.shape)
-    np.multiply.outer(perp @ v, (2.0 / float(v @ v)) * v[1:], out=term)
-    np.subtract(rest, term, out=rest)
+    weights = np.zeros(n)
+    weights[i + 1 :] = (2.0 / float(v @ v)) * v[1:]
+    _blas("ger", stack.dtype)(-1.0, weights, perp @ v, a=stack.T, overwrite_a=1)
+
+
+def _solve_triangular(r: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """R^{-1} b, or R^{-T} b with ``trans`` = 1, for a real upper triangular
+    R, by LAPACK ``?trtrs`` through its direct handle.  A complex b is
+    solved as the real matrix of its interleaved real and imaginary
+    columns, which R acts on column by column."""
+    if r.shape[0] == 0:
+        return np.zeros(b.shape, dtype=b.dtype)
+    cplx = np.iscomplexobj(b)
+    rhs = np.ascontiguousarray(b).view(np.float64) if cplx else b
+    x, info = _lapack("trtrs", r.dtype)(r, rhs, trans=trans)
+    if info != 0:
+        raise DegenerateStepError(f"triangular factor is singular (LAPACK ?trtrs info={info})")
+    return np.ascontiguousarray(x).view(np.complex128) if cplx else x
+
+
+def _refuse_rank_deficient_xi(state: AssignState, diag, cols: int, step: str | None = None) -> None:
+    """Raise when an entry of ``diag``, new diagonal entries of a kept
+    triangle of Xi's first ``cols`` columns, is at numerical_rank's cutoff
+    max(shape) * eps * ||Xi||_F (the Frobenius norm bounds sigma_max, so
+    the cutoff is at least numerical_rank's).  Xi has then lost rank: a
+    step's null space would grow by the lost dimensions, and the kept
+    factors do not represent them.  ``step`` names the kind of step that
+    raises, where the caller does not."""
+    xi = state.xi_buf[:, :cols]
+    lost = int(np.count_nonzero(np.abs(diag) <= max(xi.shape) * _EPS * euclidean_norm(xi)))
+    if lost:
+        k = state.n - state.m
+        needed = max(cols - k, 0)
+        raise DegenerateStepError(
+            f"Xi lost full {'row' if cols > k else 'column'} rank: null(Xi) of its {cols} "
+            f"columns has dimension {needed + lost} > {needed}",
+            step=step,
+            null_dim=needed + lost,
+            needed=needed,
+        )
+
+
+def _open_xit(state: AssignState, cols: int, step: str | None = None) -> None:
+    """Open the kept factor Xi^T = [Z_1 Z_2] [T; 0] from one complete QR of
+    the transpose of Xi's first ``cols`` > n - m columns."""
+    k = state.n - state.m
+    q, r = np.linalg.qr(state.xi_buf[:, :cols].T, mode="complete")
+    state.xit_range[:cols] = q[:, :k]
+    state.xit_null[:cols, : cols - k] = q[:, k:]
+    state.xit_r[:] = r[:k]
+    _refuse_rank_deficient_xi(state, np.diagonal(r), cols, step)
+
+
+def _open_xi_factors(state: AssignState) -> None:
+    """Triangularize the infinite block's Xi, all its j columns at once:
+    one QR Xi = U [R; 0] rotates Q2 into Q2 U and the stack's Q2^T E P_perp
+    and Q2^T A P_perp rows into U^T times them, and Xi becomes R.  When
+    j > n - m, a QR of Xi^T opens that factor too."""
+    n, k, j = state.n, state.n - state.m, state.j
+    if j == 0 or k == 0:
+        return
+    u, r = np.linalg.qr(state.Xi, mode="complete")
+    state.q2[:] = state.q2 @ u
+    rows = state.perp_buf[n : n + 2 * k].reshape(2, k, n)[:, :, j:]
+    rows[:] = u.T @ rows
+    state.xi_buf[:, :j] = r
+    if j <= k:
+        _refuse_rank_deficient_xi(state, np.diagonal(r), j, "infinite-block")
+    else:
+        _open_xit(state, j, "infinite-block")
+
+
+def _reflect_xi(state: AssignState, i: int) -> None:
+    """Zero Xi's new column i < n - m below row i: one Householder
+    reflection on rows i .. n-m-1 of the Q2 basis, which rotates Q2's
+    columns, the stack's Q2^T E P_perp and Q2^T A P_perp rows and the
+    step's later new columns of Xi with it.  Q2's columns and the stack's
+    whole rows (P's past complements' columns too, which no step reads
+    again) are contiguous, so BLAS ``?ger`` updates them in place."""
+    n, k, j = state.n, state.n - state.m, state.j
+    x = state.xi_buf[i:k, i]
+    diag = x[0]
+    if x.size > 1:
+        v = x.copy()
+        norm = euclidean_norm(v)
+        v[0] += math.copysign(norm, v[0])
+        vv = float(v @ v)
+        diag = -math.copysign(norm, x[0])
+        if vv:
+            hv = (2.0 / vv) * v
+            later = state.xi_buf[i:k, i + 1 : j]
+            later -= np.multiply.outer(v, hv @ later)
+            ger = _blas("ger", hv.dtype)
+            q2 = state.q2[:, i:k]
+            ger(-1.0, q2 @ v, hv, a=q2, overwrite_a=1)
+            for start in (n + i, n + k + i):
+                rows = state.perp_buf[start : start + k - i]
+                ger(-1.0, v @ rows, hv, a=rows.T, overwrite_a=1)
+        x[0] = diag
+        x[1:] = 0.0
+    _refuse_rank_deficient_xi(state, [diag], i + 1)
+
+
+def _extend_xit(state: AssignState, i: int) -> None:
+    """Add Xi's new column i >= n - m to the kept factor
+    Xi^T = [Z_1 Z_2] [T; 0] as its new row: LAPACK ``?tpqrt``
+    retriangularizes [T; x^T] by one reflector per column of T, and
+    ``?tpmqrt`` applies them to Z_1 and the new unit column e_i, both in
+    place.  Z_2's columns, null(Xi)'s, only gain a zero row; what e_i
+    becomes is the new null direction."""
+    k = state.n - state.m
+    if k == 0:
+        return  # Xi has no rows; Z_2 stays the identity
+    if i == k:
+        _open_xit(state, i + 1)
+        return
+    f64 = state.xi_buf.dtype
+    r, v, tau, info = _lapack("tpqrt", f64)(0, 1, state.xit_r, state.xi_buf[:, i : i + 1].T, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"LAPACK ?tpqrt failed (info={info})")
+    e_i = np.zeros((state.n, 1), order="F")
+    e_i[i] = 1.0
+    _, z, info = _lapack("tpmqrt", f64)(0, v, tau, state.xit_range, e_i, side="R", overwrite_a=1, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"LAPACK ?tpmqrt failed (info={info})")
+    state.xit_null[:, i - k] = z[:, 0]
 
 
 def assign_infinite_block(problem) -> AssignState:
@@ -303,7 +458,9 @@ def assign_infinite_block(problem) -> AssignState:
             null_dim=z.shape[1],
             needed=count,
         )
-    state = AssignState(a, e, q1, q2, r, count)
+    # Q2 is kept Fortran-ordered, so that the columns its kept factor
+    # rotates are contiguous
+    state = AssignState(a, e, q1, np.asfortranarray(q2), r, count)
     state.P[:] = z[:, :count]
     p_perp = np.linalg.qr(state.P, mode="complete")[0][:, count:]
     state.P_perp[:] = p_perp
@@ -311,13 +468,38 @@ def assign_infinite_block(problem) -> AssignState:
     state.AP_perp[:] = q2t_a @ p_perp
     state.Xi[:] = q2t_a @ state.P
     np.fill_diagonal(state.S, 1.0)
+    _open_xi_factors(state)
     state.steps.append(StepRecord("infinite-block", 0, z.shape[1]))
     return state
 
 
-def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
-    """Orthonormal basis of the part of a step's solutions that depends on
-    the data.
+class _StepBasis(NamedTuple):
+    """A step's solutions in the kept bases (see :func:`_step_basis`)."""
+
+    null: np.ndarray | None  # N, (n-j) x d_N; None when every row is reached (N = I)
+    xs: np.ndarray  # X_s, or once j > n-m its factor -T^{-T} kp / c: X_s = Z_1 xs
+    xi_range: np.ndarray | None  # Z_1 once j > n-m, else None (X_s = xs)
+    xi_null: np.ndarray  # orthonormal basis of null(Xi), j x max(j - (n-m), 0)
+    c: float  # sqrt(|c_s|^2 + |c_t|^2)
+
+    @property
+    def dim(self) -> int:
+        """d, the dimension of the solutions beyond the j free directions."""
+        return self.xs.shape[1] + self.xi_null.shape[1]
+
+    def lift(self, w: np.ndarray) -> np.ndarray:
+        """N w: the P_perp coordinates y of mapped directions' coefficients w."""
+        return w if self.null is None else self.null @ w
+
+    def coupling(self, w: np.ndarray) -> np.ndarray:
+        """X_s w: the u-rows of mapped directions' coefficients w."""
+        xw = self.xs @ w
+        return xw if self.xi_range is None else self.xi_range @ xw
+
+
+def _step_basis(state: AssignState, kp, c_s, c_t, what) -> _StepBasis:
+    """The part of a step's solutions that depends on the data, in the
+    state's kept bases.
 
     A step's solutions are the (p, v_s, v_t) with
     Q2^T K p + Xi (c_s v_s + c_t v_t) = 0 and p orthogonal to the accepted
@@ -330,47 +512,81 @@ def _step_null_basis(state: AssignState, kp, c_s, c_t, what):
     c = sqrt(|c_s|^2 + |c_t|^2), splits the solutions into an orthogonal
     sum:
 
-    * (y, conj(c_s) u / c, conj(c_t) u / c) for (y, u) in the null space of
-      the (n-m) x n matrix [kp, c Xi], which has d >= m dimensions;
+    * (y, conj(c_s) u / c, conj(c_t) u / c) for kp y + c Xi u = 0;
     * (0, c_t w / c, -c_s w / c) for every w in C^j, the j directions of
       :func:`_free_directions`, which need no factorization.
 
-    Returns (Y, U, V): the y-rows, the u-rows and the stacked (v_s; v_t)
-    rows of the first part's d orthonormal columns.  P_perp is an isometry,
-    so (P_perp Y; V) is orthonormal, and with the free directions it spans
-    the null space of the stacked [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0].
-    A unit combination w of the d columns has P-share ||Y w||^2 =
-    1 - ||U w||^2, so its optimum 1 is reached, with no coupling V w at
-    all, exactly on null(U) when U has fewer rows j than columns d.
+    In the kept basis Xi = [R_Xi; 0] while j <= n - m, so the first part
+    splits again.  The n-m-j rows of kp that Xi does not reach force y
+    into null(kp[j:]), spanned by the orthonormal N: this (n-m-j) x (n-j)
+    block is the step's only factorization, and the row count it needs,
+    at least m null directions, is checked here.  The coupling with least
+    norm, orthogonal to null(Xi), is then u = X_s w for y = N w, with
+    X_s = -Xi^+ kp[:j] N / c, one triangular solve with R_Xi.  Once
+    j > n - m every row is reached, N = I and Xi^+ = Z_1 T^{-T} from the
+    kept factor Xi^T = [Z_1 Z_2] [T; 0], so X_s = Z_1 (-T^{-T} kp / c),
+    and Z_1's orthonormal columns leave the small factor's SVD and null
+    space to X_s; Z_2 spans null(Xi): the j - (n-m) solutions (0, u)
+    with u in null(Xi), of P-share 0, are orthogonal to the (N w, X_s w).
+
+    Returns N (None for the identity), X_s or its small factor with Z_1,
+    null(Xi)'s basis and c.  The d = ``dim`` directions with the j free
+    ones span the null space of the stacked
+    [Q2^T K, c_s Xi, c_t Xi; P^T, 0, 0], and d is m generically.  A unit
+    y = N w has P-share 1 / (1 + ||X_s w||^2): 1, with no coupling at all,
+    exactly on null(X_s), which has dimension at least d - j.
     """
-    # The null space has dimension m + j generically; it is larger when
-    # [kp, c Xi] is rank deficient, which only adds freedom.  A smaller
-    # dimension means the instance violates the full-row-rank condition
-    # required for assignment.
-    rows, k = kp.shape
     j, m = state.j, state.m
+    k = kp.shape[0]
     c = math.hypot(abs(c_s), abs(c_t))
-    mat = np.empty((rows, k + j), dtype=kp.dtype)
-    mat[:, :k] = kp
-    np.multiply(state.Xi, c, out=mat[:, k:])
-    z = orthonormal_null_basis(mat)
-    if z.shape[1] < m:
+    if j < k:
+        null = orthonormal_null_basis(kp[j:])
+        reached = kp[:j] @ null
+    else:
+        null, reached = None, kp
+    d = (kp.shape[1] if null is None else null.shape[1]) + max(j - k, 0)
+    if d < m:
         raise DegenerateStepError(
-            f"{what}: constraint matrix null space has dimension "
-            f"{z.shape[1] + j} < {m + j}; the instance is not assignable here",
-            null_dim=z.shape[1] + j,
+            f"{what}: constraint matrix null space has dimension {d + j} < {m + j}; the instance is not assignable here",
+            null_dim=d + j,
             needed=m + j,
         )
-    u = z[k:]
-    v = np.empty((2 * j, z.shape[1]), dtype=z.dtype)
-    np.multiply(u, np.conj(c_s) / c, out=v[:j])
-    np.multiply(u, np.conj(c_t) / c, out=v[j:])
-    return z[:k], u, v
+    if j <= k:
+        xs = _solve_triangular(state.xi_buf[:j, :j], reached)
+        xi_range, xi_null = None, np.empty((j, 0))
+    else:
+        xs = _solve_triangular(state.xit_r, reached, trans=1)
+        xi_range, xi_null = state.xit_range[:j], state.xit_null[:j, : j - k]
+    xs *= -1.0 / c
+    return _StepBasis(null, xs, xi_range, xi_null, c)
+
+
+def _mapped_directions(basis: _StepBasis):
+    """(N W, nu, X_s W) of a step's mapped directions (N w, X_s w), in
+    descending P-share.
+
+    The SVD X_s = U Sigma W^H makes [N W; X_s W] (I + Sigma^2)^{-1/2}
+    orthonormal, with Sigma padded by zeros to d_N columns: its P-part
+    has singular values nu = 1 / sqrt(1 + sigma^2), left vectors N W and
+    right vectors I, so no further factorization is needed.  The columns
+    come in ascending sigma.  Once j > n - m, X_s = Z_1 xs with
+    orthonormal Z_1, and the SVD is the smaller one of xs.
+    """
+    xs = basis.xs
+    rows, d = xs.shape
+    sigma = np.zeros(d)
+    if xs.size:
+        _, sig, wh = np.linalg.svd(xs, full_matrices=rows < d)
+        w = wh[::-1].conj().T
+        sigma[d - sig.size :] = sig[::-1]
+    else:
+        w = np.eye(d, dtype=xs.dtype)
+    return basis.lift(w), 1.0 / np.sqrt(1.0 + sigma * sigma), basis.coupling(w)
 
 
 def _free_directions(c_s, c_t, j) -> np.ndarray:
     """The j stacked (v_s; v_t) columns (c_t e_i; -c_s e_i) / c of a step's
-    solutions that have p = 0 (see :func:`_step_null_basis`)."""
+    solutions that have p = 0 (see :func:`_step_basis`)."""
     c = math.hypot(abs(c_s), abs(c_t))
     free = np.zeros((2 * j, j), dtype=np.result_type(c_s, c_t, float))
     np.fill_diagonal(free[:j], c_t / c)
@@ -393,7 +609,8 @@ def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, r
     diagonal blocks into S and T, and Xi's columns from the dominant
     relation Q2^T A P = Xi S (or Q2^T E P = Xi T), whose block diagonal is
     eps1 for a real pole and 1 for a pair; then drop the new columns from
-    the complement and count them."""
+    the complement, count them, and take Xi's new columns into its kept
+    factor."""
     j, width = state.j, len(cols)
     new = slice(j, j + width)
     p_buf, s_buf, t_buf = state.p_buf, state.s_buf, state.t_buf
@@ -407,8 +624,10 @@ def _write_step(state: AssignState, cols, vcols, s_block, t_block, s_dominant, r
     k_p = k @ p_buf[:, new]
     state.xi_buf[:, new] = (state.q2.T @ k_p - state.Xi @ coupling[:j, new]) / diag
     for i in range(j, j + width):
-        _complement_after(state.perp_buf[:, i:], state.n, p_buf[:, i], state.scratch)
+        _complement_after(state.perp_buf, i, state.n, p_buf[:, i])
     state.j += width
+    for i in range(j, j + width):
+        (_reflect_xi if i < state.n - state.m else _extend_xit)(state, i)
     state.steps.append(record)
     return state
 
@@ -430,23 +649,27 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     eps2 = 1.0 / h
     s_dom = abs(eps1) >= abs(eps2)
     kp, c_s, c_t = _shifted(state, eps2 / eps1 if s_dom else eps1 / eps2, s_dom)
-    y, u, v = _step_null_basis(state, kp, c_s, c_t, "real-pole step")
+    basis = _step_basis(state, kp, c_s, c_t, "real-pole step")
 
-    # The free directions have no P-component, so the P-share's maximum is
-    # reached on the d mapped columns alone: at Y's top right singular
-    # vector, or, with fewer prior columns than mapped ones, at 1 with no
-    # coupling on null(U), where the step takes the first column of the
-    # Householder basis.
-    tied = state.j < y.shape[1]
-    uvec = orthonormal_null_basis(u)[:, 0] if tied else np.linalg.svd(y, full_matrices=False)[2][0]
-    yu = y @ uvec
-    share = float(yu @ yu)
+    # The free directions and null(Xi)'s have no P-component, so the
+    # P-share's maximum is reached on the mapped directions alone: at the
+    # smallest singular value of X_s, or, with fewer prior columns than
+    # mapped ones, at 1 with no coupling on null(X_s), where the step takes
+    # the first column of the Householder basis.
+    tied = state.j < basis.dim
+    if tied:
+        w = orthonormal_null_basis(basis.xs)[:, 0]
+        y, coupling = basis.lift(w), basis.coupling(w)
+    else:
+        left, _, xw = _mapped_directions(basis)
+        y, coupling = left[:, 0], xw[:, 0]
+    share = 1.0 / (1.0 + float(coupling @ coupling))
     if share <= 1e-12:
         raise DegenerateStepError("real-pole step: no feasible direction reaches P (Z1 degenerate)")
-    pt = state.P_perp @ yu
+    pt = state.P_perp @ y
     scale = euclidean_norm(pt)
-    vcol = np.zeros(2 * state.j) if tied else (v @ uvec) / scale
-    rec = StepRecord("real", state.j, y.shape[1] + state.j, p_share=share, tied=tied)
+    vcol = np.zeros(2 * state.j) if tied else np.concatenate([c_s * coupling, c_t * coupling]) / (basis.c * scale)
+    rec = StepRecord("real", state.j, basis.dim + state.j, p_share=share, tied=tied)
     return _write_step(state, [pt / scale], [vcol], [[eps1]], [[eps2]], s_dom, rec)
 
 
@@ -564,34 +787,34 @@ def _isotropic_coefficients(w: np.ndarray) -> np.ndarray:
     return np.array([0.0, 1.0] if a != 0 else [1.0, 0.0], dtype=complex)
 
 
-def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
+def _complex_pair_core(left, nus, zv, c_s, c_t, tau_pen) -> _PairChoice:
     """Pick the complex combination of null-basis columns for one untied
     pair.
 
-    The candidate columns are orthonormal: d columns with P-part ``z1`` and
-    stacked (v_s; v_t) part ``zv`` (2j rows), followed by the j free
-    directions of :func:`_free_directions` for the step coefficients
-    ``c_s``, ``c_t``, whose P-part is zero.  So Z1 = [z1, 0] has the SVD of
-    z1 with V = blockdiag(V_d, I), and only z1 is factorized.  Returns the
-    unnormalized complex column p (real and imaginary parts become the two
-    new P columns), the matching stacked v-column, Z1's two leading
-    singular values, the branch taken and the objectives rho1, rho2 of the
-    single- and two-direction choices (None on the rank-1 branch).  ``z1``
-    comes in the step's P_perp coordinates, and p goes back in them: z1
-    enters only through inner products of real and imaginary parts, which
-    the real isometry P_perp keeps.
+    The candidate columns are orthonormal: d columns with P-part
+    ``left[:, i] * nus[i]`` (zero past ``left``'s columns) and stacked
+    (v_s; v_t) part ``zv`` (2j rows), followed by the j free directions of
+    :func:`_free_directions` for the step coefficients ``c_s``, ``c_t``,
+    whose P-part is zero.  ``left`` has orthonormal columns and ``nus`` is
+    descending, so Z1 = [left diag(nus), 0] comes with its SVD: left
+    vectors ``left``, singular values ``nus`` and right vectors I, and
+    nothing is factorized here.  Returns the unnormalized complex column p
+    (real and imaginary parts become the two new P columns), the matching
+    stacked v-column, Z1's two leading singular values, the branch taken
+    and the objectives rho1, rho2 of the single- and two-direction
+    choices (None on the rank-1 branch).  ``left`` comes in the step's
+    P_perp coordinates, and p goes back in them: it enters only through
+    inner products of real and imaginary parts, which the real isometry
+    P_perp keeps.
     """
-    # Every coefficient direction of z1 is used, so V_d must be square; U is
-    # read only in its first two columns and stays thin whenever it can.
-    u, nus, vh = np.linalg.svd(z1, full_matrices=z1.shape[1] > z1.shape[0])
-    v = vh.conj().T
-    if nus.size == 0 or nus[0] <= 1e-13:
+    d = nus.size
+    if d == 0 or nus[0] <= 1e-13:
         raise DegenerateStepError("complex step: direction matrix Z1 vanishes")
     nu1 = float(nus[0])
     nu2 = float(nus[1]) if nus.size > 1 else 0.0
     vfree = 0.0
     rho1 = rho2 = None
-    rotation = _psi_rotation(u[:, 0])
+    rotation = _psi_rotation(left[:, 0])
 
     if nu2 <= 1e-8 * nu1:
         # single usable direction: orthogonalize its real/imaginary parts
@@ -600,9 +823,8 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
         if rotation is None:
             raise DegenerateStepError("complex step: real and imaginary parts of the direction are dependent")
         c, s, vs1, vs2 = rotation
-        zvv = zv @ v
-        w = zvv[:, 0]
-        big_w = np.hstack([zvv[:, 1:], _free_directions(c_s, c_t, zv.shape[0] // 2)])
+        w = zv[:, 0]
+        big_w = np.hstack([zv[:, 1:], _free_directions(c_s, c_t, zv.shape[0] // 2)])
         k = big_w.shape[1]
         if k > 0:
             if zv.shape[0] == 0:
@@ -629,15 +851,13 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
         else:
             g = np.zeros(0, dtype=complex)
         coef = (c + 1j * s) * np.concatenate([[1.0 / nu1], g])
-        d = v.shape[1]
-        bvec = v @ coef[:d]
+        bvec = coef[:d]
         # the free directions' part, (c_t g; -c_s g) / c, in closed form
         c_st = math.hypot(abs(c_s), abs(c_t))
         vfree = np.concatenate([(c_t / c_st) * coef[d:], (-c_s / c_st) * coef[d:]])
         branch = "rank1"
     else:
-        zv2 = zv @ v[:, :2]
-        w1 = zv2[:, 0] / nu1
+        w1 = zv[:, 0] / nu1
         c1 = (1.0 - nu1**2) / nu1**2
         c2 = (1.0 - nu2**2) / nu2**2
         rho1 = np.inf
@@ -649,8 +869,8 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
                 + euclidean_norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
                 + tau_pen**2 * (delta - 1.0 / delta) ** 2
             )
-        kr = np.ascontiguousarray(u[:, :2].real)
-        ki = np.ascontiguousarray(u[:, :2].imag)
+        kr = np.ascontiguousarray(left[:, :2].real)
+        ki = np.ascontiguousarray(left[:, :2].imag)
         cmat = kr.T @ kr - ki.T @ ki
         dmat = kr.T @ ki + ki.T @ kr
         hm = np.empty((4, 4))
@@ -660,15 +880,16 @@ def _complex_pair_core(z1, zv, c_s, c_t, tau_pen) -> _PairChoice:
         coeff = _equalizing_coefficients(hm, c1, c2)
         rho1 = float(rho1)
         rho2 = float(2.0 * (c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2)))
+        bvec = np.zeros(d, dtype=complex)
         if rho2 <= rho1:
-            gz = coeff[:2] + 1j * coeff[2:]
-            bvec = v[:, :2] @ (gz / nus[:2])
+            bvec[:2] = (coeff[:2] + 1j * coeff[2:]) / nus[:2]
             branch = "hamiltonian"
         else:
-            bvec = (c + 1j * s) * v[:, 0] / nu1
+            bvec[0] = (c + 1j * s) / nu1
             branch = "jacobi"
 
-    return _PairChoice(z1 @ bvec, zv @ bvec + vfree, nu1, nu2, branch, rho1, rho2)
+    p = left @ (nus[: left.shape[1]] * bvec[: left.shape[1]])
+    return _PairChoice(p, zv @ bvec + vfree, nu1, nu2, branch, rho1, rho2)
 
 
 def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
@@ -687,18 +908,24 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     alpha_dom = mag >= 1.0
     gamma = (lam.conjugate() / mag) * (1.0 / mag) if alpha_dom else lam
     kp, c_s, c_t = _shifted(state, gamma, alpha_dom)
-    y, u, v = _step_null_basis(state, kp, c_s, c_t, "complex-pair step")
+    basis = _step_basis(state, kp, c_s, c_t, "complex-pair step")
     # With two prior columns fewer than mapped ones, every combination of
-    # the first two columns of null(U)'s Householder basis has P-share 1
-    # and no coupling; the isotropic one makes delta = 1.
-    tied = state.j + 2 <= y.shape[1]
+    # N times the first two columns of null(X_s)'s Householder basis has
+    # P-share 1 and no coupling; the isotropic one makes delta = 1.
+    tied = state.j + 2 <= basis.dim
     if tied:
-        w = y @ orthonormal_null_basis(u)[:, :2]
+        w = basis.lift(orthonormal_null_basis(basis.xs)[:, :2])
         g = _isotropic_coefficients(w)
         p = w @ g
         choice = _PairChoice(p, np.zeros(2 * state.j), euclidean_norm(p) / euclidean_norm(g))
     else:
-        choice = _complex_pair_core(y, v, c_s, c_t, gamma.imag)
+        # the mapped directions, orthonormalized, then null(Xi)'s, of
+        # P-share 0; their u-rows become the (v_s; v_t) rows
+        left, nu, xw = _mapped_directions(basis)
+        u = np.hstack([xw * nu, basis.xi_null])
+        nus = np.concatenate([nu, np.zeros(basis.xi_null.shape[1])])
+        zv = np.vstack([np.conj(c_s) * u, np.conj(c_t) * u]) / basis.c
+        choice = _complex_pair_core(left, nus, zv, c_s, c_t, gamma.imag)
     pc = state.P_perp @ choice.p
     vs1 = euclidean_norm(pc.real)
     vs2 = euclidean_norm(pc.imag)
@@ -709,7 +936,7 @@ def assign_complex_pair(state: AssignState, pole: PolePair) -> AssignState:
     rec = StepRecord(
         "complex",
         state.j,
-        y.shape[1] + state.j,
+        basis.dim + state.j,
         p_share=choice.nu1**2,
         branch=choice.branch,
         nu2=choice.nu2,
@@ -728,25 +955,19 @@ def complete_X(state: AssignState) -> np.ndarray:
 
     Y's rows are an orthonormal basis of the null space of Xi, so the
     Q1-component is orthogonal to range(Xi^T), which keeps X as well
-    conditioned as the data permits.  Xi needs full row rank: its null
-    space must have exactly m dimensions.
+    conditioned as the data permits.  Once all n columns exist, that basis
+    is Z_2 of the kept factor Xi^T = [Z_1 Z_2] [T; 0], whose triangle has
+    certified that Xi keeps full row rank.
     """
-    xi = state.Xi
-    y = orthonormal_null_basis(xi)
-    if y.shape[1] != state.m:
-        raise DegenerateStepError("Xi lost full row rank; assignment state inconsistent")
-    return state.q1 @ y.T + state.q2 @ xi
+    y = state.xit_null
+    return state.q1 @ y.T + state.q2 @ state.Xi
 
 
 def extract_feedback(state: AssignState, x) -> tuple[np.ndarray, np.ndarray]:
-    """Solve R F = Q1^T (X S P^T - A) and R G = Q1^T (X T P^T - E).
-
-    R is triangular, but a general LU solve is used: OpenBLAS's
-    triangular solve wakes its worker threads and can stall for
-    milliseconds on these small systems.
-    """
-    f = np.linalg.solve(state.r, state.q1.T @ (x @ state.S @ state.P.T - state.a))
-    g = np.linalg.solve(state.r, state.q1.T @ (x @ state.T @ state.P.T - state.e))
+    """Solve R F = Q1^T (X S P^T - A) and R G = Q1^T (X T P^T - E) with
+    R's triangle."""
+    f = _solve_triangular(state.r, state.q1.T @ (x @ state.S @ state.P.T - state.a))
+    g = _solve_triangular(state.r, state.q1.T @ (x @ state.T @ state.P.T - state.e))
     return f, g
 
 

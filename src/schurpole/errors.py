@@ -29,7 +29,9 @@ class DegenerateStepError(SchurPoleError):
     ``step``, its kind as in ``StepRecord.kind``; ``pole_index``, the
     1-based position of its pole among the finite poles in processing
     order; ``null_dim`` and ``needed``, the null-space dimension the step
-    found and the one it needs, set when that dimension fell short.
+    found and the one it needs, set when that dimension fell short, or,
+    when Xi = Q2^T X lost rank, the dimension null(Xi) reached and the one
+    full rank leaves.
     """
 
     def __init__(

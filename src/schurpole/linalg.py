@@ -27,7 +27,11 @@ does.  scipy's LAPACK routines ``?geqrf``, ``?trtri``, ``?lantr``,
 through one handle per dtype looked up once (``_lapack``), with the
 arguments and workspace sizes that scipy's own wrapper
 (``scipy.linalg.eig``) would pass, so every answer is the wrapper's
-answer bit for bit.  A workspace size decides which blocked path LAPACK
+answer bit for bit.  The solver's kept factors use the same handles for
+``?trtrs`` (triangular solves, also in the feedback extraction),
+``?tpqrt`` and ``?tpmqrt`` (a row appended to a QR factor), and
+``_blas`` for BLAS ``?ger``, a rank-1 update in place on a contiguous
+block.  A workspace size decides which blocked path LAPACK
 takes, and so how it rounds, but a workspace query reads only the order
 of the matrix, never its entries: ``?ggev`` is asked once per order
 (``_ggev_workspace``) and gets that size on every call.  ``?geqrf`` gets
@@ -93,6 +97,13 @@ def _lapack(name: str, dtype: np.dtype):
     """scipy's LAPACK routine ``name`` for arrays of ``dtype``, the one
     ``scipy.linalg.get_lapack_funcs`` picks for them, looked up once."""
     return scipy.linalg.get_lapack_funcs(name, dtype=dtype)
+
+
+@functools.cache
+def _blas(name: str, dtype: np.dtype):
+    """scipy's BLAS routine ``name`` for arrays of ``dtype``, looked up
+    once."""
+    return scipy.linalg.get_blas_funcs(name, dtype=dtype)
 
 
 @functools.cache

@@ -350,7 +350,8 @@ def _check_e_failure(p: Problem, spectrum: QZSpectrum | None, k_d: int, b_rank: 
     k_d = n - rank(E) null directions; the excess ones follow, by
     increasing mu = 1/lambda after the first k_d, each couple once, at
     (1, mu).  An eigenvalue in a cluster is probed at itself and then at
-    the cluster's mean (comment above ``_SQRT_EPS``).
+    the cluster's mean (comment above ``_SQRT_EPS``), at its real part for
+    an eigenvalue within the cluster chord of its own conjugate.
     """
     if spectrum is None:
         return _rank_failure(p, [(lam, 1.0) for lam in _FIXED_PROBES])
@@ -387,9 +388,16 @@ def _check_e_failure(p: Problem, spectrum: QZSpectrum | None, k_d: int, b_rank: 
             return f"left eigenvector blind to range(B): ||w^H Q||={s:.2g} <= sqrt(eps) at isolated lambda={lam}"
         if not alone:
             # the cluster's mean: the sum of the pairs within the chord of
-            # this one, itself included, on the unscaled pencil
+            # this one, itself included, on the unscaled pencil.  A member
+            # within the chord of its own conjugate (a real one, or one of
+            # a pair split off the real axis) has a neighbourhood closed
+            # under conjugation, so the exact sum is real: the rounded
+            # imaginary part of QZ's inexact conjugates is dropped.
             near = (chord[i] <= _CLUSTER_CHORD) | (np.arange(alpha.size) == cols[i])
             mean = (alpha[near].sum() * spectrum.norm_a, beta[near].sum() * spectrum.norm_e)
+            ua_i, ub_i = ua[cols[i]], ub[cols[i]]
+            if abs(ua_i * np.conj(ub_i) - ub_i * np.conj(ua_i)) <= _CLUSTER_CHORD:
+                mean = (complex(mean[0].real), complex(mean[1].real))
             if detail := _rank_failure(p, [(a, b), mean]):
                 return detail
     return None

@@ -34,12 +34,13 @@ def solve_recording(prob, name):
     """Solve ``prob`` with ``schurpole.assign.<name>`` wrapped in a recorder.
 
     Returns the Solution and the ``(args, result)`` pair of every call of
-    that function, in call order.  A step's null-space basis
-    (``_step_null_basis``) or its complex-pair choice (``_complex_pair_core``)
-    is scratch the solver does not keep, so tests that inspect it record it
-    here.  The steps write the ``AssignState`` in place, so the arguments
-    are recorded as deep copies taken at the call: a recorded state is the
-    one the call saw.
+    that function, in call order.  A step's basis (``_step_basis``) or its
+    complex-pair choice (``_complex_pair_core``) is scratch the solver does
+    not keep, so tests that inspect it record it here.  The steps write
+    the ``AssignState`` in place, so the arguments and the result are
+    recorded as deep copies taken at the call: a recorded state is the one
+    the call saw, and a result's views of the state's buffers hold what
+    they held when it returned.
     """
     calls = []
     original = getattr(assign_module, name)
@@ -47,7 +48,7 @@ def solve_recording(prob, name):
     def recording(*args):
         seen = copy.deepcopy(args)
         out = original(*args)
-        calls.append((seen, out))
+        calls.append((seen, copy.deepcopy(out)))
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -56,12 +57,29 @@ def solve_recording(prob, name):
     return sol, calls
 
 
+def step_candidates(basis):
+    """(Y, U): an orthonormal basis of a step's d solutions (y, u) of
+    kp y + c Xi u = 0, rebuilt from its recorded ``_step_basis`` result:
+    the mapped directions (N w, X_s w) orthonormalized by a QR, then
+    null(Xi)'s directions (0, u)."""
+    d_n = basis.xs.shape[1]
+    w = np.eye(d_n, dtype=basis.xs.dtype)
+    y, u = basis.lift(w), basis.coupling(w)
+    q = np.linalg.qr(np.vstack([y, u]))[0]
+    extra = basis.xi_null.shape[1]
+    rows = y.shape[0]
+    y_all = np.hstack([q[:rows], np.zeros((rows, extra), dtype=q.dtype)])
+    u_all = np.hstack([q[rows:], basis.xi_null.astype(q.dtype)])
+    return y_all, u_all
+
+
 def rank1_quadratic(args, choice):
     """The quadratic a rank-1 complex step minimizes, recomputed from the
-    recorded ``_complex_pair_core`` call ``args`` = (z1, zv, c_s, c_t,
-    tau_pen) and its returned ``choice``.
+    recorded ``_complex_pair_core`` call ``args`` = (left, nus, zv, c_s,
+    c_t, tau_pen) and its returned ``choice``.
 
-    With psi1 = U[:, 0] of z1's SVD, (c, s) the rotation that makes Re and
+    Z1 = [left diag(nus), 0] has the SVD (left, nus, I).  With
+    psi1 = left[:, 0], (c, s) the rotation that makes Re and
     Im of (c + i s) psi1 orthogonal, ``vs`` the norms of those parts, ``w``
     the top column's v-part and ``W`` the v-parts of the other d - 1 mapped
     columns and of the j free directions, coefficients g of W give the
@@ -69,17 +87,16 @@ def rank1_quadratic(args, choice):
     ||Re x||^2 / vs1^2 + ||Im x||^2 / vs2^2 is ||M y + b||^2 in the real
     coordinates y = (Re g, Im g): ``H`` = M^T M, ``h`` = 2 M^T b.  The
     chosen ``y`` is read back from the returned columns, which the
-    orthonormal basis [[z1 V, 0], [zv V, free]] maps one to one onto their
+    orthonormal basis [[Z1, 0], [zv, free]] maps one to one onto their
     coefficients.
     """
-    z1, zv, c_s, c_t, _ = args
-    u, nus, vh = np.linalg.svd(z1)
-    v = vh.conj().T
-    c, s, *vs = assign_module._psi_rotation(u[:, 0])
-    zvv = zv @ v
+    left, nus, zv, c_s, c_t, _ = args
+    z1 = np.zeros((left.shape[0], nus.size), dtype=left.dtype)
+    z1[:, : left.shape[1]] = left * nus[: left.shape[1]]
+    c, s, *vs = assign_module._psi_rotation(left[:, 0])
     free = assign_module._free_directions(c_s, c_t, zv.shape[0] // 2)
-    w, big_w = zvv[:, 0], np.hstack([zvv[:, 1:], free])
-    coef = np.concatenate([(z1 @ v).conj().T @ choice.p + zvv.conj().T @ choice.v, free.conj().T @ choice.v])
+    w, big_w = zv[:, 0], np.hstack([zv[:, 1:], free])
+    coef = np.concatenate([z1.conj().T @ choice.p + zv.conj().T @ choice.v, free.conj().T @ choice.v])
     rot = c + 1j * s
     assert abs(coef[0] - rot / nus[0]) <= 1e-10 / nus[0]
     g = coef[1:] / rot

@@ -39,7 +39,7 @@ from schurpole.cli import main as cli_main
 from schurpole.metrics import verify_solution
 from schurpole.poles import count_infinite, expand_to_values
 
-from conftest import oracle_pole_list, rank1_quadratic, solve_recording, unsolvable_instance
+from conftest import oracle_pole_list, rank1_quadratic, solve_recording, step_candidates, unsolvable_instance
 
 SMALL = [(6, rank_e, m) for rank_e in (2, 3, 5) for m in (2, 3, 4)]
 LARGE = [(30, rank_e, m) for rank_e in (2, 15, 29) for m in (2, 15, 28)]
@@ -68,7 +68,7 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
     cfg = BenchConfig(n=n, rank_e=rank_e, m=m, trials=max(trial + 1, 1), seed=0)
     prob = generate_random_instance(cfg, r=r, trial=trial)
     t0 = time.perf_counter()
-    sol, bases = solve_recording(prob, "_step_null_basis")
+    sol, bases = solve_recording(prob, "_step_basis")
     t_run = time.perf_counter() - t0
     a_c = prob.A + prob.B @ sol.F
     e_c = prob.E + prob.B @ sol.G
@@ -98,12 +98,13 @@ def _build_record(n, rank_e, m, r, trial, keep_directions):
         rank_ec=rank_ec,
         inf_block_exact=inf_exact,
     )
-    # Every step after the infinite block made one recorded null-basis call.
+    # Every step after the infinite block made one recorded basis call.
     finite_steps = sol.steps[1:]
     assert len(bases) == len(finite_steps)
     # Its basis is the d mapped columns (P-part P_perp Y) and the j free
     # directions, whose P-part is zero.
-    for step, (args, (y, _, _)) in zip(finite_steps, bases):
+    for step, (args, basis) in zip(finite_steps, bases):
+        y, _ = step_candidates(basis)
         p_perp = args[0].P_perp
         j = step.j_before
         width = y.shape[1] + j
@@ -368,12 +369,12 @@ def test_criterion_6_complex_strategy_bounds(small_suite, large_suite):
     nu1, nu2 = 0.8, 0.5
     psi1 = np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
     psi2 = np.array([0.0, 0.0, 1.0, 1.0j]) / np.sqrt(2.0)
-    z1 = np.column_stack([nu1 * psi1, nu2 * psi2])
     rest = np.zeros((4, 2), dtype=complex)
     rest[0, 0] = np.sqrt(1.0 - nu1**2)
     rest[1, 1] = np.sqrt(1.0 - nu2**2)
-    # two free directions (0; e_i), orthogonal to rest's columns
-    choice = _complex_pair_core(z1, rest, -1.0, 0.0, tau_pen=0.4)
+    # Z1 = [nu1 psi1, nu2 psi2] in its SVD form; two free directions
+    # (0; e_i), orthogonal to rest's columns
+    choice = _complex_pair_core(np.column_stack([psi1, psi2]), np.array([nu1, nu2]), rest, -1.0, 0.0, tau_pen=0.4)
     want = 2.0 * (1.0 - nu1**2) / nu1**2
     special = min(choice.rho1, choice.rho2)
     special_ok = abs(special - want) <= 1e-12 * want

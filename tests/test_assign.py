@@ -32,7 +32,14 @@ from schurpole.assign import (
     d_delta_block,
 )
 
-from conftest import make_instance, rank1_quadratic, rng_matrix, solve_recording, unsolvable_instance
+from conftest import (
+    make_instance,
+    rank1_quadratic,
+    rng_matrix,
+    solve_recording,
+    step_candidates,
+    unsolvable_instance,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -115,17 +122,17 @@ def test_infinite_block_zero_count_is_empty():
 
 def _reference_kq(prob, q2, c_s, c_t):
     """Q2^T K for a step's shifted pencil K = -(c_s A + c_t E), built from
-    the problem data and B's factor Q2 alone (the solver keeps Q2^T E P_perp
-    and Q2^T A P_perp instead and forms each step's Q2^T K P_perp from
-    those)."""
+    the problem data and the state's Q2 alone (the solver keeps
+    Q2^T E P_perp and Q2^T A P_perp instead and forms each step's
+    Q2^T K P_perp from those)."""
     return -(q2.T @ (c_s * prob.A + c_t * prob.E))
 
 
 def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, state, out, extra=0):
-    y, u, v = out
-    # V holds the u-rows rotated back into (v_s; v_t)
+    y, u = step_candidates(out)
+    # the u-rows rotated back into (v_s; v_t)
     c = np.hypot(abs(c_s), abs(c_t))
-    assert np.allclose(v, np.vstack([np.conj(c_s) * u, np.conj(c_t) * u]) / c, rtol=0, atol=1e-15)
+    v = np.vstack([np.conj(c_s) * u, np.conj(c_t) * u]) / c
     p_mat, p_perp, m = state.P, state.P_perp, state.m
     n, j = p_mat.shape
     # the state's complement basis is orthonormal and orthogonal to P
@@ -147,10 +154,10 @@ def _assert_spans_stacked_null_space(kq, xi, c_s, c_t, state, out, extra=0):
 
 
 def _recorded_steps(prob):
-    """(args, result, reference Q2^T K) of every ``_step_null_basis`` call,
-    after checking that the step's coefficients carry the pole its block
-    of (S, T) holds: lambda = -c_t / c_s."""
-    sol, calls = solve_recording(prob, "_step_null_basis")
+    """(args, result, reference Q2^T K) of every ``_step_basis`` call, after
+    checking that the step's coefficients carry the pole its block of
+    (S, T) holds: lambda = -c_t / c_s."""
+    sol, calls = solve_recording(prob, "_step_basis")
     steps = []
     for args, out in calls:
         state, kp, c_s, c_t, _ = args
@@ -168,18 +175,22 @@ def _recorded_steps(prob):
 
 def test_step_null_basis_spans_the_stacked_null_space():
     kinds = set()
-    # the second has no infinite poles, so its first step has no prior columns
+    # the second has no infinite poles, so its first step has no prior
+    # columns; the fourth has m > n - m, so most of its steps have
+    # j > n - m, where every row is reached and null(Xi) adds directions
     cases = (
         make_instance(6, 3, 2, 4, trial=3),
         make_instance(6, 3, 3, 6, trial=1),
         make_instance(30, 15, 2, 17),
+        make_instance(30, 15, 28, 30),
     )
     for prob in cases:
         for (state, kp, c_s, c_t, what), out, kq in _recorded_steps(prob):
-            kinds.add((what, np.iscomplexobj(kp), state.j > 0))
+            kinds.add((what, np.iscomplexobj(kp), state.j > 0, state.j > state.n - state.m))
             _assert_spans_stacked_null_space(kq, state.Xi, c_s, c_t, state, out)
-    assert {(w, c) for w, c, _ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
-    assert {first for *_, first in kinds} == {False, True}
+    assert {(w, c) for w, c, *_ in kinds} == {("real-pole step", False), ("complex-pair step", True)}
+    assert {first for _, _, first, _ in kinds} == {False, True}
+    assert {reached for *_, reached in kinds} == {False, True}
 
 
 def test_recorded_state_is_the_one_the_step_saw():
@@ -189,7 +200,7 @@ def test_recorded_state_is_the_one_the_step_saw():
     # matrix kp: Q2^T E P_perp - c_s Q2^T A P_perp when c_t = -1, else
     # Q2^T A P_perp - c_t Q2^T E P_perp, to the bit.
     prob = make_instance(30, 15, 2, 17)
-    sol, calls = solve_recording(prob, "_step_null_basis")
+    sol, calls = solve_recording(prob, "_step_basis")
     assert [args[0].j for args, _ in calls] == [step.j_before for step in sol.steps[1:]]
     for (state, kp, c_s, c_t, _), _ in calls:
         assert np.array_equal(state.P, sol.P[:, : state.j])
@@ -200,32 +211,154 @@ def test_recorded_state_is_the_one_the_step_saw():
             assert c_s == -1.0 and np.array_equal(kp, state.AP_perp - c_t * state.EP_perp)
 
 
-def _with_xi(state, xi):
-    """What ``_step_null_basis`` reads of a state (j, m and Xi), with Xi
-    replaced; ``xi`` may have a row more than the state's buffer holds."""
-    return types.SimpleNamespace(j=state.j, m=state.m, Xi=xi)
-
-
 def test_step_null_basis_keeps_extra_freedom_and_refuses_too_little():
+    # In the kept basis the rows of kp past j are the ones Xi does not
+    # reach (Xi is zero there); the last step of each kind with at least
+    # two of them is perturbed there.
     prob = make_instance(30, 15, 2, 17)
-    last_of_kind = {args[-1]: (args, kq) for args, _, kq in _recorded_steps(prob)}
+    k = prob.n - prob.m
+    last_of_kind = {args[-1]: (args, kq) for args, _, kq in _recorded_steps(prob) if args[0].j <= k - 2}
     assert set(last_of_kind) == {"real-pole step", "complex-pair step"}
     for (state, _, c_s, c_t, what), kq in last_of_kind.values():
         n, j, m = state.n, state.j, state.m
         xi = state.Xi
+        assert not xi[j:].any()
         # a repeated row leaves the constraint rank deficient: one more
         # null direction, which the step must keep
-        kq_def, xi_def = np.vstack([kq[:-1], kq[:1]]), np.vstack([xi[:-1], xi[:1]])
-        deficient = _with_xi(state, xi_def)
-        out = assign_module._step_null_basis(deficient, kq_def @ state.P_perp, c_s, c_t, what)
-        _assert_spans_stacked_null_space(kq_def, xi_def, c_s, c_t, state, out, extra=1)
+        kq_def = np.vstack([kq[:-1], kq[j : j + 1]])
+        out = assign_module._step_basis(state, kq_def @ state.P_perp, c_s, c_t, what)
+        _assert_spans_stacked_null_space(kq_def, xi, c_s, c_t, state, out, extra=1)
         # one independent row too many leaves fewer than m + j directions
         rng = np.random.default_rng(j)
         kq_more = np.vstack([kq, rng.standard_normal((1, n)).astype(kq.dtype)])
-        more = _with_xi(state, np.vstack([xi, rng.standard_normal((1, j))]))
         with pytest.raises(DegenerateStepError, match="constraint matrix null space has dimension") as err:
-            assign_module._step_null_basis(more, kq_more @ state.P_perp, c_s, c_t, what)
+            assign_module._step_basis(state, kq_more @ state.P_perp, c_s, c_t, what)
         assert (err.value.null_dim, err.value.needed) == (m + j - 1, m + j)
+
+
+# ---------------------------------------------------------------------------
+# the kept factors of Xi
+
+
+def _assert_kept_factors(state, prob):
+    """Xi upper triangular, [Q1 Q2] orthogonal with Q2 spanning range(B)'s
+    complement, and, once j > n - m, Xi^T = Z_1 T with [Z_1 Z_2]
+    orthogonal; returns whether j > n - m."""
+    n, m, j = state.n, state.m, state.j
+    k = n - m
+    xi = state.Xi
+    scale = np.linalg.norm(xi)
+    assert np.linalg.norm(np.tril(xi, -1)) <= 1e-14 * scale
+    q = np.hstack([state.q1, state.q2])
+    assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13
+    assert np.linalg.norm(state.q2.T @ prob.B) <= 1e-12 * np.linalg.norm(prob.B)
+    if j <= k:
+        return False
+    z = np.hstack([state.xit_range[:j], state.xit_null[:j, : j - k]])
+    assert np.linalg.norm(z.T @ z - np.eye(j)) <= 1e-13
+    assert not state.xit_range[j:].any() and not state.xit_null[j:].any()
+    assert np.linalg.norm(xi.T - state.xit_range[:j] @ np.triu(state.xit_r)) <= 1e-13 * scale
+    return True
+
+
+def test_kept_factors_hold_after_every_step():
+    # After each step of n = 6, 30 and 100 solves (the state each step
+    # reads, and the last one complete_X reads): the step kinds cover real
+    # and complex steps, tied and untied, with j < n - m and with j > n - m
+    # (an untied real step past n - m only in the n = 6 trial 1).
+    cases = (
+        (6, 3, 2, 4, 0),
+        (6, 3, 3, 6, 1),
+        (6, 5, 3, 6, 0),
+        (30, 15, 2, 17, 0),
+        (30, 15, 28, 30, 0),
+        (100, 50, 10, 60, 0),
+        (100, 40, 60, 100, 0),
+    )
+    seen = set()
+    for *case, trial in cases:
+        prob = make_instance(*case, trial=trial)
+        sol, calls = solve_recording(prob, "_step_basis")
+        for step, ((state, *_), _) in zip(sol.steps[1:], calls):
+            beyond = _assert_kept_factors(state, prob)
+            width = 1 if step.kind == "real" else 2
+            if not beyond and state.j + width <= state.n - state.m:
+                seen.add((step.kind, step.tied, "j < n-m"))
+            elif beyond:
+                seen.add((step.kind, step.tied, "j > n-m"))
+        _, (((final,), _),) = solve_recording(prob, "complete_X")
+        assert final.j == prob.n and _assert_kept_factors(final, prob)
+    assert seen == {(kind, tied, where) for kind in ("real", "complex") for tied in (True, False) for where in ("j < n-m", "j > n-m")}
+
+
+def test_rank_deficient_xi_is_refused():
+    # A repeated column of Xi is a zero new diagonal of its triangle: the
+    # kept factors do not hold the null direction it adds, so the step
+    # that wrote it raises, naming the dimension null(Xi) reached and the
+    # one full rank leaves.  No LinAlgError, inf or NaN, and no answer.
+    prob = make_instance(30, 15, 2, 17)
+    state = assign_infinite_block(prob)
+    j = state.j
+    xi = state.Xi.copy()
+    assert j < prob.n - prob.m
+    with pytest.raises(DegenerateStepError, match="Xi lost full column rank") as err:
+        _with_xi(prob, np.hstack([xi, xi[:, :1]]))
+    assert (err.value.step, err.value.null_dim, err.value.needed) == ("infinite-block", 1, 0)
+    # the same repeated column written by a step.  Once j > n - m, Xi has
+    # full row rank from its first n - m columns on and cannot lose it.
+    target = j + 3
+    original = assign_module._reflect_xi
+
+    def repeating(state, i):
+        if i == target:
+            state.xi_buf[:, i] = state.xi_buf[:, 0]
+        return original(state, i)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assign_module, "_reflect_xi", repeating)
+        with pytest.raises(DegenerateStepError, match="Xi lost full column rank") as err:
+            run_pipeline(prob)
+    assert err.value.step in ("real", "complex") and err.value.pole_index is not None
+    assert (err.value.null_dim, err.value.needed) == (1, 0)
+
+
+def test_one_step_formula_factorizes_only_the_unreached_rows():
+    # Every orthonormal_null_basis call after the infinite block's: the
+    # unreached rows of its step, at most n - m - j of them, or the null
+    # basis of a tied step's X_s (or, once j > n - m, of its small factor).
+    # No call sees the stacked (n - m) x n matrix of a step with j > 0.
+    kinds = set()
+    for case in ((30, 15, 2, 17), (30, 15, 28, 30), (100, 50, 10, 60), (100, 40, 60, 100)):
+        prob = make_instance(*case)
+        n, m = prob.n, prob.m
+        calls, current = [], {}
+        basis_fn, null_fn = assign_module._step_basis, assign_module.orthonormal_null_basis
+
+        def step_basis(state, *args):
+            current["j"], current["inside"] = state.j, True
+            try:
+                return basis_fn(state, *args)
+            finally:
+                current["inside"] = False
+
+        def null_basis(mat):
+            calls.append((mat.shape, current.get("j"), current.get("inside")))
+            return null_fn(mat)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(assign_module, "_step_basis", step_basis)
+            patch.setattr(assign_module, "orthonormal_null_basis", null_basis)
+            sol = run_pipeline(prob)
+        assert calls[0] == ((n - m, n), None, None)  # the infinite block's Q2^T E
+        for (rows, cols), j, inside in calls[1:]:
+            if inside:
+                assert rows == n - m - j and cols == n - j
+                kinds.add("unreached")
+            else:
+                assert rows in (j, n - m) and rows + cols < n - m + n
+                kinds.add("tied")
+        assert sum(inside for *_, inside in calls[1:]) == sum(s.j_before < n - m for s in sol.steps[1:])
+    assert kinds == {"unreached", "tied"}
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +474,31 @@ def test_pipeline_solves_e_inside_the_input_range(n, r):
     assert rep.infinite_count == n - r
 
 
+def _with_xi(prob, xi):
+    """The infinite block's state of ``prob`` with Xi replaced by ``xi``
+    (all its columns) and its kept factors opened from it afresh."""
+    state = assign_infinite_block(prob)
+    state.xi_buf[:, : xi.shape[1]], state.j = xi, xi.shape[1]
+    assign_module._open_xi_factors(state)
+    return state
+
+
 def test_complete_x_extends_xi_by_an_orthonormal_complement():
     prob = make_instance(6, 3, 2, 4)
-    state = assign_infinite_block(prob)
     xi = rng_matrix(3, 4, 6)
-    state.xi_buf[:], state.j = xi, prob.n
+    q2_xi = assign_infinite_block(prob).q2 @ xi
+    state = _with_xi(prob, xi)
+    # the kept factor rotates Q2 and Xi together: Q2 Xi is unchanged
+    assert np.linalg.norm(state.q2 @ state.Xi - q2_xi) <= 1e-14 * np.linalg.norm(q2_xi)
     x = complete_X(state)
     y = (state.q1.T @ x).T
-    assert np.linalg.norm(state.q1 @ y.T + state.q2 @ xi - x) <= 1e-14 * np.linalg.norm(x)
+    assert np.linalg.norm(state.q1 @ y.T + q2_xi - x) <= 1e-14 * np.linalg.norm(x)
     assert np.linalg.norm(y.T @ y - np.eye(2)) <= 1e-14
     assert np.linalg.norm(xi @ y) <= 1e-14 * np.linalg.norm(xi)
     # Xi with a repeated row has an m + 1 dimensional null space
-    state.xi_buf[-1] = xi[0]
+    xi[-1] = xi[0]
     with pytest.raises(DegenerateStepError, match="Xi lost full row rank"):
-        complete_X(state)
+        _with_xi(prob, xi)
 
 
 @pytest.mark.parametrize(
@@ -439,30 +583,29 @@ def test_psi_rotation_of_dependent_parts_is_none():
 
 
 def _synthetic_stacked_basis(nu1, nu2, phase=0.0):
-    """Orthonormal stacked columns whose z1 part has singular values nu1, nu2
-    and whose top left singular vector has orthogonal real/imag parts of
-    norm 1/sqrt(2) each, and the step coefficients (c_s, c_t) = (-1, 0) of
-    j = 2 free directions (0; e_i): no P-part, and orthogonal to zv's
-    columns."""
+    """Orthonormal stacked columns whose P-part Z1 = left diag(nus) has
+    singular values nu1, nu2 and a top left singular vector with
+    orthogonal real/imag parts of norm 1/sqrt(2) each, returned as (left,
+    nus, zv), and the step coefficients (c_s, c_t) = (-1, 0) of j = 2 free
+    directions (0; e_i): no P-part, and orthogonal to zv's columns."""
     rot = np.exp(1j * phase)
     psi1 = rot * np.array([1.0, 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
     psi2 = rot * np.array([0.0, 0.0, 1.0, 1.0j]) / np.sqrt(2.0)
-    z1 = np.column_stack([nu1 * psi1, nu2 * psi2])
     rest1 = np.zeros(4, dtype=complex)
     rest2 = np.zeros(4, dtype=complex)
     rest1[0] = np.sqrt(1.0 - nu1**2)
     rest2[1] = np.sqrt(1.0 - nu2**2)
     zv = np.column_stack([rest1, rest2])
     assert np.array_equal(assign_module._free_directions(-1.0, 0.0, 2), np.eye(4)[:, 2:])
-    return z1, zv, (-1.0, 0.0)
+    return np.column_stack([psi1, psi2]), np.array([nu1, nu2]), zv, (-1.0, 0.0)
 
 
 def test_complex_core_special_geometry_objective():
     # Top direction with orthogonal half-norm real/imag parts: the
     # single-direction objective collapses to 2*(1 - nu1^2)/nu1^2 exactly.
     nu1, nu2 = 0.8, 0.5
-    z1, zv, coeffs = _synthetic_stacked_basis(nu1, nu2)
-    choice = _complex_pair_core(z1, zv, *coeffs, tau_pen=0.3)
+    left, nus, zv, coeffs = _synthetic_stacked_basis(nu1, nu2)
+    choice = _complex_pair_core(left, nus, zv, *coeffs, tau_pen=0.3)
     expected = 2.0 * (1.0 - nu1**2) / nu1**2  # = 1.125 for nu1 = 0.8
     assert abs(choice.rho1 - expected) <= 1e-12 * expected
     chosen = choice.rho2 if choice.branch == "hamiltonian" else choice.rho1
@@ -473,8 +616,8 @@ def test_complex_core_special_geometry_objective():
 def test_complex_core_objective_is_phase_invariant():
     base = None
     for phase in (0.0, 0.3, 1.2):
-        z1, zv, coeffs = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
-        choice = _complex_pair_core(z1, zv, *coeffs, tau_pen=0.3)
+        left, nus, zv, coeffs = _synthetic_stacked_basis(0.8, 0.5, phase=phase)
+        choice = _complex_pair_core(left, nus, zv, *coeffs, tau_pen=0.3)
         val = min(choice.rho1, choice.rho2)
         if base is None:
             base = val
@@ -507,8 +650,10 @@ def test_complex_core_two_direction_bound():
         nus = np.linalg.svd(z1, compute_uv=False)
         if nus.size < 2 or nus[1] <= 1e-8 * nus[0] or nus[0] >= 1.0 - 1e-9:
             continue
-        # the two-direction branches never read the free directions
-        choice = _complex_pair_core(z1, zv, 1.0, 0.0, tau_pen=0.5)
+        # the two-direction branches never read the free directions; the
+        # core takes the columns rotated by Z1's right singular vectors
+        u, nus, vh = np.linalg.svd(z1, full_matrices=False)
+        choice = _complex_pair_core(u, nus, zv @ vh.conj().T, 1.0, 0.0, tau_pen=0.5)
         if choice.branch not in ("hamiltonian", "jacobi"):
             continue
         exercised += 1
@@ -532,16 +677,17 @@ def test_complex_core_rank1_requires_prior_columns():
     # into: must refuse rather than fabricate a column.
     psi1 = np.array([1.0, 1.0j, 0.5]) / np.linalg.norm([1.0, 1.0j, 0.5])
     z1 = np.column_stack([0.9 * psi1, 0.9 * psi1 * (1.0 + 1e-12)])
+    u, nus, _ = np.linalg.svd(z1, full_matrices=False)
     zv = np.zeros((0, 2), dtype=complex)
     with pytest.raises(DegenerateStepError):
-        _complex_pair_core(z1, zv, 1.0, 0.0, tau_pen=0.3)
+        _complex_pair_core(u, nus, zv, 1.0, 0.0, tau_pen=0.3)
 
 
 def test_complex_core_zero_z1_is_degenerate():
-    z1 = np.zeros((4, 2), dtype=complex)
+    left = np.eye(4, 2, dtype=complex)
     zv = np.zeros((4, 2), dtype=complex)
     with pytest.raises(DegenerateStepError, match="Z1 vanishes"):
-        _complex_pair_core(z1, zv, -1.0, 0.0, tau_pen=0.0)
+        _complex_pair_core(left, np.zeros(2), zv, -1.0, 0.0, tau_pen=0.0)
 
 
 def test_rank1_coefficients_solve_the_quadratic():
@@ -605,11 +751,11 @@ def test_step_records_hold_scalars_measured_from_the_step():
     }
     for case, kinds in cases.items():
         prob = make_instance(*case)
-        sol, calls = solve_recording(prob, "_step_null_basis")
+        sol, calls = solve_recording(prob, "_step_basis")
         # the pair choice runs once per untied pair, on its d mapped columns
         _, choices = solve_recording(prob, "_complex_pair_core")
         untied_pairs = [s for s in sol.steps if s.kind == "complex" and not s.tied]
-        assert [args[0].shape[1] for args, _ in choices] == [s.null_dim - s.j_before for s in untied_pairs]
+        assert [args[1].size for args, _ in choices] == [s.null_dim - s.j_before for s in untied_pairs]
         arrays = {f.name for f in dataclasses.fields(sol) if isinstance(getattr(sol, f.name), np.ndarray)}
         assert arrays == {"F", "G", "P", "S", "T", "X"}
         for step in sol.steps:
@@ -618,7 +764,8 @@ def test_step_records_hold_scalars_measured_from_the_step():
         finite_steps = sol.steps[1:]
         assert {s.kind for s in finite_steps} == kinds, case
         assert len(calls) == len(finite_steps)
-        for step, (args, (y, u, _)) in zip(finite_steps, calls):
+        for step, (args, basis) in zip(finite_steps, calls):
+            y, u = step_candidates(basis)
             p_perp = args[0].P_perp
             j = step.j_before
             width = 1 if step.kind == "real" else 2

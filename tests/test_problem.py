@@ -484,7 +484,8 @@ def _check_e_by_the_probe_loop(prob, blind=()):
     full.  A failing eigenvalue with no other within chordal distance 1e-6
     fails by the blindness rule, any other probe by its rank; an
     eigenvalue with others that near is probed at itself and then at the
-    mean of them all, as the sum of their pairs."""
+    mean of them all, as the sum of their pairs, or its real part for an
+    eigenvalue that near its own conjugate."""
     k_d = orthonormal_null_basis(prob.E).shape[1]
     scale = (np.linalg.norm(prob.E) or 1.0) / (np.linalg.norm(prob.A) or 1.0)
     probes, eigenvalues, warnings = [], [], []
@@ -504,6 +505,8 @@ def _check_e_by_the_probe_loop(prob, blind=()):
         near = [x for x in eigenvalues if _chord((a, b), x, scale) <= 1e-6]
         isolated = len(near) == 1
         mean = [(sum(x for x, _ in near), sum(y for _, y in near))] if len(near) > 1 else []
+        if mean and _chord((a, b), (np.conj(a), np.conj(b)), scale) <= 1e-6:
+            mean = [(complex(mean[0][0].real), complex(mean[0][1].real))]
         rank_detail = problem_module._rank_failure(prob, [(a, b), *mean])
         if rank_detail and not isolated:
             return False, rank_detail, warnings
@@ -552,6 +555,36 @@ def _block(kind, value, omega):
 
 _grid = st.integers(min_value=-8, max_value=8).map(lambda k: k / 4)
 _parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid.filter(bool))
+#: a Jordan block at -0.25 beside a real mode there: QZ splits the block
+#: into a couple -0.25 +- 6.5e-9i whose members are inexact conjugates,
+#: and the cluster's mean is probed first from the couple's member
+_REAL_CLUSTER_DRAW = (
+    2486337877,
+    [("real", -0.25, -1.5), ("couple", 1.0, 0.25)],
+    "jordan",
+    [(0.5, 0.25, False), (-0.25, -0.75, False)],
+    1,
+)
+
+
+def _planted_problem(seed, base, kind, injected, m):
+    """The U blockdiag V^T plant of ``test_check_e_decides_as_the_probe_loop``
+    for one draw of its strategies."""
+    rng = np.random.default_rng(seed)
+    blocks = [(*_block(k, v, w), False) for k, v, w in base]
+    blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
+    e = scipy.linalg.block_diag(*(be for be, _, _ in blocks))
+    a = scipy.linalg.block_diag(*(ba for _, ba, _ in blocks))
+    n = e.shape[0]
+    b = rng.standard_normal((n, m))
+    row = 0
+    for be, _, blind in blocks:
+        if blind:  # the block's left eigenvectors then miss B
+            b[row : row + be.shape[0]] = 0.0
+        row += be.shape[0]
+    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Problem(E=u @ e @ v.T, A=u @ a @ v.T, B=u @ b, poles=(PolePair.infinite(),) * n, r=0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,6 +603,9 @@ _parts = st.tuples(st.sampled_from(["real", "couple", "infinite"]), _grid, _grid
 @example(
     1331817640, [("couple", -1.25, -0.75), ("real", 0.0, 2.0), ("real", 1.75, -2.0)], "jordan", [(1.75, -1.0, False)], 1
 )
+# a cluster at -0.25 whose two complex members are not exact conjugates in
+# the QZ output: its mean is probed at its real part
+@example(*_REAL_CLUSTER_DRAW)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.lists(_parts, min_size=1, max_size=5),
@@ -587,21 +623,7 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     # blind: where its eigenvalue is isolated the reference fails it by the
     # blindness rule, even where the probe at the computed eigenvalue reads
     # full rank, and otherwise by its rank.
-    rng = np.random.default_rng(seed)
-    blocks = [(*_block(k, v, w), False) for k, v, w in base]
-    blocks += [(*_block(kind, v, w), blind) for v, w, blind in injected]
-    e = scipy.linalg.block_diag(*(be for be, _, _ in blocks))
-    a = scipy.linalg.block_diag(*(ba for _, ba, _ in blocks))
-    n = e.shape[0]
-    b = rng.standard_normal((n, m))
-    row = 0
-    for be, _, blind in blocks:
-        if blind:  # the block's left eigenvectors then miss B
-            b[row : row + be.shape[0]] = 0.0
-        row += be.shape[0]
-    u = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    prob = Problem(E=u @ e @ v.T, A=u @ a @ v.T, B=u @ b, poles=(PolePair.infinite(),) * n, r=0)
+    prob = _planted_problem(seed, base, kind, injected, m)
     rep = validate_problem(prob)
     check_e = rep.checks[-1]
     want_ok, want_detail, want_warnings = _check_e_by_the_probe_loop(prob, _blind_isolated_modes(base, kind, injected))
@@ -623,6 +645,16 @@ def test_check_e_decides_as_the_probe_loop(seed, base, kind, injected, m):
     (rank, lam), (want_rank, want_lam) = (_probe_failure(d) for d in (check_e.detail, want_detail))
     assert rank == want_rank
     assert abs(lam - want_lam) <= 1e-5 * max(1.0, abs(want_lam))
+
+
+def test_check_e_probes_a_real_clusters_mean_on_the_real_axis():
+    # The cluster at -0.25 holds a real member and a couple split off the
+    # real axis whose imaginary parts do not cancel in floating point; the
+    # exact sum is real, and so is the probe and the lambda it prints.
+    check_e = validate_problem(_planted_problem(*_REAL_CLUSTER_DRAW)).checks[-1]
+    assert not check_e.passed
+    rank, lam = _probe_failure(check_e.detail)
+    assert rank == 6 and lam.imag == 0.0 and lam.real == pytest.approx(-0.25, abs=1e-8)
 
 
 def _probe_failure(detail):
