@@ -8,7 +8,9 @@ the largest admissible pole count r = rank([E B]):
 * ``many-inputs``: rank E = 0.4 n, m = 0.6 n, so r = n, the family of the
   slowest cell of the benchmark's ``assign-n100`` workload.
 
-For every n of a family (``--sizes``, or the family's own sizes) trials
+Every n of a family (``--sizes``, or the family's own sizes) is timed in
+a fresh process, after one untimed solve at the family's smallest n, so
+that a row does not read what ran before it.  Trials
 0 .. draws-1 of ``--seed`` go once each through the four stages of
 ``schurpole bench``: ``generate_random_instance``, ``validate_problem``,
 ``run_pipeline`` and ``verify_solution``, and the median wall time of each
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import pathlib
 import platform
@@ -45,6 +48,7 @@ import statistics
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
@@ -156,6 +160,15 @@ def time_size(family: str, n: int, draws: int, seed: int, clocks: dict[str, _Clo
     return row
 
 
+def time_size_fresh(family: str, n: int, warmup_n: int, draws: int, seed: int) -> dict:
+    """``time_size`` in a process of its own: the clocks are installed here,
+    and one untimed solve at ``warmup_n`` keeps first-call costs out of the
+    row."""
+    clocks = {part: _Clock(names) for part, names in PARTS.items()}
+    time_size(family, warmup_n, 1, seed, clocks)
+    return time_size(family, n, draws, seed, clocks)
+
+
 def growth_exponent(rows: list[dict], stage: str) -> float | None:
     """Slope of the least-squares line through (log n, log median) of a stage."""
     if len(rows) < 2:
@@ -183,15 +196,14 @@ def environment() -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    clocks = {part: _Clock(names) for part, names in PARTS.items()}
+    spawn = multiprocessing.get_context("spawn")
     families = []
     for family in FAMILIES:
         sizes = args.sizes or FAMILIES[family][1]
-        # one untimed solve so that first-call costs stay out of the table
-        time_size(family, min(sizes), 1, args.seed, clocks)
         rows = []
         for n in sizes:
-            row = time_size(family, n, args.draws, args.seed, clocks)
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                row = pool.submit(time_size_fresh, family, n, min(sizes), args.draws, args.seed).result()
             rows.append(row)
             medians = "  ".join(f"{stage} {row['stages'][stage]['median_s']:.3f} s" for stage in STAGES)
             print(

@@ -41,20 +41,21 @@ tied (j < d) takes the basis's first column.  A pair tied (j + 2 <= d)
 takes the combination p of its first two columns with p^T p = 0
 (``_isotropic_coefficients``): Re p and Im p are orthogonal with equal
 norms, so delta = 1 and the pair's 2x2 block is normal.  An untied real
-step takes the direction of the smallest sigma, an untied pair the
-choice of ``_complex_pair_core``.  A real pole is the 1x1 case and a
-conjugate pair the 2x2 case of one step: both shift the pencil in
-``_shifted``, take their basis from ``_step_basis`` and write their
-columns in ``_write_step``.  Once all n columns exist, X is completed
-from the null space of Xi, read off the kept factor of Xi^T, and (F, G)
-are read off.  ``AssignState`` owns the plant and the factors: A, E and
-B's factors Q1, Q2, R, taken once when the infinite block opens the
-state, and buffers of the factors' final size.  Every later stage reads
-the plant from the state: a step is ``step(state, pole)``, fills its one
-or two columns of P, Xi, S and T and updates the kept factors in place,
-and ``run_pipeline`` returns the filled buffers.  A step's basis is
-scratch: it is used once, and each step leaves only a ``StepRecord`` of
-scalars (null dimension, P-share, branch).
+step takes the direction of the smallest sigma, an untied pair
+(``_complex_pair_core``) its leading mapped direction alone or, by the
+same closed form, the isotropic combination of its two leading ones.  A
+real pole is the 1x1 case and a conjugate pair the 2x2 case of one step:
+both shift the pencil in ``_shifted``, take their basis from
+``_step_basis`` and write their columns in ``_write_step``.  Once all n
+columns exist, X is completed from the null space of Xi, read off the
+kept factor of Xi^T, and (F, G) are read off.  ``AssignState`` owns the
+plant and the factors: A, E and B's factors Q1, Q2, R, taken once when
+the infinite block opens the state, and buffers of the factors' final
+size.  Every later stage reads the plant from the state: a step is
+``step(state, pole)``, fills its one or two columns of P, Xi, S and T
+and updates the kept factors in place, and ``run_pipeline`` returns the
+filled buffers.  A step's basis is scratch: each step leaves only a
+``StepRecord`` of scalars (null dimension, P-share, branch).
 
 The infinite poles come first: they open the factors as one block with
 S = I and T = 0.  The finite real poles follow in ascending order, then the
@@ -124,11 +125,12 @@ class StepRecord:
     columns plus its width, so that it took its direction(s) of P-share 1
     and no coupling in closed form (see the module docstring).  An untied
     complex step also records the ``branch`` of its choice ("rank1",
-    "hamiltonian" or "jacobi"), Z1's second singular value ``nu2``, and
-    the objectives ``rho1``, ``rho2`` of the single- and two-direction
-    choices (None on the rank-1 branch); a tied one, which makes no
-    choice, records None for all four.  The off-diagonal mass a step adds
-    is its column of the returned S and T.
+    "hamiltonian", a tied pair's isotropic combination (see
+    ``_complex_pair_core``), or "jacobi"), Z1's second singular value
+    ``nu2``, and the objectives ``rho1``, ``rho2`` of the single- and
+    two-direction choices (None on the rank-1 branch); a tied one, which
+    makes no choice, records None for all four.  The off-diagonal mass a
+    step adds is its column of the returned S and T.
     """
 
     kind: str
@@ -673,57 +675,6 @@ def assign_real_pole(state: AssignState, pole: PolePair) -> AssignState:
     return _write_step(state, [pt / scale], [vcol], [[eps1]], [[eps2]], s_dom, rec)
 
 
-def _symplectic(x: np.ndarray) -> np.ndarray:
-    """J x for the symplectic unit J = [[0, I2], [-I2, 0]]."""
-    return np.concatenate([x[2:], -x[:2]])
-
-
-def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray:
-    """Unit coefficient vector (gamma1, gamma2, zeta1, zeta2) with both
-    structural quadratic forms zero, minimizing 2*sum_l c_l*(gamma_l^2+zeta_l^2).
-
-    ``hm``'s quadratic form is the norm imbalance of the two produced real
-    columns and the form of J*hm their inner product (J the symplectic
-    unit).  J maps each +phi eigenvector of ``hm`` to a -phi one, so with
-    eigenpairs (phi1, v1), (phi2, v2) every feasible point lies on one of
-    the two circles spanned by the orthonormal pairs
-    {R1 v1 +/- R2 Jv2, R1 Jv1 -/+ R2 v2}, R1^2 = phi2/(phi1+phi2),
-    R2^2 = phi1/(phi1+phi2).  The objective restricted to a circle is a
-    2x2 quadratic form, minimized exactly by its bottom eigenvector.
-    """
-    obj = np.array([2.0 * c1, 2.0 * c2, 2.0 * c1, 2.0 * c2])  # the objective's diagonal
-    w, vecs = np.linalg.eigh(0.5 * (hm + hm.T))
-    phi1 = max(float(w[3]), 0.0)
-    phi2 = max(float(w[2]), 0.0)
-    if phi1 <= 1e-12 * max(1.0, euclidean_norm(hm)):
-        # both forms vanish identically: any unit vector is feasible
-        u = np.zeros(4)
-        u[0 if c1 <= c2 else 1] = 1.0
-        return u
-    if phi2 <= 1e-12 * phi1:
-        # a paired zero eigenvalue: its eigenspace is entirely feasible
-        basis = vecs[:, 1:3]
-        g = (basis.T * obj) @ basis
-        _, gv = np.linalg.eigh(0.5 * (g + g.T))
-        u = basis @ gv[:, 0]
-        return u / euclidean_norm(u)
-    v1 = vecs[:, 3]
-    v2 = vecs[:, 2]
-    r1 = np.sqrt(phi2 / (phi1 + phi2))
-    r2 = np.sqrt(phi1 / (phi1 + phi2))
-    # row i of (wa, wb) is circle i's orthonormal pair, sign +/-; their 2x2
-    # forms go through one stacked eigh
-    sgn = np.array([[1.0], [-1.0]])
-    wa = r1 * v1 + sgn * (r2 * _symplectic(v2))
-    wb = r1 * _symplectic(v1) - sgn * (r2 * v2)
-    woa, wob = wa * obj, wb * obj
-    forms = np.array([[[woa[i] @ wa[i], woa[i] @ wb[i]], [woa[i] @ wb[i], wob[i] @ wb[i]]] for i in range(2)])
-    gw, gv = np.linalg.eigh(forms)
-    best = 0 if gw[0, 0] <= gw[1, 0] else 1
-    best_u = gv[best, 0, 0] * wa[best] + gv[best, 1, 0] * wb[best]
-    return best_u / euclidean_norm(best_u)
-
-
 def _psi_rotation(psi1: np.ndarray):
     """(c, s, vs1, vs2) for the top left singular vector psi1 of Z1: the
     plane rotation (c, s), closest to the identity, that makes the real and
@@ -788,8 +739,8 @@ def _isotropic_coefficients(w: np.ndarray) -> np.ndarray:
 
 
 def _complex_pair_core(left, nus, zv, c_s, c_t, tau_pen) -> _PairChoice:
-    """Pick the complex combination of null-basis columns for one untied
-    pair.
+    """Pick the complex column of one untied pair from its null-basis
+    columns.
 
     The candidate columns are orthonormal: d columns with P-part
     ``left[:, i] * nus[i]`` (zero past ``left``'s columns) and stacked
@@ -798,14 +749,21 @@ def _complex_pair_core(left, nus, zv, c_s, c_t, tau_pen) -> _PairChoice:
     whose P-part is zero.  ``left`` has orthonormal columns and ``nus`` is
     descending, so Z1 = [left diag(nus), 0] comes with its SVD: left
     vectors ``left``, singular values ``nus`` and right vectors I, and
-    nothing is factorized here.  Returns the unnormalized complex column p
-    (real and imaginary parts become the two new P columns), the matching
-    stacked v-column, Z1's two leading singular values, the branch taken
-    and the objectives rho1, rho2 of the single- and two-direction
-    choices (None on the rank-1 branch).  ``left`` comes in the step's
-    P_perp coordinates, and p goes back in them: it enters only through
-    inner products of real and imaginary parts, which the real isometry
-    P_perp keeps.
+    nothing is factorized here.  Returns the unnormalized complex column p,
+    whose real and imaginary parts become the two new P columns, its
+    stacked v-column and the scalars behind the choice.  ``left`` comes in
+    the step's P_perp coordinates, and p goes back in them: it enters only
+    through inner products of real and imaginary parts, which the real
+    isometry P_perp keeps.
+
+    The "rank1" branch (nu2 <= 1e-8 nu1) takes one direction and a convex
+    quadratic's coefficients.  Otherwise the lower objective wins: the
+    leading direction alone (rho1, "jacobi") or p = left[:, :2] g with
+    p^T p = 0 (rho2, "hamiltonian").  p^T p = 0 holds on the lines
+    g ~ (1, t) of the two roots t of a 2x2 quadratic, and on each
+    rho2 = 2 (c1 |g_1|^2 + c2 |g_2|^2) / |g|^2 is constant, with
+    c_l = (1 - nu_l^2) / nu_l^2: as c1 <= c2, the root nearer 0, the one
+    ``_isotropic_coefficients`` takes, scores lower.
     """
     d = nus.size
     if d == 0 or nus[0] <= 1e-13:
@@ -864,25 +822,17 @@ def _complex_pair_core(left, nus, zv, c_s, c_t, tau_pen) -> _PairChoice:
         if rotation is not None:
             c, s, vs1, vs2 = rotation
             delta = vs1 / vs2
-            rho1 = (
+            rho1 = float(
                 euclidean_norm(c * w1.real - s * w1.imag) ** 2 / vs1**2
                 + euclidean_norm(s * w1.real + c * w1.imag) ** 2 / vs2**2
                 + tau_pen**2 * (delta - 1.0 / delta) ** 2
             )
-        kr = np.ascontiguousarray(left[:, :2].real)
-        ki = np.ascontiguousarray(left[:, :2].imag)
-        cmat = kr.T @ kr - ki.T @ ki
-        dmat = kr.T @ ki + ki.T @ kr
-        hm = np.empty((4, 4))
-        hm[:2, :2] = cmat
-        hm[:2, 2:] = hm[2:, :2] = -dmat
-        hm[2:, 2:] = -cmat
-        coeff = _equalizing_coefficients(hm, c1, c2)
-        rho1 = float(rho1)
-        rho2 = float(2.0 * (c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2)))
+        g = _isotropic_coefficients(left[:, :2])
+        g /= euclidean_norm(g)
+        rho2 = float(2.0 * (c1 * abs(g[0]) ** 2 + c2 * abs(g[1]) ** 2))
         bvec = np.zeros(d, dtype=complex)
         if rho2 <= rho1:
-            bvec[:2] = (coeff[:2] + 1j * coeff[2:]) / nus[:2]
+            bvec[:2] = g / nus[:2]
             branch = "hamiltonian"
         else:
             bvec[0] = (c + 1j * s) / nu1

@@ -624,17 +624,80 @@ def test_complex_core_objective_is_phase_invariant():
         assert abs(val - base) <= 1e-10 * base
 
 
-def _equalizing_data(z1, nu1, nu2):
-    """The two-direction choice's inputs, recomputed from z1: the form
-    ``hm`` of Z1's top two left singular vectors psi (the norm imbalance of
-    the two real columns; J*hm gives their inner product) and the weights
-    c_l = (1 - nu_l^2) / nu_l^2."""
-    psi = np.linalg.svd(z1)[0][:, :2]
+def _symplectic(x: np.ndarray) -> np.ndarray:
+    """J x for the symplectic unit J = [[0, I2], [-I2, 0]]."""
+    return np.concatenate([x[2:], -x[:2]])
+
+
+def _equalizing_coefficients(hm: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    """Reference for the two-direction choice, by the 4x4 construction the
+    closed form replaced: the unit coefficient vector (gamma1, gamma2,
+    zeta1, zeta2) with both structural quadratic forms zero, minimizing
+    2*sum_l c_l*(gamma_l^2+zeta_l^2).
+
+    ``hm``'s quadratic form is the norm imbalance of the two produced real
+    columns and the form of J*hm their inner product (J the symplectic
+    unit).  J maps each +phi eigenvector of ``hm`` to a -phi one, so with
+    eigenpairs (phi1, v1), (phi2, v2) every feasible point lies on one of
+    the two circles spanned by the orthonormal pairs
+    {R1 v1 +/- R2 Jv2, R1 Jv1 -/+ R2 v2}, R1^2 = phi2/(phi1+phi2),
+    R2^2 = phi1/(phi1+phi2).  The objective restricted to a circle is a
+    2x2 quadratic form, minimized by its bottom eigenvector.
+    """
+    obj = np.array([2.0 * c1, 2.0 * c2, 2.0 * c1, 2.0 * c2])  # the objective's diagonal
+    w, vecs = np.linalg.eigh(0.5 * (hm + hm.T))
+    phi1 = max(float(w[3]), 0.0)
+    phi2 = max(float(w[2]), 0.0)
+    if phi1 <= 1e-12 * max(1.0, np.linalg.norm(hm)):
+        # both forms vanish identically: any unit vector is feasible
+        u = np.zeros(4)
+        u[0 if c1 <= c2 else 1] = 1.0
+        return u
+    if phi2 <= 1e-12 * phi1:
+        # a paired zero eigenvalue: its eigenspace is entirely feasible
+        basis = vecs[:, 1:3]
+        g = (basis.T * obj) @ basis
+        _, gv = np.linalg.eigh(0.5 * (g + g.T))
+        u = basis @ gv[:, 0]
+        return u / np.linalg.norm(u)
+    v1 = vecs[:, 3]
+    v2 = vecs[:, 2]
+    r1 = np.sqrt(phi2 / (phi1 + phi2))
+    r2 = np.sqrt(phi1 / (phi1 + phi2))
+    # row i of (wa, wb) is circle i's orthonormal pair, sign +/-
+    sgn = np.array([[1.0], [-1.0]])
+    wa = r1 * v1 + sgn * (r2 * _symplectic(v2))
+    wb = r1 * _symplectic(v1) - sgn * (r2 * v2)
+    woa, wob = wa * obj, wb * obj
+    forms = np.array([[[woa[i] @ wa[i], woa[i] @ wb[i]], [woa[i] @ wb[i], wob[i] @ wb[i]]] for i in range(2)])
+    gw, gv = np.linalg.eigh(forms)
+    best = 0 if gw[0, 0] <= gw[1, 0] else 1
+    best_u = gv[best, 0, 0] * wa[best] + gv[best, 1, 0] * wb[best]
+    return best_u / np.linalg.norm(best_u)
+
+
+def _structural_forms(psi):
+    """The 4x4 form ``hm`` of two complex columns psi: for
+    p = psi (gamma + i zeta), the forms of hm and of J*hm at
+    (gamma; zeta) are Re(p^T p) = ||Re p||^2 - ||Im p||^2 and, up to
+    sign, Im(p^T p) = 2 Re p . Im p."""
     kr, ki = psi.real, psi.imag
     cmat = kr.T @ kr - ki.T @ ki
     dmat = kr.T @ ki + ki.T @ kr
-    hm = np.block([[cmat, -dmat], [-dmat, -cmat]])
-    return hm, (1.0 - nu1**2) / nu1**2, (1.0 - nu2**2) / nu2**2
+    return np.block([[cmat, -dmat], [-dmat, -cmat]])
+
+
+def _unit_isotropic(psi):
+    """The closed form's unit (gamma1, gamma2, zeta1, zeta2) for the two
+    columns psi, and its complex g = gamma + i zeta."""
+    g = _isotropic_coefficients(psi)
+    g = g / np.linalg.norm(g)
+    return np.concatenate([g.real, g.imag]), g
+
+
+def _weights(nus):
+    """c_l = (1 - nu_l^2) / nu_l^2 of the two leading directions."""
+    return [(1.0 - float(nu) ** 2) / float(nu) ** 2 for nu in nus[:2]]
 
 
 def test_complex_core_two_direction_bound():
@@ -657,19 +720,46 @@ def test_complex_core_two_direction_bound():
         if choice.branch not in ("hamiltonian", "jacobi"):
             continue
         exercised += 1
-        hm, c1, c2 = _equalizing_data(z1, choice.nu1, choice.nu2)
+        c1, c2 = _weights(nus)
         assert c2 == (1.0 - choice.nu2**2) / choice.nu2**2
         assert choice.rho2 <= 2.0 * c2 * (1.0 + 1e-12)
         chosen = choice.rho2 if choice.branch == "hamiltonian" else choice.rho1
         assert chosen == min(choice.rho1, choice.rho2)
-        # the coefficients behind rho2: a unit vector on which both
-        # structural forms vanish, with rho2 as its objective
-        coeff = assign_module._equalizing_coefficients(hm, c1, c2)
+        # the coefficients behind rho2, the closed form's: a unit vector on
+        # which both structural forms vanish, with rho2 as its objective
+        hm = _structural_forms(u[:, :2])
+        coeff, _ = _unit_isotropic(u[:, :2])
         assert np.isclose(np.linalg.norm(coeff), 1.0, atol=1e-12)
         assert abs(coeff @ hm @ coeff) <= 1e-12 and abs(coeff @ jmat @ hm @ coeff) <= 1e-12
         rho2 = 2.0 * (c1 * (coeff[0] ** 2 + coeff[2] ** 2) + c2 * (coeff[1] ** 2 + coeff[3] ** 2))
         assert choice.rho2 == pytest.approx(rho2, rel=1e-12)
     assert exercised >= 10
+
+
+def test_two_direction_choice_matches_the_equalizing_reference():
+    # Both forms vanish exactly when p^T p = 0, so the feasible set is the
+    # two complex lines g ~ (1, t) of the roots t of a 2x2 quadratic, and
+    # rho2 = 2 (c1 |g1|^2 + c2 |g2|^2) / |g|^2 is constant on each: the
+    # reference's circles carry no further choice, and with c1 <= c2 the
+    # root of smaller modulus, the closed form's, wins.  On every recorded
+    # two-direction pair choice, hamiltonian and jacobi, of n = 6, n = 30
+    # and n = 100 solves, the closed form's g spans the reference's complex
+    # line and rho2 agrees.
+    cases = [(6, 3, 3, 6, trial) for trial in range(30)] + [(30, 15, 2, 17), (100, 60, 5, 65)]
+    seen = {}
+    for case in cases:
+        _, calls = solve_recording(make_instance(*case), "_complex_pair_core")
+        for (left, nus, *_), choice in calls:
+            if choice.branch == "rank1":
+                continue
+            seen.setdefault(case[0], set()).add(choice.branch)
+            c1, c2 = _weights(nus)
+            ref = _equalizing_coefficients(_structural_forms(left[:, :2]), c1, c2)
+            _, g = _unit_isotropic(left[:, :2])
+            assert 1.0 - abs(np.vdot(ref[:2] + 1j * ref[2:], g)) <= 1e-12
+            rho2 = 2.0 * (c1 * (ref[0] ** 2 + ref[2] ** 2) + c2 * (ref[1] ** 2 + ref[3] ** 2))
+            assert choice.rho2 == pytest.approx(rho2, rel=1e-12)
+    assert seen == {n: {"hamiltonian", "jacobi"} for n in (6, 30, 100)}
 
 
 def test_complex_core_rank1_requires_prior_columns():
@@ -809,26 +899,42 @@ def test_step_records_hold_scalars_measured_from_the_step():
 
 
 def test_tied_pair_combination_is_isotropic_and_continuous():
-    # The tied pairs' two-column blocks W of an n = 30 and an n = 100 solve:
-    # under a 1e-15 relative perturbation of W, the combination p = W g
-    # stays isotropic (p^T p = 0 to rounding) and span(Re p, Im p) moves by
-    # rounding, not by an arbitrary pick within the tie.
+    # Every pair that combines two directions takes their isotropic
+    # combination p = W g: a tied pair the first two columns W of its
+    # Householder basis (n = 30 and n = 100 solves), an untied hamiltonian
+    # pair the two leading mapped directions ``left`` (n = 6 and n = 30
+    # solves).  Under a 1e-15 relative perturbation of W or ``left``, p
+    # stays isotropic (p^T p = 0 to rounding) and the unit p, its phase
+    # within span(Re p, Im p) included, moves by rounding, not by an
+    # arbitrary pick.
     rng = np.random.default_rng(24)
-    blocks = []
+    tied, untied = [], []
     for case in ((30, 15, 28, 30), (100, 40, 60, 100)):
         _, calls = solve_recording(make_instance(*case), "_isotropic_coefficients")
-        blocks += [args[0] for args, _ in calls]
-    assert len(blocks) >= 20
+        tied += [args[0] for args, _ in calls]
+    for case in [(6, 3, 3, 6, trial) for trial in range(30)] + [(30, 15, 15, 30), (30, 2, 28, 30)]:
+        _, calls = solve_recording(make_instance(*case), "_complex_pair_core")
+        untied += [args for args, choice in calls if choice.branch == "hamiltonian"]
+    assert len(tied) >= 20 and len(untied) >= 40
 
-    def plane(w):
-        p = w @ _isotropic_coefficients(w)
+    def unit_p(w, args=None):
+        if args is None:
+            p = w @ _isotropic_coefficients(w)
+        else:
+            choice = _complex_pair_core(w, *args)
+            assert choice.branch == "hamiltonian"
+            p = choice.p
         assert abs(p @ p) <= 1e-14 * np.vdot(p, p).real
-        basis = np.linalg.qr(np.column_stack([p.real, p.imag]))[0]
-        return basis @ basis.T
+        return p / np.linalg.norm(p)
 
-    for w in blocks:
+    def perturbed(w):
         noise = rng.standard_normal(w.shape) + 1j * rng.standard_normal(w.shape)
-        assert np.linalg.norm(plane(w * (1.0 + 1e-15 * noise)) - plane(w), 2) <= 1e-12
+        return w * (1.0 + 1e-15 * noise)
+
+    for w in tied:
+        assert np.linalg.norm(unit_p(perturbed(w)) - unit_p(w)) <= 1e-12
+    for left, *rest in untied:
+        assert np.linalg.norm(unit_p(perturbed(left), rest) - unit_p(left, rest)) <= 1e-12
 
     # the degenerate forms: W^T W = 0, where W's first column is taken,
     # and a != 0 = b = c, where its second is

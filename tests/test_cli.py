@@ -250,7 +250,7 @@ def test_bench_is_byte_deterministic(capsys, tmp_path):
 
 def test_bench_prints_each_failed_trial(capsys, tmp_path):
     # Cell (n=6, rankE=3, m=3, seed=69), r = 6, trial 2: the solver's answer
-    # has poles to 3.9 digits and verify_solution refuses it; the other 11
+    # has poles to 4.0 digits and verify_solution refuses it; the other 11
     # trials pass.  The reason goes to stderr, the CSV keeps its columns.
     csv_path = tmp_path / "rows.csv"
     rc, out, err = run_cli(
@@ -259,7 +259,7 @@ def test_bench_prints_each_failed_trial(capsys, tmp_path):
         "--trials", "3", "--seed", "69", "--csv", str(csv_path),
     )
     assert rc == 0
-    assert err.splitlines() == ["failed: r=6 trial=2: verification failed: precs -3.89 > -6"]
+    assert err.splitlines() == ["failed: r=6 trial=2: verification failed: precs -4 > -6"]
     assert "1 failures total" in out
     assert csv_path.read_text().splitlines()[-1].endswith(",1")
 
