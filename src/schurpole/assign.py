@@ -125,12 +125,12 @@ class StepRecord:
     columns plus its width, so that it took its direction(s) of P-share 1
     and no coupling in closed form (see the module docstring).  An untied
     complex step also records the ``branch`` of its choice ("rank1",
-    "hamiltonian", a tied pair's isotropic combination (see
-    ``_complex_pair_core``), or "jacobi"), Z1's second singular value
-    ``nu2``, and the objectives ``rho1``, ``rho2`` of the single- and
-    two-direction choices (None on the rank-1 branch); a tied one, which
-    makes no choice, records None for all four.  The off-diagonal mass a
-    step adds is its column of the returned S and T.
+    "hamiltonian": a tied pair's isotropic closed form on its two leading
+    mapped directions, or "jacobi"), Z1's second singular value ``nu2``,
+    and the objectives ``rho1``, ``rho2`` of the single- and two-direction
+    choices (None on the rank-1 branch); a tied one, which makes no
+    choice, records None for all four.  The off-diagonal mass a step adds
+    is its column of the returned S and T.
     """
 
     kind: str
